@@ -29,7 +29,7 @@ from circulant3.eigen import (
     pencil_margin_cneg,
     pencil_margin_cpos,
 )
-from circulant3.tensor import CirculantTensor, Scalar, make_tensor
+from circulant3.tensor import CirculantTensor, Scalar, make_tensor, require_even_order
 
 # provenance tags naming the rule that produced an N value
 TAG_NONPOS = "closed-form-nonpos"  # u <= 0 and c <= 0: exact linear form
@@ -40,15 +40,10 @@ TAG_EIGEN_CNEG = "eigen-cneg"  # c = -1, u above the breakpoint
 TAG_LINEAR_CPOS = "linear-cpos"  # c = +1, u at most the breakpoint
 TAG_EIGEN_CPOS = "eigen-cpos"  # c = +1, u above the breakpoint
 TAG_UNDECIDED = "undecided"  # eigensolver failed; value is its best bound
+# closed-form branches on which the SOS threshold M equals N as well
+SOS_EXACT_TAGS = (TAG_NONPOS, TAG_EQUAL_UC)
 
 _PSD_TOL = 1e-7
-
-
-def _require_even(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError("m must be an integer")
-    if m < 4 or m % 2 != 0:
-        raise ValueError("m must be an even integer >= 4")
 
 
 def _is_exact(x: Scalar) -> bool:
@@ -64,14 +59,14 @@ def _simplify(x: Scalar) -> Scalar:
 @lru_cache(maxsize=None)
 def breakpoint_u0_formula(m: int) -> Fraction:
     """Exact abscissa where the linear branch at c = -1 stops: (3^(m-1)+1)/2^m - 1."""
-    _require_even(m)
+    require_even_order(m)
     return Fraction(3 ** (m - 1) + 1, 2**m) - 1
 
 
 @lru_cache(maxsize=None)
 def breakpoint_v0_formula(m: int) -> Fraction:
     """Exact abscissa where the linear branch at c = +1 stops: 1 - 3^(m-1)/(2^(m-1)+1)."""
-    _require_even(m)
+    require_even_order(m)
     return 1 - Fraction(3 ** (m - 1), 2 ** (m - 1) + 1)
 
 
@@ -88,7 +83,7 @@ def _linear_cpos(m: int, u: Scalar) -> Scalar:
 @lru_cache(maxsize=None)
 def unit_scale_reference(m: int) -> float:
     """Threshold at (u, c) = (1, 0); every c = 0, u > 0 query scales off it."""
-    _require_even(m)
+    require_even_order(m)
     return -lambda_min(make_tensor(m, 0, 1, 0), config_for_order(m)).lam
 
 
@@ -97,6 +92,25 @@ class NValue(NamedTuple):
 
     value: Scalar
     tag: str
+
+
+def closed_form_n(m: int, u: Scalar, c: Scalar) -> Optional[NValue]:
+    """Exact N on the four closed-form branches, else None.
+
+    (u <= 0, c <= 0) and u = c > 0 hold for any c; the linear branches
+    need c = -1 or c = +1 and u at most the breakpoint.  Exact inputs
+    give exact values.
+    """
+    if u <= 0 and c <= 0:
+        value = -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
+        return NValue(_simplify(value), TAG_NONPOS)
+    if u == c:  # both positive here, the nonpositive quadrant is handled above
+        return NValue(_simplify(u), TAG_EQUAL_UC)
+    if c == -1 and u <= breakpoint_u0_formula(m):
+        return NValue(_simplify(_linear_cneg(m, u)), TAG_LINEAR_CNEG)
+    if c == 1 and u <= breakpoint_v0_formula(m):
+        return NValue(_simplify(_linear_cpos(m, u)), TAG_LINEAR_CPOS)
+    return None
 
 
 def n_value(
@@ -111,27 +125,21 @@ def n_value(
     c = 0, u > 0 the threshold is u times the cached unit-u value.
     Exact inputs flow through exact arithmetic on the linear branches.
     """
-    _require_even(m)
+    require_even_order(m)
     for name, val in (("u", u), ("c", c)):
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"{name} must be finite")
     if cfg is None:
         cfg = config_for_order(m)
 
-    if u <= 0 and c <= 0:
-        value = -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
-        return NValue(_simplify(value), TAG_NONPOS)
-    if u == c:  # both positive here, the nonpositive quadrant is handled above
-        return NValue(_simplify(u), TAG_EQUAL_UC)
+    closed = closed_form_n(m, u, c)
+    if closed is not None:
+        return closed
     if c == 0:
         return NValue(float(u) * unit_scale_reference(m), TAG_UNIT_U)
     if c == -1:
-        if u <= breakpoint_u0_formula(m):
-            return NValue(_simplify(_linear_cneg(m, u)), TAG_LINEAR_CNEG)
         return NValue(-lambda_min(make_tensor(m, 0, u, -1), cfg).lam, TAG_EIGEN_CNEG)
     if c == 1:
-        if u <= breakpoint_v0_formula(m):
-            return NValue(_simplify(_linear_cpos(m, u)), TAG_LINEAR_CPOS)
         return NValue(-lambda_min(make_tensor(m, 0, u, 1), cfg).lam, TAG_EIGEN_CPOS)
     raise ValueError(
         "c must be in {-1, 0, 1} unless (u <= 0 and c <= 0) or u = c > 0; "
@@ -290,7 +298,7 @@ def analyze(
     full evidence bundle when with_certificate is set), and the report
     is CONFIRMED when |M - N| <= max(1e-5, 1e-5 * max(|M|, 1)).
     """
-    _require_even(m)
+    require_even_order(m)
     if cfg is None:
         cfg = config_for_order(m)
     errors = []
@@ -314,7 +322,8 @@ def analyze(
 
     m_val = math.nan
     bundle: Optional[sos.CertificateBundle] = None
-    exact_branch = (u <= 0 and c <= 0) or (u == c and u > 0)
+    closed = closed_form_n(m, u, c)
+    exact_branch = closed is not None and closed.tag in SOS_EXACT_TAGS
     m_method = "closed-form" if exact_branch else "bisection"
     try:
         if with_certificate:
@@ -408,7 +417,7 @@ def verify_linear_segment(
     and match it within the combined tolerance on the SOS side.  An
     unverified breakpoint or any failed point flags the report.
     """
-    _require_even(m)
+    require_even_order(m)
     if c not in (-1, 1):
         raise ValueError("c must be -1 or 1")
     if cfg is None:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from circulant3 import boundary, sos, tables
 from circulant3.eigen import SolverConfig, SolverFailure, config_for_order
-from circulant3.tensor import Scalar, make_tensor
+from circulant3.tensor import Scalar, make_tensor, require_even_order
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -101,6 +101,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    if values.get("jobs", 1) < 1:
+        raise ValueError(f"jobs must be >= 1, got {values['jobs']}")
     return RunConfig(**values)
 
 
@@ -122,8 +124,7 @@ def _scalar_repr(v: Scalar) -> object:
 
 def _parse_point(args: argparse.Namespace) -> tuple:
     m = args.m
-    if m % 2 != 0 or m < 4:
-        raise ValueError(f"m must be an even integer >= 4, got {m}")
+    require_even_order(m)
     u = tables.parse_scalar(args.u)
     c = tables.parse_scalar(args.c)
     return m, u, c
@@ -264,8 +265,10 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
     m = args.m
-    if m % 2 != 0 or m < 4:
-        print(f"error: m must be an even integer >= 4, got {m}", file=sys.stderr)
+    try:
+        require_even_order(m)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     solver_cfg = cfg.solver_config(m)
     bps = [boundary.breakpoint_u0(m, solver_cfg), boundary.breakpoint_v0(m, solver_cfg)]

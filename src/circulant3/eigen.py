@@ -32,6 +32,7 @@ from circulant3.tensor import (
     dd_bound,
     reference_tensor_c,
     reference_tensor_u,
+    require_even_order,
 )
 
 logger = logging.getLogger(__name__)
@@ -109,11 +110,6 @@ class SolverFailure(RuntimeError):
         self.best = best
 
 
-def _require_even(m: int) -> None:
-    if m % 2 != 0 or m < 4:
-        raise ValueError(f"positivity analysis needs even order m >= 4, got {m}")
-
-
 def _canonical(m: int, x: Sequence[float]) -> Tuple[float, float, float]:
     """Deterministic representative of the minimizer orbit.
 
@@ -151,7 +147,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
     is the minimum. Raises SolverFailure when no candidate satisfies the
     residual tolerance.
     """
-    _require_even(t.m)
+    require_even_order(t.m)
     m = t.m
     d, u, c = float(t.d), float(t.u), float(t.c)
     scale = _tensor_scale(t)
@@ -163,7 +159,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.n_starts, 3))
     lam_g, g1, g2, g3, res_g, used = kernels.minimize_batch(
-        m, d, u, c, [tuple(row) for row in starts], cfg.max_iters, cfg.tol_grad
+        m, d, u, c, starts, cfg.max_iters, cfg.tol_grad
     )
 
     tie = 1e-9 * max(1.0, abs(lam_s), abs(lam_g))
@@ -228,7 +224,7 @@ def pencil_margin_cneg(
     form of the PSD threshold at c = -1 is tight, and turns negative
     past the breakpoint.
     """
-    _require_even(m)
+    require_even_order(m)
     pencil = reference_tensor_c(m) - u * reference_tensor_u(m)
     return lambda_min(pencil, cfg).lam
 
@@ -241,6 +237,6 @@ def pencil_margin_cpos(
     Mirror of pencil_margin_cneg for c = +1: never positive, exactly
     zero on the ray where the linear closed form at c = 1 is tight.
     """
-    _require_even(m)
+    require_even_order(m)
     pencil = (-u) * reference_tensor_u(m) - reference_tensor_c(m)
     return lambda_min(pencil, cfg).lam

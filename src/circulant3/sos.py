@@ -31,6 +31,7 @@ from circulant3.tensor import (
     TernaryForm,
     dd_bound,
     make_tensor,
+    require_even_order,
 )
 
 DEFAULT_SOS_TOL = 1e-7
@@ -175,8 +176,7 @@ def is_sos(
     eigenvalue up to the recorded residuals, to sit below -theta.
     Anything in between raises SosUndecided.
     """
-    if t.m % 2 != 0 or t.m < 4:
-        raise ValueError(f"SOS analysis needs even order m >= 4, got {t.m}")
+    require_even_order(t.m)
     form = t.to_form()
     problem = build_gram_problem(form)
     solution = sdp.solve(problem, tol=1e-11, max_iter=150)
@@ -207,11 +207,6 @@ def is_sos(
     )
 
 
-def _closed_form_nonpos(m: int, u: Scalar, c: Scalar) -> Scalar:
-    # threshold shared by the PSD and SOS sides when u <= 0 and c <= 0
-    return -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
-
-
 def m_value(
     m: int,
     u: Scalar,
@@ -230,17 +225,14 @@ def m_value(
     threshold) and the diagonal-dominance bound, exploiting upward
     closure of the SOS property in d.
     """
-    if m % 2 != 0 or m < 4:
-        raise ValueError(f"SOS analysis needs even order m >= 4, got {m}")
+    require_even_order(m)
     if tol_d <= 0:
         raise ValueError("tol_d must be positive")
+    from circulant3 import boundary
 
-    exact: Optional[Scalar] = None
-    if u == c and u > 0:
-        exact = u
-    elif u <= 0 and c <= 0:
-        exact = _closed_form_nonpos(m, u, c)
-    if exact is not None:
+    closed = boundary.closed_form_n(m, u, c)
+    if closed is not None and closed.tag in boundary.SOS_EXACT_TAGS:
+        exact = closed.value
         ok, _ = is_sos(make_tensor(m, float(exact), float(u), float(c)), sos_tol)
         if not ok:
             raise RuntimeError(
@@ -250,8 +242,6 @@ def m_value(
         return exact
 
     if lower is None:
-        from circulant3 import boundary
-
         lower = boundary.n_value(m, u, c)[0]
     lo = float(lower)
     hi = float(dd_bound(m, u, c))

@@ -16,6 +16,7 @@ for any selection of rows and grades them with a per-row tolerance:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -58,19 +59,6 @@ def _default_tol(expected: float) -> float:
     return max(ABS_TOL, REL_TOL * abs(expected))
 
 
-def _closed_form_n(m: int, u: Scalar, c: int) -> Optional[Scalar]:
-    """Exact N when (u, c) lies on a closed-form branch, else None."""
-    if u <= 0 and c <= 0:
-        return -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
-    if u == c and u > 0:
-        return u
-    if c == -1 and u <= boundary.breakpoint_u0_formula(m):
-        return (3 ** (m - 1) - 2**m + 1) - u * (2**m - 2)
-    if c == 1 and u <= boundary.breakpoint_v0_formula(m):
-        return -(3 ** (m - 1) - 2**m + 1) - u * (2**m - 2)
-    return None
-
-
 @dataclass(frozen=True)
 class FixtureRow:
     """One published row plus its derived checking policy."""
@@ -108,8 +96,8 @@ def _build_row(table: int, m: int, u: str, c: int, exp_m: str, exp_n: str) -> Fi
     if flagged:
         tol_m = max(tol_m, FLAGGED_ABS_TOL)
         tol_n = max(tol_n, FLAGGED_ABS_TOL)
-    closed = _closed_form_n(m, parse_scalar(u), c)
-    exact_n = closed is not None and abs(float(closed) - ne) <= EXACT_TOL and not flagged
+    closed = boundary.closed_form_n(m, parse_scalar(u), c)
+    exact_n = closed is not None and abs(float(closed.value) - ne) <= EXACT_TOL and not flagged
     if exact_n:
         tol_n = EXACT_TOL
     return FixtureRow(
@@ -190,12 +178,16 @@ def run_tables(
 ) -> List[RowResult]:
     """Recompute every row of the selected tables, in fixture order.
 
-    Rows may be solved concurrently (jobs > 1); results are returned in
-    the deterministic fixture order regardless of completion order.
+    Rows may be solved concurrently (jobs > 1, capped at the CPU count);
+    results are returned in the deterministic fixture order regardless
+    of completion order.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     wanted = set(tables)
     rows = [r for r in load_fixture() if r.table in wanted]
-    if jobs <= 1:
+    if jobs == 1:
         return [compute_row(r, tol_d, sos_tol, base_cfg) for r in rows]
     from concurrent.futures import ThreadPoolExecutor
 

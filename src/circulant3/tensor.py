@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
+from circulant3 import kernels
+
 Scalar = Union[int, float, Fraction]
 
 _VALID_INDEX = frozenset((1, 2, 3))
@@ -68,28 +70,12 @@ class CirculantTensor:
     def eval_form(self, x: Sequence[Scalar]) -> Scalar:
         """Value of the associated degree-m form at x = (x1, x2, x3)."""
         x1, x2, x3 = x
-        m = self.m
-        p = x1**m + x2**m + x3**m
-        q = (x1 + x2) ** m + (x1 + x3) ** m + (x2 + x3) ** m
-        s = (x1 + x2 + x3) ** m
-        return self.d * p + self.u * (q - 2 * p) + self.c * (s - q + p)
+        return kernels.eval_form(self.m, self.d, self.u, self.c, x1, x2, x3)
 
     def apply_power(self, x: Sequence[Scalar]) -> Tuple[Scalar, Scalar, Scalar]:
         """The vector A x^{m-1}; its dot product with x equals eval_form(x)."""
         x1, x2, x3 = x
-        e = self.m - 1
-        d, u, c = self.d, self.u, self.c
-        a1 = x1**e
-        a2 = x2**e
-        a3 = x3**e
-        b12 = (x1 + x2) ** e
-        b13 = (x1 + x3) ** e
-        b23 = (x2 + x3) ** e
-        t = (x1 + x2 + x3) ** e
-        g1 = d * a1 + u * (b12 + b13 - 2 * a1) + c * (t - b12 - b13 + a1)
-        g2 = d * a2 + u * (b12 + b23 - 2 * a2) + c * (t - b12 - b23 + a2)
-        g3 = d * a3 + u * (b13 + b23 - 2 * a3) + c * (t - b13 - b23 + a3)
-        return g1, g2, g3
+        return kernels.apply_power(self.m, self.d, self.u, self.c, x1, x2, x3)
 
     def to_form(self) -> "TernaryForm":
         """Explicit coefficient map of the associated ternary form.
@@ -172,6 +158,12 @@ class TernaryForm:
         for (a, b, g), coef in self.coeffs.items():
             total += coef * x1**a * x2**b * x3**g
         return total
+
+
+def require_even_order(m: int) -> None:
+    """Reject any order but an even integer m >= 4, the orders positivity analysis covers."""
+    if isinstance(m, bool) or not isinstance(m, int) or m < 4 or m % 2 != 0:
+        raise ValueError(f"m must be an even integer >= 4, got {m}")
 
 
 def make_tensor(m: int, d: Scalar, u: Scalar, c: Scalar) -> CirculantTensor:

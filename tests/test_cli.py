@@ -210,6 +210,20 @@ def test_config_file_sets_defaults_and_rejects_unknown_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_jobs_below_one_is_usage_error(tmp_path, capsys):
+    for jobs in ("0", "-1"):
+        assert cli.main(["table", "--table", "6", "--jobs", jobs, "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert "jobs must be >= 1" in captured.err
+        assert captured.out == ""
+    cfg = tmp_path / "cfg"
+    cfg.write_text("jobs = 0\n")
+    assert cli.main(["--config", str(cfg), "table", "--table", "6"]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        tables.run_tables([6], jobs=0)
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("seed = 7\n")

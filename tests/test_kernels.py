@@ -1,25 +1,31 @@
-"""Backend parity and correctness of the scalar hot kernels."""
-
-import math
-import os
-import subprocess
-import sys
+"""Pointwise kernels against brute force, batched kernels against the scalar reference."""
 
 import numpy as np
 import pytest
 
-from circulant3 import _pykernels, kernels
+import circulant3
+from circulant3 import kernels
 
-from helpers import brute_force_apply, brute_force_eval
-
-try:
-    from circulant3 import _ckernels
-except ImportError:
-    _ckernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _ckernels is None, reason="compiled extension not built"
+from helpers import (
+    brute_force_apply,
+    brute_force_eval,
+    ref_kkt_newton,
+    ref_minimize_batch,
+    ref_scan_two_equal,
 )
+
+# (m, d, u, c) cases for the batched-versus-scalar comparisons
+REF_CASES = [
+    (4, 0.0, -1.0, 0.0),
+    (4, 1.5, 0.7, -2.0),
+    (6, 0.0, 5.0, -1.0),
+    (6, 2.0, 1.0, -1.0),
+    (6, 0.0, 0.5, 1.0),
+    (8, 0.0, 10.0, 1.0),
+    (8, 30.0, -2.0, 1.0),
+    (14, 0.0, 400.0, -1.0),
+    (14, 0.0, -3.0, 1.0),
+]
 
 
 def _random_cases(seed, n=30):
@@ -32,49 +38,8 @@ def _random_cases(seed, n=30):
 
 
 def test_backend_name_is_reported():
-    assert kernels.BACKEND in ("python", "compiled")
-    assert _pykernels.BACKEND == "python"
-
-
-@needs_compiled
-def test_backends_agree_on_pointwise_kernels():
-    assert _ckernels.BACKEND == "compiled"
-    for m, d, u, c, x1, x2, x3 in _random_cases(11):
-        fp = _pykernels.eval_form(m, d, u, c, x1, x2, x3)
-        fc = _ckernels.eval_form(m, d, u, c, x1, x2, x3)
-        assert abs(fp - fc) <= 1e-12 * max(1.0, abs(fp))
-        gp = _pykernels.apply_power(m, d, u, c, x1, x2, x3)
-        gc = _ckernels.apply_power(m, d, u, c, x1, x2, x3)
-        for a, b in zip(gp, gc):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-        jp = _pykernels.power_jacobian(m, d, u, c, x1, x2, x3)
-        jc = _ckernels.power_jacobian(m, d, u, c, x1, x2, x3)
-        for a, b in zip(jp, jc):
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-@needs_compiled
-def test_backends_agree_on_search_kernels():
-    rng = np.random.default_rng(7)
-    for m, d, u, c in [(4, 0.0, -1.0, 0.0), (6, 2.0, 1.0, -1.0), (6, 0.0, 0.5, 1.0)]:
-        starts = [tuple(map(float, rng.standard_normal(3))) for _ in range(8)]
-        rp = _pykernels.minimize_batch(m, d, u, c, starts, 400, 1e-11)
-        rc = _ckernels.minimize_batch(m, d, u, c, starts, 400, 1e-11)
-        assert rp[5] == rc[5] == 8
-        assert abs(rp[0] - rc[0]) <= 1e-9 * max(1.0, abs(rp[0]))
-        sp = _pykernels.scan_two_equal(m, d, u, c, 501, 40)
-        sc = _ckernels.scan_two_equal(m, d, u, c, 501, 40)
-        assert abs(sp[0] - sc[0]) <= 1e-9 * max(1.0, abs(sp[0]))
-
-
-def test_environment_variable_forces_python_backend():
-    code = "from circulant3 import kernels; print(kernels.BACKEND)"
-    env = dict(os.environ, CIRCULANT3_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
+    assert kernels.BACKEND == "numpy"
+    assert circulant3.BACKEND == kernels.BACKEND
 
 
 def test_eval_and_apply_match_brute_force_through_dispatch():
@@ -112,29 +77,34 @@ def test_power_jacobian_matches_finite_differences():
 
 def test_solve4_agrees_with_dense_solver():
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        a = rng.uniform(-1.0, 1.0, size=(4, 4)) + 4.0 * np.eye(4)
-        b = rng.uniform(-1.0, 1.0, size=4)
-        expected = np.linalg.solve(a, b)
-        got = _pykernels._solve4(list(a.ravel()), list(b))
-        assert got is not None
-        assert np.max(np.abs(np.array(got) - expected)) <= 1e-10
+    a = rng.uniform(-1.0, 1.0, size=(20, 4, 4)) + 4.0 * np.eye(4)
+    b = rng.uniform(-1.0, 1.0, size=(20, 4))
+    expected = np.linalg.solve(a, b[..., None])[..., 0]
+    aug = np.concatenate([a, b[..., None]], axis=2).transpose(1, 2, 0).copy()
+    got, ok = kernels._solve4(aug)
+    assert ok.all()
+    assert np.max(np.abs(got.T - expected)) <= 1e-10
 
 
 def test_solve4_reports_singular_systems():
-    a = [0.0] * 16
-    assert _pykernels._solve4(a, [1.0, 0.0, 0.0, 0.0]) is None
+    aug = np.zeros((4, 5, 2))
+    aug[:, :4, 0] = np.eye(4)
+    aug[0, 4, :] = 1.0
+    with np.errstate(all="ignore"):
+        got, ok = kernels._solve4(aug)
+    assert ok.tolist() == [True, False]
+    assert got[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_minimize_from_finds_known_minimum():
     # at (m, d, u, c) = (4, 0, -1, 0) the minimum over the unit m-norm
     # sphere is -(2^4 - 2) = -14, attained along the all-ones direction
-    lam, x1, x2, x3, res, iters = kernels.minimize_from(
-        4, 0.0, -1.0, 0.0, 0.9, 1.1, 1.05, 600, 1e-11
+    lam, x1, x2, x3, res, used = kernels.minimize_batch(
+        4, 0.0, -1.0, 0.0, np.array([[0.9, 1.1, 1.05]]), 600, 1e-11
     )
+    assert used == 1
     assert abs(lam + 14.0) <= 1e-8
     assert res <= 1e-9 * 14.0
-    assert iters >= 1
     target = 3.0 ** (-1.0 / 4.0)
     assert max(abs(abs(v) - target) for v in (x1, x2, x3)) <= 1e-6
 
@@ -143,12 +113,13 @@ def test_kkt_newton_polishes_an_eigenpair():
     # start slightly off the known minimizer of (6, 62, -1, 0) at the
     # all-ones direction, where the smallest eigenvalue is exactly 0
     s = 3.0 ** (-1.0 / 6.0)
-    lam, x1, x2, x3, res = kernels.kkt_newton(
-        6, 62.0, -1.0, 0.0, s + 0.01, s - 0.02, s, 0.5, 40
+    lam, x, res = kernels.kkt_newton(
+        6, 62.0, -1.0, 0.0, np.array([[s + 0.01, s - 0.02, s]]), np.array([0.5]), 40
     )
-    assert abs(lam) <= 1e-8
-    assert res <= 1e-9
-    norm = sum(abs(v) ** 6 for v in (x1, x2, x3))
+    assert lam.shape == (1,) and x.shape == (1, 3) and res.shape == (1,)
+    assert abs(lam[0]) <= 1e-8
+    assert res[0] <= 1e-9
+    norm = sum(abs(v) ** 6 for v in x[0])
     assert abs(norm - 1.0) <= 1e-9
 
 
@@ -158,3 +129,55 @@ def test_scan_two_equal_covers_structured_minima():
     lam, x1, x2, x3, res = kernels.scan_two_equal(4, 0.0, -1.0, 0.0, 2001, 40)
     assert abs(lam + 14.0) <= 1e-8
     assert res <= 1e-8 * 14.0
+
+
+@pytest.mark.parametrize("m, d, u, c", REF_CASES)
+def test_batched_kernels_match_scalar_reference(m, d, u, c):
+    # each batched column runs the float64 operations of the scalar loop
+    # in the same order, with the C library's pow, so the results are equal
+    starts = np.random.default_rng(m).standard_normal((6, 3))
+    got = kernels.minimize_batch(m, d, u, c, starts, 600, 1e-11)
+    assert got[5] == len(starts)
+    assert got[:5] == ref_minimize_batch(m, d, u, c, starts.tolist(), 600, 1e-11)
+
+    got = kernels.scan_two_equal(m, d, u, c, 501, 40)
+    assert got == ref_scan_two_equal(m, d, u, c, 501, 40)
+
+    x = starts / np.sum(np.abs(starts) ** m, axis=1, keepdims=True) ** (1.0 / m)
+    lam, xs, res = kernels.kkt_newton(m, d, u, c, x, np.full(len(x), 0.5), 30)
+    for k in range(len(x)):
+        ref = ref_kkt_newton(m, d, u, c, *x[k].tolist(), 0.5, 30)
+        assert (lam[k], *xs[k], res[k]) == ref
+
+
+def test_singular_newton_start_stops_alone(monkeypatch):
+    # for the pure-diagonal form x1^4 + x2^4 + x3^4 the Newton system at a
+    # coordinate axis has two zero rows; that column must stop without
+    # raising while the other columns run exactly as they would alone
+    m, d, u, c = 4, 1.0, 0.0, 0.0
+    x = np.array([[0.8, 0.6, 0.5], [1.0, 0.0, 0.0], [0.3, -0.9, 0.7]])
+    lam0 = np.array([0.2, 0.5, 3.0])
+    lam, xs, res = kernels.kkt_newton(m, d, u, c, x, lam0, 30)
+    assert xs[1].tolist() == [1.0, 0.0, 0.0]
+    assert lam[1] == 1.0 and res[1] == 0.0
+    for k in (0, 2):
+        alone = kernels.kkt_newton(m, d, u, c, x[k:k + 1], lam0[k:k + 1], 30)
+        assert lam[k] == alone[0][0] and res[k] == alone[2][0]
+        assert xs[k].tolist() == alone[1][0].tolist()
+
+    # in the multistart, a start whose every Newton system is singular
+    # keeps its unpolished descent point; the batch still returns the
+    # best of the other starts
+    solve = kernels._solve4
+
+    def first_column_singular(aug):
+        y, ok = solve(aug)
+        ok[0] = False
+        return y, ok
+
+    monkeypatch.setattr(kernels, "_solve4", first_column_singular)
+    m, d, u, c = 6, 0.0, 5.0, -1.0
+    starts = np.random.default_rng(1).standard_normal((4, 3))
+    got = kernels.minimize_batch(m, d, u, c, starts, 600, 1e-11)
+    assert got[5] == 4
+    assert got[:5] == ref_minimize_batch(m, d, u, c, starts[1:].tolist(), 600, 1e-11)
