@@ -14,8 +14,12 @@ The solver is a hand-rolled infeasible primal-dual interior-point
 method with Nesterov-Todd scaling and a Mehrotra-style predictor
 corrector. Problem sizes here are tiny (N <= 64, L <= a few hundred),
 so the Schur complement is assembled densely and factored per
-iteration. Everything is deterministic: fixed starting point, fixed
-iteration schedule, no randomization.
+iteration. The iterate is then repaired by projection, eigenvalue
+clipping and a low-rank Gauss-Newton polish; a polish step solves the
+normal equations J J' of its Jacobian by Cholesky where that factor is
+well conditioned, and by ``lstsq`` elsewhere. Everything is
+deterministic: fixed starting point, fixed iteration schedule, no
+randomization.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import numpy as np
 
 _STEP_SHRINK = 0.98  # fraction-to-boundary factor
 _MAX_DIM = 64
+_GN_PIVOT_FLOOR = 1e-12  # smallest trusted Cholesky pivot of J J', relative
+_GN_REFINEMENTS = 3  # refinement steps after the first Cholesky solve
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,10 @@ class SdpSolution:
     upper bound on the attainable t up to the recorded infeasibility.
     ``precision`` estimates the absolute accuracy of t_star and
     dual_obj in the problem's own units (duality gap plus residuals).
+    ``stage`` names the candidate that produced G: "ipm" for the projected
+    interior-point iterate, "clip" for eigenvalue clipping with
+    reprojection, "polish" for the low-rank Gauss-Newton fit. An
+    "infeasible" solution builds no candidate and keeps the default.
     """
 
     G: np.ndarray
@@ -97,6 +107,7 @@ class SdpSolution:
     gap: float
     dual_obj: float
     precision: float
+    stage: str = "ipm"
 
 
 def _chol_psd(S: np.ndarray) -> np.ndarray:
@@ -127,6 +138,36 @@ def _step_length(S: np.ndarray, dS: np.ndarray, chol: np.ndarray) -> float:
     return min(1.0, _STEP_SHRINK / (-beta))
 
 
+def _gauss_newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Least-squares step d with J d ~ -F, the one ``lstsq`` returns.
+
+    A wide J (at least as many columns as rows) with full row rank takes
+    the minimum-norm step J'(J J')^-1 (-F), applied through the inverse
+    of the Cholesky factor of J J' and followed by _GN_REFINEMENTS steps
+    of iterative refinement, which recover the accuracy that squaring
+    J's condition number in J J' costs. The factor is trusted only when
+    its smallest pivot exceeds _GN_PIVOT_FLOOR times its largest: a
+    rank-deficient J leaves a pivot at rounding level without making the
+    factorization fail. A tall J, one below the floor and a failed
+    factorization go to ``lstsq``.
+    """
+    if J.shape[1] >= J.shape[0]:
+        try:
+            chol = np.linalg.cholesky(J @ J.T)
+            pivots = np.diag(chol) ** 2
+            if pivots.min() > _GN_PIVOT_FLOOR * pivots.max():
+                # the same bits as np.linalg.inv, which raised the peak RSS of
+                # a batch of is_sos decisions by 0.5 MB
+                chol_inv = np.linalg.solve(chol, np.eye(chol.shape[0]))
+                step = np.zeros(J.shape[1])
+                for _ in range(1 + _GN_REFINEMENTS):
+                    step = step + J.T @ (chol_inv.T @ (chol_inv @ (-F - J @ step)))
+                return step
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(J, -F, rcond=None)[0]
+
+
 def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSolution:
     """Run the interior-point method; never raises on numerical trouble.
 
@@ -141,6 +182,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
     L = problem.coeffs.shape[0]
     A = problem.coeffs
     A_flat = A.reshape(L, -1)
+    A_rows = A.reshape(L * N, N)
     c = np.einsum("lii->l", A)
 
     scale = max(1.0, float(np.max(np.abs(problem.rhs))))
@@ -311,6 +353,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
 
     G = feas_project(G)
     t_star = float(np.linalg.eigvalsh(G)[0])
+    stage = "ipm"
     obj_scale = max(1.0, float(np.linalg.norm(G)))
 
     if math.isfinite(mu_f) and t_star < 0.0:
@@ -323,7 +366,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
             H = feas_project((V * np.maximum(w, 0.0)) @ V.T)
             lam = float(np.linalg.eigvalsh(H)[0])
             if lam > t_star:
-                t_star, G = lam, H
+                t_star, G, stage = lam, H, "clip"
                 patience = 0
             else:
                 patience += 1
@@ -335,7 +378,9 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
         # started from the dominant eigenspace; when it converges the
         # projected candidate attains an eigenvalue floor near zero even
         # though the interior-point iterate stalled, and when no such
-        # factorization exists the candidate simply loses the comparison
+        # factorization exists the candidate simply loses the comparison.
+        # The Jacobian is one matrix product over the (L*N, N) view of the
+        # constraints, and each step is lstsq's (see _gauss_newton_step)
         rhs_norm = max(1.0, float(np.linalg.norm(problem.rhs)))
         w, V = np.linalg.eigh(G)
         gaps = [i for i in range(1, N) if w[i] > 16.0 * max(abs(w[i - 1]), 1e-16 * obj_scale)]
@@ -347,8 +392,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
                 res = float(np.linalg.norm(F))
                 if res <= 1e-13 * rhs_norm:
                     break
-                Jmat = 2.0 * np.einsum("lij,jr->lir", A, Y, optimize=True).reshape(L, N * r)
-                dY, *_ = np.linalg.lstsq(Jmat, -F, rcond=None)
+                Jmat = 2.0 * (A_rows @ Y).reshape(L, N * r)
+                dY = _gauss_newton_step(Jmat, F)
                 stepped = False
                 for damp in (1.0, 0.5, 0.25, 0.1):
                     Ytry = Y + damp * dY.reshape(N, r)
@@ -361,7 +406,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
             cand = feas_project(Y @ Y.T)
             lam = float(np.linalg.eigvalsh(cand)[0])
             if lam > t_star:
-                t_star, G = lam, cand
+                t_star, G, stage = lam, cand, "polish"
 
     dual_obj = scale * float(b @ yf)
     primal_residual = float(np.max(np.abs(problem.rhs - A_flat @ G.ravel())))
@@ -388,6 +433,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
         gap=dual_obj - t_star,
         dual_obj=dual_obj,
         precision=precision,
+        stage=stage,
     )
 
 
