@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from circulant3 import sos
 from circulant3.eigen import (
@@ -197,40 +197,38 @@ class Breakpoint:
         }
 
 
-def breakpoint_u0(
-    m: int, cfg: Optional[SolverConfig] = None, tol: float = _PSD_TOL
+def _verified_breakpoint(
+    kind: str,
+    m: int,
+    value: Fraction,
+    margin_fn: Callable[[int, Scalar, SolverConfig], float],
+    cfg: Optional[SolverConfig],
+    tol: float,
 ) -> Breakpoint:
-    """Kink of the c = -1 branch, verified through the reference pencil."""
-    value = breakpoint_u0_formula(m)
-    if cfg is None:
-        cfg = config_for_order(m)
+    """Check the pencil ``margin_fn`` at the exact kink ``value``."""
     try:
-        margin = pencil_margin_cneg(m, value, cfg)
+        margin = margin_fn(m, value, cfg or config_for_order(m))
         verified = margin >= -tol
     except SolverFailure as exc:
         margin = exc.best.lam if exc.best is not None else math.nan
         verified = False
     return Breakpoint(
-        kind="u0", m=m, value=value, verified=verified, lambda_residual=float(margin)
+        kind=kind, m=m, value=value, verified=verified, lambda_residual=float(margin)
     )
+
+
+def breakpoint_u0(
+    m: int, cfg: Optional[SolverConfig] = None, tol: float = _PSD_TOL
+) -> Breakpoint:
+    """Kink of the c = -1 branch, verified through the reference pencil."""
+    return _verified_breakpoint("u0", m, breakpoint_u0_formula(m), pencil_margin_cneg, cfg, tol)
 
 
 def breakpoint_v0(
     m: int, cfg: Optional[SolverConfig] = None, tol: float = _PSD_TOL
 ) -> Breakpoint:
     """Kink of the c = +1 branch, verified through the mirrored pencil."""
-    value = breakpoint_v0_formula(m)
-    if cfg is None:
-        cfg = config_for_order(m)
-    try:
-        margin = pencil_margin_cpos(m, value, cfg)
-        verified = margin >= -tol
-    except SolverFailure as exc:
-        margin = exc.best.lam if exc.best is not None else math.nan
-        verified = False
-    return Breakpoint(
-        kind="v0", m=m, value=value, verified=verified, lambda_residual=float(margin)
-    )
+    return _verified_breakpoint("v0", m, breakpoint_v0_formula(m), pencil_margin_cpos, cfg, tol)
 
 
 def _confirm_tol(m_val: float) -> float:

@@ -101,8 +101,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if values.get("jobs", 1) < 1:
-        raise ValueError(f"jobs must be >= 1, got {values['jobs']}")
+    for key in ("jobs", "n_starts"):
+        if values.get(key, 1) < 1:
+            raise ValueError(f"{key} must be >= 1, got {values[key]}")
+    for key in ("tol_d", "sos_tol", "eigen_tol"):
+        if key in values and not (math.isfinite(values[key]) and values[key] > 0):
+            raise ValueError(f"{key} must be finite and > 0, got {values[key]}")
     return RunConfig(**values)
 
 

@@ -18,6 +18,7 @@ coordinate heuristic and the better result is returned.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -70,14 +71,8 @@ DEFAULT_CONFIG = SolverConfig()
 def config_for_order(m: int, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
     """Default config adjusted for the order: larger m gets doubled budgets."""
     if m >= 14:
-        return SolverConfig(
-            n_starts=base.n_starts,
-            structured_first=base.structured_first,
-            max_iters=2 * base.max_iters,
-            tol_grad=base.tol_grad,
-            seed=base.seed,
-            grid_points=2 * base.grid_points - 1,
-            residual_tol=base.residual_tol,
+        return dataclasses.replace(
+            base, max_iters=2 * base.max_iters, grid_points=2 * base.grid_points - 1
         )
     return base
 

@@ -14,8 +14,9 @@ The solver is a hand-rolled infeasible primal-dual interior-point
 method with Nesterov-Todd scaling and a Mehrotra-style predictor
 corrector. Problem sizes here are tiny (N <= 64, L <= a few hundred),
 so the Schur complement is assembled densely and factored per
-iteration. The iterate is then repaired by projection, eigenvalue
-clipping and a low-rank Gauss-Newton polish; a polish step solves the
+iteration. The iterate is then repaired by projection and, when that
+leaves G indefinite, by a low-rank Gauss-Newton polish seeded from the
+interior-point iterate's dominant eigenspace; a polish step solves the
 normal equations J J' of its Jacobian by Cholesky where that factor is
 well conditioned, and by ``lstsq`` elsewhere. Everything is
 deterministic: fixed starting point, fixed iteration schedule, no
@@ -94,9 +95,8 @@ class SdpSolution:
     ``precision`` estimates the absolute accuracy of t_star and
     dual_obj in the problem's own units (duality gap plus residuals).
     ``stage`` names the candidate that produced G: "ipm" for the projected
-    interior-point iterate, "clip" for eigenvalue clipping with
-    reprojection, "polish" for the low-rank Gauss-Newton fit. An
-    "infeasible" solution builds no candidate and keeps the default.
+    interior-point iterate, "polish" for the low-rank Gauss-Newton fit.
+    An "infeasible" solution builds no candidate and keeps the default.
     """
 
     G: np.ndarray
@@ -338,11 +338,11 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
     # degenerate optima (strict complementarity failing) the objective value
     # stalls well above machine precision.  Repair both with plain linear
     # algebra: project onto the affine constraint set (least-norm correction),
-    # then alternate eigenvalue clipping with reprojection, and finally try
-    # restricting G to its dominant eigenspace and re-solving the constraints
-    # there.  Every candidate is reprojected, so the returned matrix is
-    # feasible to machine precision and t_star = lambda_min(G) is a value the
-    # problem actually attains, never an interior-point estimate.
+    # and if that leaves G indefinite, restrict it to a dominant eigenspace of
+    # the interior-point iterate and re-solve the constraints there.  Every
+    # candidate is reprojected, so the returned matrix is feasible to machine
+    # precision and t_star = lambda_min(G) is a value the problem actually
+    # attains, never an interior-point estimate.
     Qpinv = np.linalg.pinv(A_flat @ A_flat.T)
 
     def feas_project(mat: np.ndarray) -> np.ndarray:
@@ -357,32 +357,18 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
     obj_scale = max(1.0, float(np.linalg.norm(G)))
 
     if math.isfinite(mu_f) and t_star < 0.0:
-        H = G
-        patience = 0
-        for _ in range(200):
-            w, V = np.linalg.eigh(H)
-            if w[0] >= -1e-14 * obj_scale:
-                break
-            H = feas_project((V * np.maximum(w, 0.0)) @ V.T)
-            lam = float(np.linalg.eigvalsh(H)[0])
-            if lam > t_star:
-                t_star, G, stage = lam, H, "clip"
-                patience = 0
-            else:
-                patience += 1
-                if patience >= 12:
-                    break
-
-        # low-rank polish: above each spectral gap, look for a PSD
-        # factorization G = Y Yᵀ meeting the constraints via Gauss-Newton
-        # started from the dominant eigenspace; when it converges the
+        # low-rank polish: above each spectral gap of scale * Xf, look for a
+        # PSD factorization G = Y Yᵀ meeting the constraints via Gauss-Newton
+        # started from the dominant eigenspace.  Xf is PSD and carries no
+        # -t*I shift, so its near-zero eigenvalues stay visible and mark the
+        # face of the PSD cone the optimum lies on; when the fit converges the
         # projected candidate attains an eigenvalue floor near zero even
         # though the interior-point iterate stalled, and when no such
         # factorization exists the candidate simply loses the comparison.
         # The Jacobian is one matrix product over the (L*N, N) view of the
         # constraints, and each step is lstsq's (see _gauss_newton_step)
         rhs_norm = max(1.0, float(np.linalg.norm(problem.rhs)))
-        w, V = np.linalg.eigh(G)
+        w, V = np.linalg.eigh(scale * Xf)
         gaps = [i for i in range(1, N) if w[i] > 16.0 * max(abs(w[i - 1]), 1e-16 * obj_scale)]
         for cut in sorted(gaps, reverse=True)[:3]:
             r = N - cut
@@ -451,7 +437,6 @@ def check_certificate(
         raise ValueError(f"G must have shape ({problem.dim}, {problem.dim})")
     if not np.allclose(G, G.T, atol=1e-9):
         raise ValueError("G must be symmetric")
-    L = problem.coeffs.shape[0]
     viol = 0.0
     for mat, b in problem.constraints:
         viol = max(viol, abs(float(np.sum(mat * G)) - b))

@@ -12,6 +12,7 @@ making a tensor SOS, and packages per-point certification bundles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -226,8 +227,8 @@ def m_value(
     closure of the SOS property in d.
     """
     require_even_order(m)
-    if tol_d <= 0:
-        raise ValueError("tol_d must be positive")
+    if not (math.isfinite(tol_d) and tol_d > 0):
+        raise ValueError(f"tol_d must be finite and positive, got {tol_d}")
     from circulant3 import boundary
 
     closed = boundary.closed_form_n(m, u, c)

@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
 from circulant3 import boundary, sos
-from circulant3.eigen import SolverConfig, SolverFailure, config_for_order
+from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure, config_for_order
 from circulant3.tensor import Scalar
 
 FIXTURE_NAME = "tables.csv"
@@ -150,7 +150,7 @@ def compute_row(
     base_cfg: Optional[SolverConfig] = None,
 ) -> RowResult:
     """Recompute both thresholds for a row and grade them."""
-    cfg = config_for_order(row.m, base_cfg) if base_cfg else config_for_order(row.m)
+    cfg = config_for_order(row.m, base_cfg or DEFAULT_CONFIG)
     u = row.u_value
     m_comp = math.nan
     n_comp = math.nan

@@ -224,6 +224,27 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys):
         tables.run_tables([6], jobs=0)
 
 
+def test_nonpositive_or_non_finite_settings_are_usage_errors(tmp_path, capsys):
+    for subcommand in (["table", "--table", "6"], ["breakpoints", "--m", "6"],
+                       ["analyze", "--m", "6", "--u", "-1", "--c", "0"]):
+        for tol_d in ("0", "-1e-7", "nan", "inf"):
+            assert cli.main(subcommand + [f"--tol-d={tol_d}", "--format", "csv"]) == 2
+            captured = capsys.readouterr()
+            assert "tol_d must be finite and > 0" in captured.err
+            assert captured.out == ""
+    for line, message in (("tol_d = 0", "tol_d must be finite and > 0"),
+                          ("sos_tol = nan", "sos_tol must be finite and > 0"),
+                          ("eigen_tol = 0", "eigen_tol must be finite and > 0"),
+                          ("eigen_tol = inf", "eigen_tol must be finite and > 0"),
+                          ("n_starts = 0", "n_starts must be >= 1")):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main(["--config", str(cfg), "table", "--table", "6"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg"
     cfg.write_text("seed = 7\n")

@@ -13,7 +13,15 @@ from circulant3.tensor import dd_bound, make_tensor
 
 
 def test_is_sos_accepts_known_members():
-    for m, d, u, c in [(6, 1, 1, 1), (6, 242, -1, -1), (4, 14, -1, 0)]:
+    # the two m = 8 points lie above N, where the interior-point run stalls
+    # and the certificate comes from the low-rank polish
+    for m, d, u, c in [
+        (6, 1, 1, 1),
+        (6, 242, -1, -1),
+        (4, 14, -1, 0),
+        (8, 40, 20, 1),
+        (8, Fraction(130348081634915267, 1759218604441600), Fraction(2415, 64), -1),
+    ]:
         ok, cert = sos.is_sos(make_tensor(m, d, u, c))
         assert ok
         assert cert is not None
@@ -42,8 +50,11 @@ def test_m_value_exact_branches_return_exact_scalars():
     assert got == Fraction(1, 2)
     with pytest.raises(ValueError):
         sos.m_value(5, 1, 1)
-    with pytest.raises(ValueError):
-        sos.m_value(6, 1, 1, tol_d=0.0)
+    # a NaN or infinite tol_d would skip the bisection loop and return the
+    # diagonal-dominance bound
+    for tol_d in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol_d"):
+            sos.m_value(6, 1, 0, tol_d=tol_d)
 
 
 def test_m_value_bisection_matches_reference_points():
