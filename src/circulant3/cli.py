@@ -104,6 +104,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in ("jobs", "n_starts"):
         if values.get(key, 1) < 1:
             raise ValueError(f"{key} must be >= 1, got {values[key]}")
+    if values.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {values['seed']}")
     for key in ("tol_d", "sos_tol", "eigen_tol"):
         if key in values and not (math.isfinite(values[key]) and values[key] > 0):
             raise ValueError(f"{key} must be finite and > 0, got {values[key]}")

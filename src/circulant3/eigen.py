@@ -38,8 +38,8 @@ from circulant3.tensor import (
 
 logger = logging.getLogger(__name__)
 
-# polish iteration counts for the structured scan and the final Newton
-_SCAN_POLISH_ITERS = 40
+# Newton polish iterations for the grid minima of the structured scan
+SCAN_POLISH_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class SolverConfig:
     """Knobs for the eigenvalue search; hashable so results can be cached."""
 
     n_starts: int = 64
-    structured_first: bool = True
     max_iters: int = 600
     tol_grad: float = 1e-11
     seed: int = 0
@@ -147,34 +146,25 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
     d, u, c = float(t.d), float(t.u), float(t.c)
     scale = _tensor_scale(t)
 
-    lam_s, s1, s2, s3, res_s = kernels.scan_two_equal(
-        m, d, u, c, cfg.grid_points, _SCAN_POLISH_ITERS
+    lam_s, s1, s2, s3, _ = kernels.scan_two_equal(
+        m, d, u, c, cfg.grid_points, SCAN_POLISH_ITERS
     )
 
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.n_starts, 3))
-    lam_g, g1, g2, g3, res_g, used = kernels.minimize_batch(
+    lam_g, g1, g2, g3, _, used = kernels.minimize_batch(
         m, d, u, c, starts, cfg.max_iters, cfg.tol_grad
     )
 
-    tie = 1e-9 * max(1.0, abs(lam_s), abs(lam_g))
-    structured = (lam_s, (s1, s2, s3), res_s)
-    general = (lam_g, (g1, g2, g3), res_g)
-    if cfg.structured_first:
-        pick, other = structured, general
-    else:
-        pick, other = general, structured
-    if other[0] < pick[0] - tie:
-        if pick is structured:
-            logger.warning(
-                "general multistart found a lower value than the "
-                "two-equal-coordinate scan at (m=%d, d=%g, u=%g, c=%g): "
-                "%.15g < %.15g",
-                m, d, u, c, other[0], pick[0],
-            )
-        pick = other
-
-    lam, x_raw, residual = pick
+    x_raw = (s1, s2, s3)
+    if lam_g < lam_s - 1e-9 * max(1.0, abs(lam_s), abs(lam_g)):
+        logger.warning(
+            "general multistart found a lower value than the "
+            "two-equal-coordinate scan at (m=%d, d=%g, u=%g, c=%g): "
+            "%.15g < %.15g",
+            m, d, u, c, lam_g, lam_s,
+        )
+        x_raw = (g1, g2, g3)
     x = _canonical(m, x_raw)
     # recompute the eigenvalue and residual at the canonical representative
     lam = kernels.eval_form(m, d, u, c, *x)

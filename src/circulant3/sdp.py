@@ -14,11 +14,10 @@ The solver is a hand-rolled infeasible primal-dual interior-point
 method with Nesterov-Todd scaling and a Mehrotra-style predictor
 corrector. Problem sizes here are tiny (N <= 64, L <= a few hundred),
 so the Schur complement is assembled densely and factored per
-iteration. The iterate is then repaired by projection and, when that
-leaves G indefinite, by a low-rank Gauss-Newton polish seeded from the
-interior-point iterate's dominant eigenspace; a polish step solves the
-normal equations J J' of its Jacobian by Cholesky where that factor is
-well conditioned, and by ``lstsq`` elsewhere. Everything is
+iteration. The final iterate is projected onto the constraints, and
+t_star is read off the projected matrix. The solver expects a problem
+with an interior: a Gram problem whose form has real zeros is first
+restricted to the face those zeros cut out (see ``sos``). Everything is
 deterministic: fixed starting point, fixed iteration schedule, no
 randomization.
 """
@@ -33,8 +32,6 @@ import numpy as np
 
 _STEP_SHRINK = 0.98  # fraction-to-boundary factor
 _MAX_DIM = 64
-_GN_PIVOT_FLOOR = 1e-12  # smallest trusted Cholesky pivot of J J', relative
-_GN_REFINEMENTS = 3  # refinement steps after the first Cholesky solve
 
 
 @dataclass(frozen=True)
@@ -94,9 +91,6 @@ class SdpSolution:
     upper bound on the attainable t up to the recorded infeasibility.
     ``precision`` estimates the absolute accuracy of t_star and
     dual_obj in the problem's own units (duality gap plus residuals).
-    ``stage`` names the candidate that produced G: "ipm" for the projected
-    interior-point iterate, "polish" for the low-rank Gauss-Newton fit.
-    An "infeasible" solution builds no candidate and keeps the default.
     """
 
     G: np.ndarray
@@ -107,7 +101,6 @@ class SdpSolution:
     gap: float
     dual_obj: float
     precision: float
-    stage: str = "ipm"
 
 
 def _chol_psd(S: np.ndarray) -> np.ndarray:
@@ -138,36 +131,6 @@ def _step_length(S: np.ndarray, dS: np.ndarray, chol: np.ndarray) -> float:
     return min(1.0, _STEP_SHRINK / (-beta))
 
 
-def _gauss_newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Least-squares step d with J d ~ -F, the one ``lstsq`` returns.
-
-    A wide J (at least as many columns as rows) with full row rank takes
-    the minimum-norm step J'(J J')^-1 (-F), applied through the inverse
-    of the Cholesky factor of J J' and followed by _GN_REFINEMENTS steps
-    of iterative refinement, which recover the accuracy that squaring
-    J's condition number in J J' costs. The factor is trusted only when
-    its smallest pivot exceeds _GN_PIVOT_FLOOR times its largest: a
-    rank-deficient J leaves a pivot at rounding level without making the
-    factorization fail. A tall J, one below the floor and a failed
-    factorization go to ``lstsq``.
-    """
-    if J.shape[1] >= J.shape[0]:
-        try:
-            chol = np.linalg.cholesky(J @ J.T)
-            pivots = np.diag(chol) ** 2
-            if pivots.min() > _GN_PIVOT_FLOOR * pivots.max():
-                # the same bits as np.linalg.inv, which raised the peak RSS of
-                # a batch of is_sos decisions by 0.5 MB
-                chol_inv = np.linalg.solve(chol, np.eye(chol.shape[0]))
-                step = np.zeros(J.shape[1])
-                for _ in range(1 + _GN_REFINEMENTS):
-                    step = step + J.T @ (chol_inv.T @ (chol_inv @ (-F - J @ step)))
-                return step
-        except np.linalg.LinAlgError:
-            pass
-    return np.linalg.lstsq(J, -F, rcond=None)[0]
-
-
 def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSolution:
     """Run the interior-point method; never raises on numerical trouble.
 
@@ -182,7 +145,6 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
     L = problem.coeffs.shape[0]
     A = problem.coeffs
     A_flat = A.reshape(L, -1)
-    A_rows = A.reshape(L * N, N)
     c = np.einsum("lii->l", A)
 
     scale = max(1.0, float(np.max(np.abs(problem.rhs))))
@@ -236,11 +198,11 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
             else:
                 stall += 1
             best_err = err
-            best = (X.copy(), Z.copy(), y.copy(), t, mu, feas, rg, dfeas)
+            best = (X.copy(), y.copy(), t, mu, rg, dfeas)
         else:
             stall += 1
 
-        if mu <= tol and feas <= tol and dfeas <= max(tol, 1e-9) and abs(rg) <= max(tol, 1e-10):
+        if mu <= tol and feas <= max(tol, 1e-9) and dfeas <= max(tol, 1e-9) and abs(rg) <= max(tol, 1e-10):
             status = "optimal"
             break
         if stall >= 8:
@@ -265,7 +227,10 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
                 M = 0.5 * (M + M.T)
             if not np.all(np.isfinite(M)):
                 break
-            M += (1e-13 * max(1.0, float(np.max(np.diag(M))))) * np.eye(L)
+            # a floor on M's spectrum; a floor much above 1e-14 of its largest
+            # diagonal entry biases the Newton steps enough for the primal
+            # residual to grow as mu falls, and the loop stalls early
+            M += (1e-14 * max(1.0, float(np.max(np.diag(M))))) * np.eye(L)
 
             def newton(Rc: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray]:
                 T1 = Rc - W @ Rd @ W
@@ -310,89 +275,31 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
         X = 0.5 * ((X + ap * dX) + (X + ap * dX).T)
         Z = 0.5 * ((Z + ad * dZ) + (Z + ad * dZ).T)
         y = y + ad * dy
-        t = t + ad * dt
+        t = t + ap * dt
         if not (math.isfinite(t) and float(np.max(np.abs(X))) < 1e60 and float(np.max(np.abs(Z))) < 1e60):
             break
 
     if status == "optimal":
-        final = (
-            X,
-            Z,
-            y,
-            t,
-            float(np.sum(X * Z)) / N,
-            float(np.max(np.abs(b - A_flat @ X.ravel() - c * t))),
-            1.0 - float(c @ y),
-            float(np.max(np.abs(adjoint(y) - Z))),
-        )
+        final = (X, y, t, mu, rg, dfeas)
     elif best is not None:
         final = best
     else:
-        final = (X, Z, y, t, math.inf, math.inf, math.inf, math.inf)
-    Xf, Zf, yf, tf, mu_f, feas_f, rg_f, dfeas_f = final
+        final = (X, y, t, math.inf, math.inf, math.inf)
+    Xf, yf, tf, mu_f, rg_f, dfeas_f = final
 
     G = scale * (Xf + tf * np.eye(N))
     G = 0.5 * (G + G.T)
 
-    # The interior-point iterate is feasible only up to its residuals, and at
-    # degenerate optima (strict complementarity failing) the objective value
-    # stalls well above machine precision.  Repair both with plain linear
-    # algebra: project onto the affine constraint set (least-norm correction),
-    # and if that leaves G indefinite, restrict it to a dominant eigenspace of
-    # the interior-point iterate and re-solve the constraints there.  Every
-    # candidate is reprojected, so the returned matrix is feasible to machine
-    # precision and t_star = lambda_min(G) is a value the problem actually
-    # attains, never an interior-point estimate.
-    Qpinv = np.linalg.pinv(A_flat @ A_flat.T)
-
-    def feas_project(mat: np.ndarray) -> np.ndarray:
-        resid = problem.rhs - A_flat @ mat.ravel()
-        corr = np.tensordot(Qpinv @ resid, A, axes=1)
-        out = mat + corr
-        return 0.5 * (out + out.T)
-
-    G = feas_project(G)
+    # The interior-point iterate is feasible only up to its residuals:
+    # project it onto the affine constraint set (least-norm correction), so
+    # the returned matrix is feasible to machine precision and
+    # t_star = lambda_min(G) is a value the problem actually attains, never
+    # an interior-point estimate
+    resid = problem.rhs - A_flat @ G.ravel()
+    G = G + np.tensordot(np.linalg.pinv(A_flat @ A_flat.T) @ resid, A, axes=1)
+    G = 0.5 * (G + G.T)
     t_star = float(np.linalg.eigvalsh(G)[0])
-    stage = "ipm"
     obj_scale = max(1.0, float(np.linalg.norm(G)))
-
-    if math.isfinite(mu_f) and t_star < 0.0:
-        # low-rank polish: above each spectral gap of scale * Xf, look for a
-        # PSD factorization G = Y Yᵀ meeting the constraints via Gauss-Newton
-        # started from the dominant eigenspace.  Xf is PSD and carries no
-        # -t*I shift, so its near-zero eigenvalues stay visible and mark the
-        # face of the PSD cone the optimum lies on; when the fit converges the
-        # projected candidate attains an eigenvalue floor near zero even
-        # though the interior-point iterate stalled, and when no such
-        # factorization exists the candidate simply loses the comparison.
-        # The Jacobian is one matrix product over the (L*N, N) view of the
-        # constraints, and each step is lstsq's (see _gauss_newton_step)
-        rhs_norm = max(1.0, float(np.linalg.norm(problem.rhs)))
-        w, V = np.linalg.eigh(scale * Xf)
-        gaps = [i for i in range(1, N) if w[i] > 16.0 * max(abs(w[i - 1]), 1e-16 * obj_scale)]
-        for cut in sorted(gaps, reverse=True)[:3]:
-            r = N - cut
-            Y = V[:, cut:] * np.sqrt(np.maximum(w[cut:], 0.0))
-            for _ in range(40):
-                F = A_flat @ (Y @ Y.T).ravel() - problem.rhs
-                res = float(np.linalg.norm(F))
-                if res <= 1e-13 * rhs_norm:
-                    break
-                Jmat = 2.0 * (A_rows @ Y).reshape(L, N * r)
-                dY = _gauss_newton_step(Jmat, F)
-                stepped = False
-                for damp in (1.0, 0.5, 0.25, 0.1):
-                    Ytry = Y + damp * dY.reshape(N, r)
-                    if float(np.linalg.norm(A_flat @ (Ytry @ Ytry.T).ravel() - problem.rhs)) < res:
-                        Y = Ytry
-                        stepped = True
-                        break
-                if not stepped:
-                    break
-            cand = feas_project(Y @ Y.T)
-            lam = float(np.linalg.eigvalsh(cand)[0])
-            if lam > t_star:
-                t_star, G, stage = lam, cand, "polish"
 
     dual_obj = scale * float(b @ yf)
     primal_residual = float(np.max(np.abs(problem.rhs - A_flat @ G.ravel())))
@@ -405,11 +312,9 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
 
     # grade the repaired matrix, not the raw iterate: the loop may stop on
     # the stall counter even though the projected result meets tolerance
-    if status != "infeasible" and math.isfinite(mu_f):
-        rhs_scale = max(1.0, float(np.max(np.abs(problem.rhs))) if problem.rhs.size else 0.0)
-        feas_ok = primal_residual <= max(tol, 1e-9) * rhs_scale
-        if mu_f <= tol and dfeas_f <= max(tol, 1e-9) and abs(rg_f) <= max(tol, 1e-10) and feas_ok:
-            status = "optimal"
+    feas_ok = primal_residual <= max(tol, 1e-9) * scale
+    if mu_f <= tol and dfeas_f <= max(tol, 1e-9) and abs(rg_f) <= max(tol, 1e-10) and feas_ok:
+        status = "optimal"
     return SdpSolution(
         G=G,
         t_star=t_star,
@@ -419,7 +324,6 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
         gap=dual_obj - t_star,
         dual_obj=dual_obj,
         precision=precision,
-        stage=stage,
     )
 
 

@@ -7,19 +7,29 @@ problem, decides membership with the interior-point solver (adaptive
 threshold, dual-certified rejections, and an explicit "undecided"
 outcome instead of silent failure), computes the minimal diagonal value
 making a tensor SOS, and packages per-point certification bundles.
+
+At the PSD threshold the form has real zeros, every Gram matrix has
+their monomial vectors in its kernel, and the Gram problem has no
+interior. There the problem is solved on that face of the PSD cone
+("partial facial reduction", Permenter and Parrilo): G = V H V' with V
+spanning the complement of the zeros' monomial vectors. The resulting
+G is still checked against the full problem.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from circulant3 import sdp
+from circulant3 import kernels, sdp
 from circulant3.eigen import (
+    SCAN_POLISH_ITERS,
     EigenResult,
     SolverConfig,
     SolverFailure,
@@ -37,6 +47,7 @@ from circulant3.tensor import (
 
 DEFAULT_SOS_TOL = 1e-7
 DEFAULT_TOL_D = 1e-7
+_ZERO_TOL = 1e-9  # a form value this small, relative to the tensor's scale, is a zero
 
 
 class SosUndecided(RuntimeError):
@@ -143,6 +154,64 @@ def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
     return sdp.SdpProblem(n, coeffs, rhs)
 
 
+def _zeros(m: int, d: float, u: float, c: float) -> List[Tuple[float, float, float]]:
+    """Real zeros of the form, one per S3 orbit; empty off the threshold.
+
+    The two-equal-coordinate scan that ``lambda_min`` trusts gives the
+    form's minimum on that section, and (1, 1, 1) is checked on its own.
+    A point of the unit m-norm sphere is a zero when |f| there is at most
+    _ZERO_TOL times the tensor's scale |d| + dd_bound.
+    """
+    tol = _ZERO_TOL * max(1.0, abs(d) + float(dd_bound(m, u, c)))
+    grid = config_for_order(m).grid_points
+    lam, x1, x2, x3, _ = kernels.scan_two_equal(m, d, u, c, grid, SCAN_POLISH_ITERS)
+    zeros = [(x1, x2, x3)] if abs(lam) <= tol else []
+    if abs(kernels.eval_form(m, d, u, c, 1.0, 1.0, 1.0)) <= 3.0 * tol:
+        zeros.append((1.0, 1.0, 1.0))
+    return zeros
+
+
+def _face(t: CirculantTensor) -> Optional[np.ndarray]:
+    """Orthonormal basis V of the face every PSD Gram matrix of the form lies on.
+
+    A real zero x of the form forces z(x)' G z(x) = 0, so G z(x) = 0 for
+    every PSD Gram matrix G: G = V H V' with V spanning the complement of
+    the z-vectors of the zeros and their coordinate permutations. On
+    u = c = d > 0 the form is u (x1+x2+x3)^m, whose zeros fill a plane;
+    there V is the single vector w of multinomial coefficients of
+    (x1+x2+x3)^(m/2), and u w w' is the exact Gram matrix. None when the
+    form has no zero.
+    """
+    basis = MonomialBasis.for_half_degree(t.m // 2)
+    d, u, c = float(t.d), float(t.u), float(t.c)
+    if d == u == c > 0:
+        w = np.array([math.factorial(basis.k) / math.prod(map(math.factorial, e))
+                      for e in basis.monos])
+        return (w / np.linalg.norm(w))[:, None]
+    zeros = _zeros(t.m, d, u, c)
+    if not zeros:
+        return None
+    Z = np.array([[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in basis.monos]
+                  for x in zeros for p in itertools.permutations(x)])
+    U, sing, _ = np.linalg.svd(Z.T)
+    return U[:, int(np.sum(sing > 1e-9 * sing[0])):]
+
+
+def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
+    """The Gram problem in H for G = V H V', with independent constraints only.
+
+    The restricted constraints V' A_l V are linearly dependent (the
+    zeros tie them together), so they are replaced by an orthonormal
+    basis of their span, with the right-hand sides combined alike.
+    """
+    r = V.shape[1]
+    A = np.einsum("ia,lij,jb->lab", V, problem.coeffs, V, optimize=True).reshape(-1, r * r)
+    U, sing, Wt = np.linalg.svd(A, full_matrices=False)
+    k = int(np.sum(sing > 1e-10 * sing[0]))
+    coeffs = (sing[:k, None] * Wt[:k]).reshape(k, r, r)
+    return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U[:, :k].T @ problem.rhs)
+
+
 def _viol_floor(problem: sdp.SdpProblem) -> float:
     # verification slack proportional to the coefficient scale
     return 1e-9 * max(1.0, float(np.max(np.abs(problem.rhs))))
@@ -176,11 +245,22 @@ def is_sos(
     dual objective, a valid upper bound on the achievable minimum
     eigenvalue up to the recorded residuals, to sit below -theta.
     Anything in between raises SosUndecided.
+
+    Where the form has real zeros (at a threshold) the Gram problem has
+    no interior, and the SDP is solved on the face those zeros cut out
+    (see _face); solution.t_star is then the face problem's. The
+    certificate is still checked against the full problem, so a wrong
+    face can make the verdict undecided but never a wrong "yes".
     """
     require_even_order(t.m)
     form = t.to_form()
     problem = build_gram_problem(form)
-    solution = sdp.solve(problem, tol=1e-11, max_iter=150)
+    V = _face(t)
+    if V is None:
+        solution = sdp.solve(problem, tol=1e-11, max_iter=150)
+    else:
+        solution = sdp.solve(_restrict(problem, V), tol=1e-11, max_iter=150)
+        solution = dataclasses.replace(solution, G=V @ solution.G @ V.T)
     if solution.status == "infeasible":
         raise SosUndecided(
             f"Gram equality system inconsistent (residual {solution.primal_residual:.3e}); "
@@ -332,7 +412,8 @@ def certify_pns_free(
     """Assemble the three-piece evidence bundle at one parameter point.
 
     Pieces: the SOS threshold, a verified Gram certificate at
-    d = threshold + tol_d, and a minimizer of the form at d = threshold
+    d = threshold + tol_d (solved at the threshold on its face, then
+    shifted by tol_d), and a minimizer of the form at d = threshold
     with value at most 10 * tol_d. All three present -> CONFIRMED; a
     missing or failed piece -> UNCONFIRMED with the evidence that does
     exist.
@@ -345,9 +426,18 @@ def certify_pns_free(
     cert: Optional[GramCertificate] = None
     cert_ok = False
     try:
-        cert_ok, cert = is_sos(make_tensor(m, Mf + tol_d, float(u), float(c)))
+        cert_ok, cert = is_sos(make_tensor(m, Mf, float(u), float(c)))
     except SosUndecided:
         cert_ok = False
+    if cert is not None:
+        # tol_d on the three pure-power diagonal entries makes G an exact
+        # Gram matrix of f + tol_d * (x1^m + x2^m + x3^m), the form at M + tol_d
+        form = make_tensor(m, Mf + tol_d, float(u), float(c)).to_form()
+        k = cert.basis.k
+        G = cert.G.copy()
+        for e in ((k, 0, 0), (0, k, 0), (0, 0, k)):
+            G[cert.basis.index(e), cert.basis.index(e)] += tol_d
+        cert = _certificate_from_solution(form, build_gram_problem(form), G)
 
     minimizer = None
     min_val: Optional[float] = None

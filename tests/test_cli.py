@@ -232,11 +232,17 @@ def test_nonpositive_or_non_finite_settings_are_usage_errors(tmp_path, capsys):
             captured = capsys.readouterr()
             assert "tol_d must be finite and > 0" in captured.err
             assert captured.out == ""
+    # a negative seed reached numpy's default_rng and exited 1 with a traceback
+    assert cli.main(["table", "--table", "6", "--seed", "-1", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0" in captured.err
+    assert captured.out == ""
     for line, message in (("tol_d = 0", "tol_d must be finite and > 0"),
                           ("sos_tol = nan", "sos_tol must be finite and > 0"),
                           ("eigen_tol = 0", "eigen_tol must be finite and > 0"),
                           ("eigen_tol = inf", "eigen_tol must be finite and > 0"),
-                          ("n_starts = 0", "n_starts must be >= 1")):
+                          ("n_starts = 0", "n_starts must be >= 1"),
+                          ("seed = -1", "seed must be >= 0")):
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
         assert cli.main(["--config", str(cfg), "table", "--table", "6"]) == 2

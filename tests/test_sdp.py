@@ -1,9 +1,12 @@
 """Interior-point solver for the max-min-eigenvalue problem."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from circulant3 import sdp
+from circulant3 import sdp, sos
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
 
@@ -45,103 +48,33 @@ def test_free_entries_are_used_to_raise_the_minimum_eigenvalue():
     assert abs(sol.G[0, 0] - 2.0) <= 1e-9
 
 
-def test_perfect_power_gram_problem_is_recognized_as_psd(monkeypatch):
-    # the form (x1+x2+x3)^6 has a rank-one Gram certificate but sits on
-    # a face where strict complementarity fails; the polish step must
-    # still return a feasible G with nonnegative minimum eigenvalue.  Its
-    # rank-one cut gives a tall Jacobian (N*r = 10 < L = 28), whose
-    # Gauss-Newton steps are taken by lstsq
-    prob = build_gram_problem(make_tensor(6, 1, 1, 1).to_form())
-    shapes = []
-    step = sdp._gauss_newton_step
-
-    def spy(J, F):
-        shapes.append(J.shape)
-        return step(J, F)
-
-    monkeypatch.setattr(sdp, "_gauss_newton_step", spy)
-    sol = sdp.solve(prob, tol=1e-11, max_iter=150)
-    assert (28, 10) in shapes
-    assert sol.stage == "polish"
+def test_perfect_power_gram_problem_is_recognized_as_psd():
+    # the form (x1+x2+x3)^6 vanishes on a whole plane, so its Gram problem
+    # has no interior; on the face spanned by the vector w of multinomial
+    # coefficients of (x1+x2+x3)^3 its rank-one Gram matrix w w' is exact
+    t = make_tensor(6, 1, 1, 1)
+    prob = build_gram_problem(t.to_form())
+    V = sos._face(t)
+    assert V.shape == (prob.dim, 1)
+    sol = sdp.solve(sos._restrict(prob, V), tol=1e-11, max_iter=150)
     assert sol.t_star >= -1e-9
-    ok, viol = sdp.check_certificate(sol.G, prob, tol=1e-7)
+    G = V @ sol.G @ V.T
+    w = np.array([math.comb(3, a) * math.comb(3 - a, b)
+                  for a, b, _ in sos.MonomialBasis.for_half_degree(3).monos])
+    assert np.allclose(G, np.outer(w, w), rtol=0.0, atol=1e-12)
+    ok, viol = sdp.check_certificate(G, prob, tol=1e-7)
     assert ok, f"violation {viol:.3e}"
 
 
-def _gram_jacobian(r, scales=None):
-    # the Jacobian of Y -> <A_l, Y Y'> for the m = 6 Gram problem at a
-    # fixed random Y with r columns, each column times its entry of
-    # scales, and a fixed random residual
-    prob = build_gram_problem(make_tensor(6, 1, 1, 1).to_form())
-    L, N = prob.coeffs.shape[0], prob.dim
-    rng = np.random.default_rng(1)
-    Y = rng.standard_normal((N, r)) * (np.ones(r) if scales is None else np.asarray(scales))
-    J = 2.0 * (prob.coeffs.reshape(L * N, N) @ Y).reshape(L, N * r)
-    return J, rng.standard_normal(L)
-
-
-def _count_lstsq(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", spy)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "scales, rel",
-    [
-        ((1.0, 1.0, 1.0, 1.0), 1e-12),
-        # column norms over six decades, as the polish's Y = V sqrt(w) can
-        # have them: J J' has a pivot ratio of 4e-10, above the floor, and
-        # the first Cholesky solve is off by 6e-5, one refinement step
-        # later still by 5e-9
-        ((1.0, 1e-4, 1e-5, 1e-6), 1e-9),
-    ],
-    ids=["unit-columns", "columns-over-six-decades"],
-)
-def test_gauss_newton_step_matches_lstsq_on_a_wide_jacobian(scales, rel, monkeypatch):
-    J, F = _gram_jacobian(4, scales)
-    assert J.shape == (28, 40)
-    ref = np.linalg.lstsq(J, -F, rcond=None)[0]
-    calls = _count_lstsq(monkeypatch)
-    step = sdp._gauss_newton_step(J, F)
-    assert calls == []  # solved by Cholesky on J J', not by lstsq
-    assert np.linalg.norm(step - ref) <= rel * np.linalg.norm(ref)
-
-
-def _zero_row(J):
-    J[0] = 0.0  # a zero pivot: Cholesky of J J' raises
-
-
-def _mean_row(J):
-    # rank 27 of 28, yet Cholesky of J J' completes on rounding noise
-    # with a pivot near 1e-18 of the largest; its step is off by more
-    # than 100%, so only the pivot floor keeps it out
-    J[-1] = J[:-1].mean(axis=0)
-
-
-@pytest.mark.parametrize(
-    "r, damage",
-    [(4, _zero_row), (4, _mean_row), (3, None), (2, None)],
-    ids=["wide-cholesky-raises", "wide-mean-row", "wide-rank-deficient", "tall-rank-deficient"],
-)
-def test_gauss_newton_step_falls_back_to_lstsq(r, damage, monkeypatch):
-    # r = 3 (28 x 30) and r = 2 (28 x 20) are rank-deficient by
-    # construction: Y -> Y K with K skew-symmetric leaves Y Y' unchanged,
-    # so J has rank at most N*r - r(r-1)/2, 27 and 19 here
-    J, F = _gram_jacobian(r)
-    if damage is not None:
-        damage(J)
-    ref = np.linalg.lstsq(J, -F, rcond=None)[0]
-    calls = _count_lstsq(monkeypatch)
-    step = sdp._gauss_newton_step(J, F)
-    assert calls == [J.shape]
-    assert np.array_equal(step, ref)
+def test_interior_point_run_reaches_the_optimum_above_the_threshold():
+    # above N the Gram problem has an interior and the loop alone must
+    # close the gap; stepping the primal t with the dual step length let
+    # the primal residual grow, and the loop stopped after 12 iterations
+    # at t* = -9e-13 against a dual bound of 3.75
+    prob = build_gram_problem(make_tensor(6, 26, Fraction(225, 16), -1).to_form())
+    sol = sdp.solve(prob, tol=1e-11, max_iter=150)
+    assert sol.t_star >= 0.65
+    assert abs(sol.dual_obj - sol.t_star) <= 1e-5
 
 
 def test_inconsistent_constraints_are_reported():
@@ -163,20 +96,6 @@ def test_gram_structured_inconsistent_system_is_reported():
     assert sol.status == "infeasible"
     assert sol.iterations == 0
     assert sol.primal_residual > 0.1
-
-
-def test_stage_names_the_candidate_that_produced_g():
-    # G is fully pinned, so no repair candidate can beat the projected
-    # interior-point iterate
-    prob = _problem(
-        2,
-        [
-            ([[1.0, 0.0], [0.0, 0.0]], 1.0),
-            ([[0.0, 0.0], [0.0, 1.0]], 1.0),
-            ([[0.0, 1.0], [1.0, 0.0]], 4.0),
-        ],
-    )
-    assert sdp.solve(prob).stage == "ipm"
 
 
 def test_monotone_in_the_diagonal_shift():

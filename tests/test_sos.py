@@ -13,8 +13,9 @@ from circulant3.tensor import dd_bound, make_tensor
 
 
 def test_is_sos_accepts_known_members():
-    # the two m = 8 points lie above N, where the interior-point run stalls
-    # and the certificate comes from the low-rank polish
+    # the two m = 8 points lie above N; the interior-point run stops on its
+    # stall counter there, at t* above 1.6, and its projected iterate is the
+    # certificate
     for m, d, u, c in [
         (6, 1, 1, 1),
         (6, 242, -1, -1),
@@ -134,6 +135,22 @@ def test_certify_bundle_confirms_exact_point_and_reparses():
     )
     ok, viol = sdp.check_certificate(cert.G, prob, tol=1e-5)
     assert ok, f"violation {viol:.3e}"
+
+
+def test_bundle_certificate_is_exact_at_threshold_plus_tol_d():
+    # the certificate is solved at M on the face of the form's zeros and
+    # shifted by tol_d on the pure-power diagonal entries, which makes it
+    # an exact Gram matrix at M + tol_d, up to rounding (3e-15 relative);
+    # solved at M + tol_d itself it was off by 2e-11 and 7e-11 relative
+    for m, u, c in [(8, 60, -1), (8, 20, 1)]:
+        bundle = sos.certify_pns_free(m, u, c)
+        assert bundle.status == "CONFIRMED"
+        prob = sos.build_gram_problem(
+            make_tensor(m, bundle.critical_value + bundle.tol_d, u, c).to_form()
+        )
+        rel = 1e-12 * max(1.0, float(np.max(np.abs(prob.rhs))))
+        ok, viol = sdp.check_certificate(bundle.certificate.G, prob, tol=rel)
+        assert ok, f"violation {viol:.3e} at (m={m}, u={u}, c={c})"
 
 
 def test_sos_undecided_carries_solver_evidence():
