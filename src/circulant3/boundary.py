@@ -22,9 +22,10 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from circulant3 import sos
 from circulant3.eigen import (
+    _PSD_TOL,
+    DEFAULT_CONFIG,
     SolverConfig,
     SolverFailure,
-    config_for_order,
     lambda_min,
     pencil_margin_cneg,
     pencil_margin_cpos,
@@ -42,8 +43,6 @@ TAG_EIGEN_CPOS = "eigen-cpos"  # c = +1, u above the breakpoint
 TAG_UNDECIDED = "undecided"  # eigensolver failed; value is its best bound
 # closed-form branches on which the SOS threshold M equals N as well
 SOS_EXACT_TAGS = (TAG_NONPOS, TAG_EQUAL_UC)
-
-_PSD_TOL = 1e-7
 
 
 def _is_exact(x: Scalar) -> bool:
@@ -81,10 +80,10 @@ def _linear_cpos(m: int, u: Scalar) -> Scalar:
 
 
 @lru_cache(maxsize=None)
-def unit_scale_reference(m: int) -> float:
+def unit_scale_reference(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """Threshold at (u, c) = (1, 0); every c = 0, u > 0 query scales off it."""
     require_even_order(m)
-    return -lambda_min(make_tensor(m, 0, 1, 0), config_for_order(m)).lam
+    return -lambda_min(make_tensor(m, 0, 1, 0), cfg).lam
 
 
 class NValue(NamedTuple):
@@ -114,7 +113,7 @@ def closed_form_n(m: int, u: Scalar, c: Scalar) -> Optional[NValue]:
 
 
 def n_value(
-    m: int, u: Scalar, c: Scalar, cfg: Optional[SolverConfig] = None
+    m: int, u: Scalar, c: Scalar, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> NValue:
     """Smallest d with A(m, d, u, c) PSD, with branch provenance.
 
@@ -129,14 +128,12 @@ def n_value(
     for name, val in (("u", u), ("c", c)):
         if isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"{name} must be finite")
-    if cfg is None:
-        cfg = config_for_order(m)
 
     closed = closed_form_n(m, u, c)
     if closed is not None:
         return closed
     if c == 0:
-        return NValue(float(u) * unit_scale_reference(m), TAG_UNIT_U)
+        return NValue(float(u) * unit_scale_reference(m, cfg), TAG_UNIT_U)
     if c == -1:
         return NValue(-lambda_min(make_tensor(m, 0, u, -1), cfg).lam, TAG_EIGEN_CNEG)
     if c == 1:
@@ -202,13 +199,12 @@ def _verified_breakpoint(
     m: int,
     value: Fraction,
     margin_fn: Callable[[int, Scalar, SolverConfig], float],
-    cfg: Optional[SolverConfig],
-    tol: float,
+    cfg: SolverConfig,
 ) -> Breakpoint:
     """Check the pencil ``margin_fn`` at the exact kink ``value``."""
     try:
-        margin = margin_fn(m, value, cfg or config_for_order(m))
-        verified = margin >= -tol
+        margin = margin_fn(m, value, cfg)
+        verified = margin >= -_PSD_TOL
     except SolverFailure as exc:
         margin = exc.best.lam if exc.best is not None else math.nan
         verified = False
@@ -217,18 +213,14 @@ def _verified_breakpoint(
     )
 
 
-def breakpoint_u0(
-    m: int, cfg: Optional[SolverConfig] = None, tol: float = _PSD_TOL
-) -> Breakpoint:
+def breakpoint_u0(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> Breakpoint:
     """Kink of the c = -1 branch, verified through the reference pencil."""
-    return _verified_breakpoint("u0", m, breakpoint_u0_formula(m), pencil_margin_cneg, cfg, tol)
+    return _verified_breakpoint("u0", m, breakpoint_u0_formula(m), pencil_margin_cneg, cfg)
 
 
-def breakpoint_v0(
-    m: int, cfg: Optional[SolverConfig] = None, tol: float = _PSD_TOL
-) -> Breakpoint:
+def breakpoint_v0(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> Breakpoint:
     """Kink of the c = +1 branch, verified through the mirrored pencil."""
-    return _verified_breakpoint("v0", m, breakpoint_v0_formula(m), pencil_margin_cpos, cfg, tol)
+    return _verified_breakpoint("v0", m, breakpoint_v0_formula(m), pencil_margin_cpos, cfg)
 
 
 def _confirm_tol(m_val: float) -> float:
@@ -286,7 +278,7 @@ def analyze(
     m: int,
     u: Scalar,
     c: Scalar,
-    cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
     tol_d: float = sos.DEFAULT_TOL_D,
     with_certificate: bool = True,
 ) -> BoundaryReport:
@@ -297,8 +289,6 @@ def analyze(
     is CONFIRMED when |M - N| <= max(1e-5, 1e-5 * max(|M|, 1)).
     """
     require_even_order(m)
-    if cfg is None:
-        cfg = config_for_order(m)
     errors = []
 
     n_val = math.nan
@@ -405,7 +395,7 @@ class SegmentReport:
 def verify_linear_segment(
     m: int,
     c: int,
-    cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
     tol_d: float = sos.DEFAULT_TOL_D,
 ) -> SegmentReport:
     """Check M = N = linear closed form on a branch, at the kink and below.
@@ -418,8 +408,6 @@ def verify_linear_segment(
     require_even_order(m)
     if c not in (-1, 1):
         raise ValueError("c must be -1 or 1")
-    if cfg is None:
-        cfg = config_for_order(m)
 
     if c == -1:
         bp = breakpoint_u0(m, cfg)

@@ -19,11 +19,12 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from circulant3 import boundary, sos, tables
-from circulant3.eigen import SolverConfig, SolverFailure, config_for_order
+from circulant3.eigen import SolverConfig, SolverFailure
 from circulant3.tensor import Scalar, make_tensor, require_even_order
 
 EXIT_OK = 0
@@ -49,32 +50,28 @@ class RunConfig:
     format: str = "pretty"
     out: Optional[str] = None
 
-    def solver_config(self, m: int) -> SolverConfig:
-        base = SolverConfig(
-            n_starts=self.n_starts, seed=self.seed, residual_tol=self.eigen_tol
-        )
-        return config_for_order(m, base)
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(n_starts=self.n_starts, seed=self.seed, residual_tol=self.eigen_tol)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def _coerce(name: str, raw: str, target_type: type) -> object:
+def _coerce(name: str, raw: str, target_type: object) -> object:
     try:
-        if target_type is float:
-            return float(raw)
-        if target_type is int:
-            return int(raw)
+        if target_type in (float, int):
+            return target_type(raw)
         return raw
     except ValueError as exc:
         raise ValueError(f"config key {name!r}: {exc}") from exc
 
 
 def load_config_file(path: str) -> dict:
-    """Flat key = value config; unknown keys are an error, not a warning."""
-    known = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-    hints = {"tol_d": float, "sos_tol": float, "eigen_tol": float, "n_starts": int,
-             "seed": int, "max_m": int, "jobs": int, "format": str, "out": str}
+    """Flat key = value config; unknown keys are an error, not a warning.
+
+    Each value is read as the type of the RunConfig field it sets.
+    """
+    known = typing.get_type_hints(RunConfig)
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -87,7 +84,7 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw.strip(), hints[key])
+            values[key] = _coerce(key, raw.strip(), known[key])
     if "format" in values and values["format"] not in FORMATS:
         raise ValueError(f"{path}: format must be one of {FORMATS}")
     return values
@@ -179,7 +176,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_USAGE
     try:
         report = boundary.analyze(
-            m, u, c, cfg=cfg.solver_config(m), tol_d=cfg.tol_d,
+            m, u, c, cfg=cfg.solver_config(), tol_d=cfg.tol_d,
             with_certificate=not args.no_certificate,
         )
     except ValueError as exc:
@@ -216,9 +213,7 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
             jobs=cfg.jobs,
             tol_d=cfg.tol_d,
             sos_tol=cfg.sos_tol,
-            base_cfg=SolverConfig(
-                n_starts=cfg.n_starts, seed=cfg.seed, residual_tol=cfg.eigen_tol
-            ),
+            cfg=cfg.solver_config(),
         )
     except FileNotFoundError as exc:
         print(f"error: fixture not found: {exc}", file=sys.stderr)
@@ -276,7 +271,7 @@ def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    solver_cfg = cfg.solver_config(m)
+    solver_cfg = cfg.solver_config()
     bps = [boundary.breakpoint_u0(m, solver_cfg), boundary.breakpoint_v0(m, solver_cfg)]
     if cfg.format == "json":
         doc = {
@@ -305,7 +300,7 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        bundle = sos.certify_pns_free(m, u, c, tol_d=cfg.tol_d, cfg=cfg.solver_config(m))
+        bundle = sos.certify_pns_free(m, u, c, tol_d=cfg.tol_d, cfg=cfg.solver_config())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

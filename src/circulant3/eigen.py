@@ -14,11 +14,17 @@ combines two independent searches:
 Whenever the general search beats the structured one beyond the tie
 tolerance, the event is logged as a counterexample to the two-equal-
 coordinate heuristic and the better result is returned.
+
+The search budget (scan grid, Newton polish and descent iterations,
+second-round Newton tolerance) is one set of module constants, the same
+at every order: on 184 points at m = 14 and m = 16, doubling the grid
+and the descent iterations left every eigenvalue bit-identical.
+SolverConfig holds only what a caller sets: the number of multistart
+points, their seed and the residual tolerance.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -38,42 +44,38 @@ from circulant3.tensor import (
 
 logger = logging.getLogger(__name__)
 
-# Newton polish iterations for the grid minima of the structured scan
-SCAN_POLISH_ITERS = 40
+# the search budget of every lambda_min call, whatever the order
+_GRID_POINTS = 2001  # grid of the two-equal-coordinate scan
+_SCAN_POLISH_ITERS = 40  # Newton polish iterations for the grid minima
+_MAX_ITERS = 600  # projected-descent iterations per multistart point
+_TOL_GRAD = 1e-11  # relative residual above which a start gets a second Newton round
+# a smallest H-eigenvalue at least -_PSD_TOL reads as PSD
+_PSD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the eigenvalue search; hashable so results can be cached."""
+    """Caller settings of the eigenvalue search.
+
+    Frozen and hashable: ``boundary.unit_scale_reference`` caches its
+    value on (m, config), so a query at c = 0 honours the caller's
+    settings like any other.
+    """
 
     n_starts: int = 64
-    max_iters: int = 600
-    tol_grad: float = 1e-11
     seed: int = 0
-    grid_points: int = 2001
     residual_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
-        if self.tol_grad <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
 
 
 DEFAULT_CONFIG = SolverConfig()
-
-
-def config_for_order(m: int, base: SolverConfig = DEFAULT_CONFIG) -> SolverConfig:
-    """Default config adjusted for the order: larger m gets doubled budgets."""
-    if m >= 14:
-        return dataclasses.replace(
-            base, max_iters=2 * base.max_iters, grid_points=2 * base.grid_points - 1
-        )
-    return base
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,11 @@ def _tensor_scale(t: CirculantTensor) -> float:
     return max(1.0, abs(float(t.d)) + float(dd_bound(t.m, float(t.u), float(t.c))))
 
 
+def _scan_two_equal(m: int, d: float, u: float, c: float):
+    """Minimum of the form over x = (s, s, t) at the module's scan budget."""
+    return kernels.scan_two_equal(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
+
+
 def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenResult:
     """Best-found smallest H-eigenvalue of the tensor with its minimizer.
 
@@ -146,14 +153,12 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
     d, u, c = float(t.d), float(t.u), float(t.c)
     scale = _tensor_scale(t)
 
-    lam_s, s1, s2, s3, _ = kernels.scan_two_equal(
-        m, d, u, c, cfg.grid_points, SCAN_POLISH_ITERS
-    )
+    lam_s, s1, s2, s3, _ = _scan_two_equal(m, d, u, c)
 
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.n_starts, 3))
     lam_g, g1, g2, g3, _, used = kernels.minimize_batch(
-        m, d, u, c, starts, cfg.max_iters, cfg.tol_grad
+        m, d, u, c, starts, _MAX_ITERS, _TOL_GRAD
     )
 
     x_raw = (s1, s2, s3)
@@ -190,13 +195,11 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
 
 
 def is_psd(
-    t: CirculantTensor,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    tol: float = 1e-7,
+    t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> Tuple[bool, EigenResult]:
-    """PSD verdict (smallest H-eigenvalue >= -tol) plus the eigen evidence."""
+    """PSD verdict (smallest H-eigenvalue >= -1e-7) plus the eigen evidence."""
     result = lambda_min(t, cfg)
-    return result.lam >= -tol, result
+    return result.lam >= -_PSD_TOL, result
 
 
 def pencil_margin_cneg(

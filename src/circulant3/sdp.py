@@ -32,6 +32,14 @@ import numpy as np
 
 _STEP_SHRINK = 0.98  # fraction-to-boundary factor
 _MAX_DIM = 64
+# stopping rule, in units of the scaled problem: mu at most _MU_TOL, primal
+# and dual residuals at most _FEAS_TOL and the residual of the dual's
+# normalisation sum_l y_l tr(A_l) = 1 at most _RG_TOL; or _MAX_ITER
+# iterations
+_MU_TOL = 1e-11
+_FEAS_TOL = 1e-9
+_RG_TOL = 1e-10
+_MAX_ITER = 150
 
 
 @dataclass(frozen=True)
@@ -131,16 +139,15 @@ def _step_length(S: np.ndarray, dS: np.ndarray, chol: np.ndarray) -> float:
     return min(1.0, _STEP_SHRINK / (-beta))
 
 
-def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point method; never raises on numerical trouble.
 
-    Returns status "optimal" when gap and residuals reach tol (in units
-    of the scaled problem, i.e. relative to max|b|), "max-iterations"
-    when the iteration budget or a stall ends the run first, and
-    "infeasible" when the equality system itself is inconsistent.
+    Returns status "optimal" when mu reaches 1e-11 and the residuals
+    1e-9 (in units of the scaled problem, i.e. relative to max|b|),
+    "max-iterations" when the budget of 150 iterations or a stall ends
+    the run first, and "infeasible" when the equality system itself is
+    inconsistent.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     N = problem.dim
     L = problem.coeffs.shape[0]
     A = problem.coeffs
@@ -183,7 +190,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
     status = "max-iterations"
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         rp = b - A_flat @ X.ravel() - c * t
         Rd = adjoint(y) - Z
         rg = 1.0 - float(c @ y)
@@ -202,7 +209,7 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
         else:
             stall += 1
 
-        if mu <= tol and feas <= max(tol, 1e-9) and dfeas <= max(tol, 1e-9) and abs(rg) <= max(tol, 1e-10):
+        if mu <= _MU_TOL and feas <= _FEAS_TOL and dfeas <= _FEAS_TOL and abs(rg) <= _RG_TOL:
             status = "optimal"
             break
         if stall >= 8:
@@ -312,8 +319,8 @@ def solve(problem: SdpProblem, tol: float = 1e-9, max_iter: int = 100) -> SdpSol
 
     # grade the repaired matrix, not the raw iterate: the loop may stop on
     # the stall counter even though the projected result meets tolerance
-    feas_ok = primal_residual <= max(tol, 1e-9) * scale
-    if mu_f <= tol and dfeas_f <= max(tol, 1e-9) and abs(rg_f) <= max(tol, 1e-10) and feas_ok:
+    feas_ok = primal_residual <= _FEAS_TOL * scale
+    if mu_f <= _MU_TOL and dfeas_f <= _FEAS_TOL and abs(rg_f) <= _RG_TOL and feas_ok:
         status = "optimal"
     return SdpSolution(
         G=G,

@@ -29,11 +29,11 @@ import numpy as np
 
 from circulant3 import kernels, sdp
 from circulant3.eigen import (
-    SCAN_POLISH_ITERS,
+    DEFAULT_CONFIG,
     EigenResult,
     SolverConfig,
     SolverFailure,
-    config_for_order,
+    _scan_two_equal,
     lambda_min,
 )
 from circulant3.tensor import (
@@ -163,8 +163,7 @@ def _zeros(m: int, d: float, u: float, c: float) -> List[Tuple[float, float, flo
     _ZERO_TOL times the tensor's scale |d| + dd_bound.
     """
     tol = _ZERO_TOL * max(1.0, abs(d) + float(dd_bound(m, u, c)))
-    grid = config_for_order(m).grid_points
-    lam, x1, x2, x3, _ = kernels.scan_two_equal(m, d, u, c, grid, SCAN_POLISH_ITERS)
+    lam, x1, x2, x3, _ = _scan_two_equal(m, d, u, c)
     zeros = [(x1, x2, x3)] if abs(lam) <= tol else []
     if abs(kernels.eval_form(m, d, u, c, 1.0, 1.0, 1.0)) <= 3.0 * tol:
         zeros.append((1.0, 1.0, 1.0))
@@ -257,9 +256,9 @@ def is_sos(
     problem = build_gram_problem(form)
     V = _face(t)
     if V is None:
-        solution = sdp.solve(problem, tol=1e-11, max_iter=150)
+        solution = sdp.solve(problem)
     else:
-        solution = sdp.solve(_restrict(problem, V), tol=1e-11, max_iter=150)
+        solution = sdp.solve(_restrict(problem, V))
         solution = dataclasses.replace(solution, G=V @ solution.G @ V.T)
     if solution.status == "infeasible":
         raise SosUndecided(
@@ -407,7 +406,7 @@ def certify_pns_free(
     u: Scalar,
     c: Scalar,
     tol_d: float = DEFAULT_TOL_D,
-    cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> CertificateBundle:
     """Assemble the three-piece evidence bundle at one parameter point.
 
@@ -418,8 +417,6 @@ def certify_pns_free(
     missing or failed piece -> UNCONFIRMED with the evidence that does
     exist.
     """
-    if cfg is None:
-        cfg = config_for_order(m)
     M = m_value(m, u, c, tol_d=tol_d)
     Mf = float(M)
 

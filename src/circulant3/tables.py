@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
 from circulant3 import boundary, sos
-from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure, config_for_order
+from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure
 from circulant3.tensor import Scalar
 
 FIXTURE_NAME = "tables.csv"
@@ -147,10 +147,9 @@ def compute_row(
     row: FixtureRow,
     tol_d: float = sos.DEFAULT_TOL_D,
     sos_tol: float = sos.DEFAULT_SOS_TOL,
-    base_cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> RowResult:
     """Recompute both thresholds for a row and grade them."""
-    cfg = config_for_order(row.m, base_cfg or DEFAULT_CONFIG)
     u = row.u_value
     m_comp = math.nan
     n_comp = math.nan
@@ -174,7 +173,7 @@ def run_tables(
     jobs: int = 1,
     tol_d: float = sos.DEFAULT_TOL_D,
     sos_tol: float = sos.DEFAULT_SOS_TOL,
-    base_cfg: Optional[SolverConfig] = None,
+    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> List[RowResult]:
     """Recompute every row of the selected tables, in fixture order.
 
@@ -188,11 +187,11 @@ def run_tables(
     wanted = set(tables)
     rows = [r for r in load_fixture() if r.table in wanted]
     if jobs == 1:
-        return [compute_row(r, tol_d, sos_tol, base_cfg) for r in rows]
+        return [compute_row(r, tol_d, sos_tol, cfg) for r in rows]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda r: compute_row(r, tol_d, sos_tol, base_cfg), rows))
+        return list(pool.map(lambda r: compute_row(r, tol_d, sos_tol, cfg), rows))
 
 
 CSV_HEADER = "table,m,c,u,M_computed,N_computed,M_expected,N_expected,pass"

@@ -12,12 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from circulant3 import boundary, sdp, sos, tables
-from circulant3.eigen import (
-    config_for_order,
-    lambda_min,
-    pencil_margin_cneg,
-    pencil_margin_cpos,
-)
+from circulant3.eigen import lambda_min, pencil_margin_cneg, pencil_margin_cpos
 from circulant3.tensor import make_tensor
 
 from helpers import brute_force_eval, orbit_distance
@@ -126,11 +121,10 @@ def test_criterion_4_breakpoint_verification():
     ok = True
     worst = 0.0
     for m in (6, 8, 10, 12, 14):
-        cfg = config_for_order(m)
         u0 = boundary.breakpoint_u0_formula(m)
         v0 = boundary.breakpoint_v0_formula(m)
-        margin_u = pencil_margin_cneg(m, u0, cfg)
-        margin_v = pencil_margin_cpos(m, v0, cfg)
+        margin_u = pencil_margin_cneg(m, u0)
+        margin_v = pencil_margin_cpos(m, v0)
         worst = min(worst, margin_u, margin_v) if worst else min(margin_u, margin_v)
         ok = ok and margin_u >= -1e-7 and margin_v >= -1e-7
     seen = set()
@@ -236,14 +230,13 @@ def test_criterion_5_property_suite():
         )
 
     # (f) pencil margins never positive on a 20-point grid
-    cfg = config_for_order(6)
     u0 = float(boundary.breakpoint_u0_formula(6))
     v0 = float(boundary.breakpoint_v0_formula(6))
     worst = -math.inf
     for u in np.linspace(0.0, 2.0 * u0, 10):
-        worst = max(worst, pencil_margin_cneg(6, float(u), cfg))
+        worst = max(worst, pencil_margin_cneg(6, float(u)))
     for u in np.linspace(2.0 * v0, 0.0, 10):
-        worst = max(worst, pencil_margin_cpos(6, float(u), cfg))
+        worst = max(worst, pencil_margin_cpos(6, float(u)))
     if worst > 1e-10:
         failures.append(f"(f) positive pencil margin {worst:.2e}")
 

@@ -192,3 +192,15 @@ def test_unit_scale_reference_is_cached_and_positive():
     second = boundary.unit_scale_reference(6)
     assert first == second
     assert first > 1.7
+
+
+def test_unit_u_slice_honours_the_solver_config():
+    # the c = 0 slice scales off a cached eigenvalue; with the default
+    # config's value already cached, an impossible residual tolerance must
+    # still fail there as it does on the c = -1 slice
+    cfg = SolverConfig(n_starts=4, residual_tol=1e-300)
+    boundary.unit_scale_reference(6)
+    with pytest.raises(SolverFailure):
+        boundary.n_value(6, 5, -1, cfg)
+    with pytest.raises(SolverFailure):
+        boundary.n_value(6, 1, 0, cfg)

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import circulant3
 from circulant3 import boundary, cli, tables
 
 FIXTURE_SHA256 = "81ff8a027ef62e78bc516f8848d53a01412598b6812fdc519e4fb632d5b982a3"
@@ -283,9 +286,12 @@ def test_unknown_arguments_exit_2():
 
 
 def test_console_entry_point_runs():
+    # the child imports the package this suite imports, installed or not
+    src = str(Path(circulant3.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
         [sys.executable, "-m", "circulant3.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0
     for name in ("eval", "analyze", "table", "breakpoints", "certify"):

@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from circulant3 import kernels
+from circulant3.boundary import breakpoint_u0_formula, breakpoint_v0_formula
 from circulant3.eigen import (
     DEFAULT_CONFIG,
     SolverConfig,
     SolverFailure,
-    config_for_order,
     is_psd,
     lambda_min,
     pencil_margin_cneg,
     pencil_margin_cpos,
 )
-from circulant3.tensor import dd_bound, make_tensor
+from circulant3.tensor import (
+    dd_bound,
+    make_tensor,
+    reference_tensor_c,
+    reference_tensor_u,
+)
 
 
 def test_known_values_on_closed_form_rays():
@@ -103,15 +109,37 @@ def test_solver_failure_carries_best_iterate():
     assert abs(best.lam + 1.737348) <= 1e-3
 
 
-def test_config_for_order_doubles_budgets_for_large_orders():
-    big = config_for_order(14)
-    assert big.max_iters == 2 * DEFAULT_CONFIG.max_iters
-    assert big.grid_points == 2 * DEFAULT_CONFIG.grid_points - 1
-    assert config_for_order(12) == DEFAULT_CONFIG
+def test_one_search_budget_matches_the_doubled_budget_at_large_orders():
+    # the scan and the multistart of lambda_min give, bit for bit, what
+    # the kernels give at twice the grid and twice the descent iterations
+    for m in (14, 16):
+        u0 = breakpoint_u0_formula(m)
+        v0 = breakpoint_v0_formula(m)
+        tensors = [
+            make_tensor(m, 0, 1, 0),
+            make_tensor(m, 0, 2 * u0, -1),
+            reference_tensor_c(m) - u0 * reference_tensor_u(m),
+            (-v0) * reference_tensor_u(m) - reference_tensor_c(m),
+        ]
+        for t in tensors:
+            d, u, c = float(t.d), float(t.u), float(t.c)
+            res = lambda_min(t)
+            lam_s = kernels.scan_two_equal(m, d, u, c, 4001, 40)[0]
+            starts = np.random.default_rng(DEFAULT_CONFIG.seed).standard_normal(
+                (DEFAULT_CONFIG.n_starts, 3)
+            )
+            lam_g = kernels.minimize_batch(m, d, u, c, starts, 1200, 1e-11)[0]
+            assert res.lam_structured == lam_s, (m, d, u, c)
+            assert res.lam_multistart == lam_g, (m, d, u, c)
+
+
+def test_solver_config_rejects_invalid_settings():
     with pytest.raises(ValueError):
         SolverConfig(n_starts=0)
     with pytest.raises(ValueError):
         SolverConfig(residual_tol=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(seed=-1)
 
 
 def test_pencil_margins_zero_then_negative_across_breakpoint():

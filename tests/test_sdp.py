@@ -56,7 +56,7 @@ def test_perfect_power_gram_problem_is_recognized_as_psd():
     prob = build_gram_problem(t.to_form())
     V = sos._face(t)
     assert V.shape == (prob.dim, 1)
-    sol = sdp.solve(sos._restrict(prob, V), tol=1e-11, max_iter=150)
+    sol = sdp.solve(sos._restrict(prob, V))
     assert sol.t_star >= -1e-9
     G = V @ sol.G @ V.T
     w = np.array([math.comb(3, a) * math.comb(3 - a, b)
@@ -72,7 +72,7 @@ def test_interior_point_run_reaches_the_optimum_above_the_threshold():
     # the primal residual grow, and the loop stopped after 12 iterations
     # at t* = -9e-13 against a dual bound of 3.75
     prob = build_gram_problem(make_tensor(6, 26, Fraction(225, 16), -1).to_form())
-    sol = sdp.solve(prob, tol=1e-11, max_iter=150)
+    sol = sdp.solve(prob)
     assert sol.t_star >= 0.65
     assert abs(sol.dual_obj - sol.t_star) <= 1e-5
 
@@ -91,7 +91,7 @@ def test_gram_structured_inconsistent_system_is_reported():
     A, b = base.coeffs, base.rhs
     coeffs = np.concatenate([A, (A[3] + A[7])[None]])
     consistent = sdp.SdpProblem(base.dim, coeffs, np.append(b, b[3] + b[7]))
-    assert sdp.solve(consistent, tol=1e-11, max_iter=150).status != "infeasible"
+    assert sdp.solve(consistent).status != "infeasible"
     sol = sdp.solve(sdp.SdpProblem(base.dim, coeffs, np.append(b, b[3] + b[7] + 1.0)))
     assert sol.status == "infeasible"
     assert sol.iterations == 0
@@ -104,7 +104,7 @@ def test_monotone_in_the_diagonal_shift():
     values = []
     for d in (60.0, 62.0, 64.0):
         prob = build_gram_problem(make_tensor(6, d, -1, 0).to_form())
-        values.append(sdp.solve(prob, tol=1e-11, max_iter=150).t_star)
+        values.append(sdp.solve(prob).t_star)
     assert values[0] <= values[1] + 1e-9
     assert values[1] <= values[2] + 1e-9
     assert values[2] - values[0] > 1e-3
@@ -114,8 +114,8 @@ def test_monotone_in_the_diagonal_shift():
 
 def test_deterministic_across_repeat_solves():
     prob = build_gram_problem(make_tensor(6, 2.0, 1.0, -1.0).to_form())
-    s1 = sdp.solve(prob, tol=1e-11, max_iter=150)
-    s2 = sdp.solve(prob, tol=1e-11, max_iter=150)
+    s1 = sdp.solve(prob)
+    s2 = sdp.solve(prob)
     assert s1.status == s2.status
     assert s1.iterations == s2.iterations
     assert abs(s1.t_star - s2.t_star) <= 1e-12
