@@ -69,14 +69,9 @@ def breakpoint_v0_formula(m: int) -> Fraction:
     return 1 - Fraction(3 ** (m - 1), 2 ** (m - 1) + 1)
 
 
-def _linear_cneg(m: int, u: Scalar) -> Scalar:
-    """Linear threshold on the c = -1 slice; exact for exact u."""
-    return (3 ** (m - 1) - 2**m + 1) - u * (2**m - 2)
-
-
-def _linear_cpos(m: int, u: Scalar) -> Scalar:
-    """Linear threshold on the c = +1 slice; exact for exact u."""
-    return -(3 ** (m - 1) - 2**m + 1) - u * (2**m - 2)
+def _linear(m: int, u: Scalar, c: Scalar) -> Scalar:
+    """The linear threshold -u(2^m - 2) - c(3^(m-1) - 2^m + 1); exact for exact u and c."""
+    return -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
 
 
 @lru_cache(maxsize=None)
@@ -101,14 +96,13 @@ def closed_form_n(m: int, u: Scalar, c: Scalar) -> Optional[NValue]:
     give exact values.
     """
     if u <= 0 and c <= 0:
-        value = -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
-        return NValue(_simplify(value), TAG_NONPOS)
+        return NValue(_simplify(_linear(m, u, c)), TAG_NONPOS)
     if u == c:  # both positive here, the nonpositive quadrant is handled above
         return NValue(_simplify(u), TAG_EQUAL_UC)
     if c == -1 and u <= breakpoint_u0_formula(m):
-        return NValue(_simplify(_linear_cneg(m, u)), TAG_LINEAR_CNEG)
+        return NValue(_simplify(_linear(m, u, c)), TAG_LINEAR_CNEG)
     if c == 1 and u <= breakpoint_v0_formula(m):
-        return NValue(_simplify(_linear_cpos(m, u)), TAG_LINEAR_CPOS)
+        return NValue(_simplify(_linear(m, u, c)), TAG_LINEAR_CPOS)
     return None
 
 
@@ -319,7 +313,7 @@ def analyze(
             m_val = bundle.critical_value
         else:
             lower = n_val if math.isfinite(n_val) else None
-            m_val = float(sos.m_value(m, u, c, tol_d=tol_d, lower=lower))
+            m_val = float(sos.m_value(m, u, c, tol_d=tol_d, lower=lower, cfg=cfg))
     except sos.SosUndecided as exc:
         errors.append(f"m_value: {exc}")
     except SolverFailure as exc:
@@ -412,18 +406,16 @@ def verify_linear_segment(
     if c == -1:
         bp = breakpoint_u0(m, cfg)
         samples = [bp.value, bp.value / 2, bp.value / 4, bp.value / 8]
-        linear = _linear_cneg
         linear_tag = TAG_LINEAR_CNEG
     else:
         bp = breakpoint_v0(m, cfg)
         samples = [bp.value, 2 * bp.value, 4 * bp.value, 8 * bp.value]
-        linear = _linear_cpos
         linear_tag = TAG_LINEAR_CPOS
 
     flagged = [] if bp.verified else [f"breakpoint {bp.kind} unverified"]
     points = []
     for u_s in samples:
-        expected = linear(m, u_s)
+        expected = _linear(m, u_s, c)
         ok = False
         n_val = math.nan
         tag = TAG_UNDECIDED

@@ -11,9 +11,9 @@ combines two independent searches:
 * a general multistart projected descent from seeded random points,
   which guards the structured reduction instead of trusting it.
 
-Whenever the general search beats the structured one beyond the tie
-tolerance, the event is logged as a counterexample to the two-equal-
-coordinate heuristic and the better result is returned.
+Whenever the general search beats the structured one by more than
+1e-9 of the tensor's scale, the event is logged as a counterexample to
+the two-equal-coordinate heuristic and the better result is returned.
 
 The search budget (scan grid, Newton polish and descent iterations,
 second-round Newton tolerance) is one set of module constants, the same
@@ -124,7 +124,7 @@ def _canonical(m: int, x: Sequence[float]) -> Tuple[float, float, float]:
 
 
 def _tensor_scale(t: CirculantTensor) -> float:
-    """Magnitude reference for residual tolerances.
+    """Magnitude reference for residual and tie tolerances.
 
     Gradient components of the unit-sphere minimizer scale with the
     entries, so residuals are compared against |d| plus the off-diagonal
@@ -162,7 +162,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
     )
 
     x_raw = (s1, s2, s3)
-    if lam_g < lam_s - 1e-9 * max(1.0, abs(lam_s), abs(lam_g)):
+    if lam_g < lam_s - 1e-9 * scale:
         logger.warning(
             "general multistart found a lower value than the "
             "two-equal-coordinate scan at (m=%d, d=%g, u=%g, c=%g): "

@@ -94,11 +94,11 @@ class SdpSolution:
     """Solver output.
 
     ``t_star`` is the smallest eigenvalue of the returned G, computed by
-    an eigen-decomposition after the fact rather than read off the
-    interior-point iterate. ``dual_obj`` is the dual objective b'y, an
-    upper bound on the attainable t up to the recorded infeasibility.
-    ``precision`` estimates the absolute accuracy of t_star and
-    dual_obj in the problem's own units (duality gap plus residuals).
+    an eigen-decomposition after the fact, so the problem attains it.
+    ``dual_obj`` is the dual objective b'y, an upper bound on the
+    attainable t up to the recorded infeasibility. The optimal t lies in
+    the enclosure [t_star, t_star + precision], in the problem's own
+    units (``precision`` is the duality gap plus the dual residuals).
     """
 
     G: np.ndarray

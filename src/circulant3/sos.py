@@ -3,10 +3,11 @@
 A degree-m form is SOS exactly when some positive semidefinite Gram
 matrix G over the degree-m/2 monomial basis reproduces its
 coefficients. This module compiles a tensor's form into that Gram
-problem, decides membership with the interior-point solver (adaptive
-threshold, dual-certified rejections, and an explicit "undecided"
-outcome instead of silent failure), computes the minimal diagonal value
-making a tensor SOS, and packages per-point certification bundles.
+problem, decides membership with the interior-point solver (one fixed
+tolerance relative to the largest coefficient, certified acceptances
+and rejections, and an explicit "undecided" outcome instead of silent
+failure), computes the minimal diagonal value making a tensor SOS, and
+packages per-point certification bundles.
 
 At the PSD threshold the form has real zeros, every Gram matrix has
 their monomial vectors in its kernel, and the Gram problem has no
@@ -211,24 +212,23 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U[:, :k].T @ problem.rhs)
 
 
-def _viol_floor(problem: sdp.SdpProblem) -> float:
-    # verification slack proportional to the coefficient scale
-    return 1e-9 * max(1.0, float(np.max(np.abs(problem.rhs))))
+def _coeff_scale(problem: sdp.SdpProblem) -> float:
+    """max(1, max_l |b_l|): the unit of every tolerance on a Gram problem."""
+    return max(1.0, float(np.max(np.abs(problem.rhs))))
 
 
 def _certificate_from_solution(
-    form: TernaryForm, problem: sdp.SdpProblem, G: np.ndarray
+    form: TernaryForm, problem: sdp.SdpProblem, G: np.ndarray, scale: float
 ) -> GramCertificate:
     basis = MonomialBasis.for_half_degree(form.degree // 2)
     lam = float(np.linalg.eigvalsh(G)[0])
     if lam < 0.0:
         G = G + (-lam) * np.eye(G.shape[0])
         lam = 0.0
-    coeff_scale = max(1.0, float(np.max(np.abs(problem.rhs))))
     worst = 0.0
     for mat, b in problem.constraints:
         worst = max(worst, abs(float(np.sum(mat * G)) - b))
-    return GramCertificate(basis, G, lam, worst / coeff_scale)
+    return GramCertificate(basis, G, lam, worst / scale)
 
 
 def is_sos(
@@ -236,14 +236,14 @@ def is_sos(
 ) -> Tuple[bool, Optional[GramCertificate]]:
     """Decide whether the tensor's form is a sum of squares.
 
-    The verdict threshold adapts to the solver's achieved precision:
-    theta = max(tol, 10 * precision), so coefficient magnitudes in the
-    hundreds of thousands do not let floating noise flip decisions. A
-    positive verdict returns a Gram certificate re-verified by the
-    independent checker. A negative verdict additionally requires the
-    dual objective, a valid upper bound on the achievable minimum
-    eigenvalue up to the recorded residuals, to sit below -theta.
-    Anything in between raises SosUndecided.
+    One tolerance decides: theta = tol * max(1, max_l |b_l|), relative to
+    the largest coefficient b_l of the form, whatever precision the solver
+    reached; the solver encloses the optimal t in [t*, t* + precision].
+    "Yes", with G shifted by -t* onto the PSD cone as the certificate, when
+    that G passes the independent check at theta; the shift moves each
+    even-exponent constraint by |t*|, so t* >= -theta is tried first and a
+    rejection builds no certificate. "No" when the whole enclosure lies
+    below -theta. Anything else raises SosUndecided.
 
     Where the form has real zeros (at a threshold) the Gram problem has
     no interior, and the SDP is solved on the face those zeros cut out
@@ -266,23 +266,22 @@ def is_sos(
             "this indicates a construction bug, not SOS infeasibility",
             solution,
         )
-    theta = max(tol, 10.0 * solution.precision)
+    scale = _coeff_scale(problem)
+    theta = tol * scale
     if solution.t_star >= -theta:
-        cert = _certificate_from_solution(form, problem, solution.G)
-        ok, viol = sdp.check_certificate(
-            cert.G, problem, tol=max(10.0 * theta, _viol_floor(problem))
+        cert = _certificate_from_solution(form, problem, solution.G, scale)
+        ok, viol = sdp.check_certificate(cert.G, problem, tol=theta)
+        if ok:
+            return True, cert
+        raise SosUndecided(
+            f"certificate failed independent verification (violation {viol:.3e} > {theta:.3e})",
+            solution,
         )
-        if not ok:
-            raise SosUndecided(
-                f"certificate failed independent verification (violation {viol:.3e})",
-                solution,
-            )
-        return True, cert
-    if solution.dual_obj < -theta:
+    if solution.t_star + solution.precision < -theta:
         return False, None
     raise SosUndecided(
-        f"ambiguous SOS evidence: primal t* {solution.t_star:.3e}, "
-        f"dual bound {solution.dual_obj:.3e}, threshold {theta:.3e}",
+        f"ambiguous SOS evidence: optimum enclosed in [{solution.t_star:.3e}, "
+        f"{solution.t_star + solution.precision:.3e}], threshold {-theta:.3e}",
         solution,
     )
 
@@ -294,6 +293,7 @@ def m_value(
     tol_d: float = DEFAULT_TOL_D,
     lower: Optional[Scalar] = None,
     sos_tol: float = DEFAULT_SOS_TOL,
+    cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> Scalar:
     """Minimal diagonal entry d making A(m, d, u, c) a sum of squares.
 
@@ -302,9 +302,23 @@ def m_value(
     where the threshold is u itself, and u <= 0, c <= 0, where it is
     -u(2^m - 2) - c(3^{m-1} - 2^m + 1). Everywhere else the value comes
     from bisection on d between the PSD threshold (never above the SOS
-    threshold) and the diagonal-dominance bound, exploiting upward
-    closure of the SOS property in d.
+    threshold; computed with ``cfg`` unless ``lower`` gives it) and the
+    diagonal-dominance bound, exploiting upward closure of the SOS
+    property in d.
     """
+    return _m_value_and_certificate(m, u, c, tol_d, lower, sos_tol, cfg)[0]
+
+
+def _m_value_and_certificate(
+    m: int,
+    u: Scalar,
+    c: Scalar,
+    tol_d: float,
+    lower: Optional[Scalar],
+    sos_tol: float,
+    cfg: SolverConfig,
+) -> Tuple[Scalar, Optional[GramCertificate]]:
+    """m_value and the certificate is_sos accepted at d = M; None if it was undecided there."""
     require_even_order(m)
     if not (math.isfinite(tol_d) and tol_d > 0):
         raise ValueError(f"tol_d must be finite and positive, got {tol_d}")
@@ -313,30 +327,30 @@ def m_value(
     closed = boundary.closed_form_n(m, u, c)
     if closed is not None and closed.tag in boundary.SOS_EXACT_TAGS:
         exact = closed.value
-        ok, _ = is_sos(make_tensor(m, float(exact), float(u), float(c)), sos_tol)
+        ok, cert = is_sos(make_tensor(m, float(exact), float(u), float(c)), sos_tol)
         if not ok:
             raise RuntimeError(
                 f"closed-form SOS threshold {exact} rejected by the SDP at "
                 f"(m={m}, u={u}, c={c}); solver and theory disagree"
             )
-        return exact
+        return exact, cert
 
     if lower is None:
-        lower = boundary.n_value(m, u, c)[0]
+        lower = boundary.n_value(m, u, c, cfg)[0]
     lo = float(lower)
     hi = float(dd_bound(m, u, c))
     uf, cf = float(u), float(c)
 
     try:
-        ok, _ = is_sos(make_tensor(m, lo, uf, cf), sos_tol)
+        ok, cert = is_sos(make_tensor(m, lo, uf, cf), sos_tol)
     except SosUndecided:
-        # the lower end already sits inside the solver's noise band
-        # around the threshold, which is the best locatable answer
-        return lower
+        # the solver cannot separate the lower end from the threshold,
+        # which is the best locatable answer
+        return lower, None
     if ok:
         # the PSD threshold is already SOS: the two thresholds coincide
-        return lower
-    ok, _ = is_sos(make_tensor(m, hi, uf, cf), sos_tol)
+        return lower, cert
+    ok, cert = is_sos(make_tensor(m, hi, uf, cf), sos_tol)
     if not ok:
         raise RuntimeError(
             f"diagonally dominated tensor rejected by the SDP at "
@@ -345,17 +359,16 @@ def m_value(
     while hi - lo > tol_d:
         mid = 0.5 * (lo + hi)
         try:
-            ok, _ = is_sos(make_tensor(m, mid, uf, cf), sos_tol)
+            ok, mid_cert = is_sos(make_tensor(m, mid, uf, cf), sos_tol)
         except SosUndecided:
-            # mid is indistinguishable from the threshold at the
-            # achieved SDP precision; no further bisection step can
-            # sharpen the answer
-            return mid
+            # the solver cannot separate mid from the threshold; no
+            # further bisection step can sharpen the answer
+            return mid, None
         if ok:
-            hi = mid
+            hi, cert = mid, mid_cert
         else:
             lo = mid
-    return hi
+    return hi, cert
 
 
 @dataclass(frozen=True)
@@ -410,55 +423,47 @@ def certify_pns_free(
 ) -> CertificateBundle:
     """Assemble the three-piece evidence bundle at one parameter point.
 
-    Pieces: the SOS threshold, a verified Gram certificate at
-    d = threshold + tol_d (solved at the threshold on its face, then
-    shifted by tol_d), and a minimizer of the form at d = threshold
-    with value at most 10 * tol_d. All three present -> CONFIRMED; a
-    missing or failed piece -> UNCONFIRMED with the evidence that does
-    exist.
+    Pieces: the SOS threshold; a Gram certificate at d = threshold +
+    tol_d (the one is_sos accepted at the threshold, shifted by tol_d)
+    that passes the independent check at is_sos's theta; and a minimizer
+    of the form at d = threshold with value at most 10 * tol_d. All three
+    present -> CONFIRMED; a missing or failed piece -> UNCONFIRMED with
+    the evidence that does exist.
     """
-    M = m_value(m, u, c, tol_d=tol_d)
+    M, cert = _m_value_and_certificate(m, u, c, tol_d, None, DEFAULT_SOS_TOL, cfg)
     Mf = float(M)
 
-    cert: Optional[GramCertificate] = None
     cert_ok = False
-    try:
-        cert_ok, cert = is_sos(make_tensor(m, Mf, float(u), float(c)))
-    except SosUndecided:
-        cert_ok = False
     if cert is not None:
         # tol_d on the three pure-power diagonal entries makes G an exact
         # Gram matrix of f + tol_d * (x1^m + x2^m + x3^m), the form at M + tol_d
         form = make_tensor(m, Mf + tol_d, float(u), float(c)).to_form()
+        problem = build_gram_problem(form)
+        scale = _coeff_scale(problem)
         k = cert.basis.k
         G = cert.G.copy()
         for e in ((k, 0, 0), (0, k, 0), (0, 0, k)):
             G[cert.basis.index(e), cert.basis.index(e)] += tol_d
-        cert = _certificate_from_solution(form, build_gram_problem(form), G)
+        cert = _certificate_from_solution(form, problem, G, scale)
+        cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=DEFAULT_SOS_TOL * scale)
 
-    minimizer = None
-    min_val: Optional[float] = None
-    min_res: Optional[float] = None
-    min_ok = False
+    eig: Optional[EigenResult] = None
     try:
-        eig: EigenResult = lambda_min(make_tensor(m, Mf, float(u), float(c)), cfg)
-        minimizer = eig.x
-        min_val = eig.lam
-        min_res = eig.residual
-        min_ok = eig.lam <= 10.0 * tol_d
+        eig = lambda_min(make_tensor(m, Mf, float(u), float(c)), cfg)
     except SolverFailure:
-        min_ok = False
+        pass
+    min_ok = eig is not None and eig.lam <= 10.0 * tol_d
 
-    status = "CONFIRMED" if (cert_ok and cert is not None and min_ok) else "UNCONFIRMED"
+    status = "CONFIRMED" if (cert_ok and min_ok) else "UNCONFIRMED"
     return CertificateBundle(
         m=m,
         u=float(u),
         c=float(c),
         critical_value=Mf,
         certificate=cert,
-        minimizer=minimizer,
-        minimizer_value=min_val,
-        minimizer_residual=min_res,
+        minimizer=None if eig is None else eig.x,
+        minimizer_value=None if eig is None else eig.lam,
+        minimizer_residual=None if eig is None else eig.residual,
         status=status,
         tol_d=tol_d,
         seed=cfg.seed,

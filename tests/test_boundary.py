@@ -60,7 +60,7 @@ def test_n_value_dispatch_tags_and_exact_values():
     assert (val.value, val.tag) == (Fraction(2360, 11), TAG_LINEAR_CPOS)
     val = boundary.n_value(6, -5, 1)
     assert val.tag == TAG_EIGEN_CPOS
-    assert val.value >= float(boundary._linear_cpos(6, -5)) - 1e-9
+    assert val.value >= float(boundary._linear(6, -5, 1)) - 1e-9
 
 
 def test_n_value_input_validation():
@@ -76,11 +76,11 @@ def test_threshold_is_continuous_across_the_kinks():
     # the linear closed form and the eigensolver value agree where the
     # two branches meet
     u0 = float(boundary.breakpoint_u0_formula(6))
-    linear = float(boundary._linear_cneg(6, u0))
+    linear = float(boundary._linear(6, u0, -1))
     eigen = -lambda_min(make_tensor(6, 0, u0, -1)).lam
     assert abs(linear - eigen) <= 1e-6
     v0 = float(boundary.breakpoint_v0_formula(6))
-    linear = float(boundary._linear_cpos(6, v0))
+    linear = float(boundary._linear(6, v0, 1))
     eigen = -lambda_min(make_tensor(6, 0, v0, 1)).lam
     assert abs(linear - eigen) <= 1e-6 * max(1.0, abs(linear))
 

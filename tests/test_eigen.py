@@ -1,11 +1,12 @@
 """Smallest-eigenvalue search: known values, covariances, failure mode."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from circulant3 import kernels
+from circulant3 import eigen, kernels
 from circulant3.boundary import breakpoint_u0_formula, breakpoint_v0_formula
 from circulant3.eigen import (
     DEFAULT_CONFIG,
@@ -131,6 +132,21 @@ def test_one_search_budget_matches_the_doubled_budget_at_large_orders():
             lam_g = kernels.minimize_batch(m, d, u, c, starts, 1200, 1e-11)[0]
             assert res.lam_structured == lam_s, (m, d, u, c)
             assert res.lam_multistart == lam_g, (m, d, u, c)
+
+
+def test_scan_multistart_tie_is_relative_to_the_tensor_scale(caplog):
+    # at the v0 pencil of m = 14 (d about 1.6e6) the multistart reads
+    # -3.96e-9 against the scan's -2.68e-10, a difference of 2e-15 of the
+    # tensor's scale: a tie, so the scan's minimizer stands and no
+    # counterexample is logged
+    m = 14
+    t = (-breakpoint_v0_formula(m)) * reference_tensor_u(m) - reference_tensor_c(m)
+    with caplog.at_level(logging.WARNING, logger="circulant3.eigen"):
+        res = lambda_min(t)
+    assert not caplog.records
+    _, x1, x2, x3, _ = eigen._scan_two_equal(m, float(t.d), float(t.u), float(t.c))
+    assert res.x == eigen._canonical(m, (x1, x2, x3))
+    assert res.lam_multistart < res.lam_structured
 
 
 def test_solver_config_rejects_invalid_settings():

@@ -1,5 +1,6 @@
 """SOS membership, threshold bisection, and certificate plumbing."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from circulant3 import sdp, sos
-from circulant3.eigen import lambda_min
+from circulant3 import boundary
+from circulant3.eigen import SolverConfig, SolverFailure, lambda_min
 from circulant3.tensor import dd_bound, make_tensor
 
 
@@ -31,10 +33,38 @@ def test_is_sos_accepts_known_members():
 
 
 def test_is_sos_rejects_known_non_members():
-    for m, d, u, c in [(6, 1.70, 1, 0), (4, 13.9, -1, 0), (6, 0, 1, 1)]:
+    # the last three lie below N on the c = -1 slice (at the breakpoint u0
+    # for m = 8 and 12); a check band that widened with the solver's
+    # precision accepted the first two with certificates off by 5.9e-3 and
+    # 1.3e-4 of the largest coefficient
+    for m, d, u, c in [
+        (6, 1.70, 1, 0),
+        (4, 13.9, -1, 0),
+        (6, 0, 1, 1),
+        (8, Fraction(29, 2), Fraction(483, 64), -1),
+        (12, 80, Fraction(43263, 1024), -1),
+        (12, Fraction(714303615968999931, 1759218604441600), Fraction(845, 4), -1),
+    ]:
         ok, cert = sos.is_sos(make_tensor(m, d, u, c))
         assert not ok
         assert cert is None
+
+
+def test_theta_does_not_widen_with_the_solver_precision(monkeypatch):
+    # a solver that reports a million times less precision may turn a
+    # verdict into "undecided", but never into "yes"
+    solve = sdp.solve
+
+    def imprecise(problem):
+        sol = solve(problem)
+        return dataclasses.replace(sol, precision=1e6 * sol.precision)
+
+    monkeypatch.setattr(sdp, "solve", imprecise)
+    try:
+        ok, _ = sos.is_sos(make_tensor(8, Fraction(29, 2), Fraction(483, 64), -1))
+    except sos.SosUndecided:
+        ok = False
+    assert not ok
 
 
 def test_is_sos_rejects_odd_or_small_order():
@@ -66,6 +96,14 @@ def test_m_value_bisection_matches_reference_points():
     # two eigen-branch points cross-checked against the shipped tables
     assert abs(float(sos.m_value(6, 5, -1)) - 9.4254465011842588) <= 1e-4
     assert abs(float(sos.m_value(6, 10, 1)) - 16.6347899482) <= 1e-4
+
+
+def test_m_value_computes_n_with_the_callers_config():
+    cfg = SolverConfig(residual_tol=1e-300)
+    with pytest.raises(SolverFailure):
+        boundary.n_value(6, 5, -1, cfg)
+    with pytest.raises(SolverFailure):
+        sos.m_value(6, 5, -1, cfg=cfg)
 
 
 def test_upward_closure_in_the_diagonal_entry():
@@ -135,6 +173,20 @@ def test_certify_bundle_confirms_exact_point_and_reparses():
     )
     ok, viol = sdp.check_certificate(cert.G, prob, tol=1e-5)
     assert ok, f"violation {viol:.3e}"
+
+
+def test_bundle_reuses_the_certificate_accepted_at_m(monkeypatch):
+    calls = []
+    is_sos = sos.is_sos
+
+    def spy(t, *args, **kwargs):
+        calls.append(float(t.d))
+        return is_sos(t, *args, **kwargs)
+
+    monkeypatch.setattr(sos, "is_sos", spy)
+    bundle = sos.certify_pns_free(6, 5, -1)
+    assert bundle.status == "CONFIRMED"
+    assert calls.count(bundle.critical_value) == 1
 
 
 def test_bundle_certificate_is_exact_at_threshold_plus_tol_d():
