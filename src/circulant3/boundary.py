@@ -13,6 +13,7 @@ the SOS threshold M from the certificate layer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -217,10 +218,6 @@ def breakpoint_v0(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> Breakpoint:
     return _verified_breakpoint("v0", m, breakpoint_v0_formula(m), pencil_margin_cpos, cfg)
 
 
-def _confirm_tol(m_val: float) -> float:
-    return max(1e-5, 1e-5 * max(abs(m_val), 1.0))
-
-
 @dataclass(frozen=True)
 class BoundaryReport:
     """PSD threshold N and SOS threshold M at one query point, reconciled.
@@ -268,6 +265,54 @@ class BoundaryReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+def _report(
+    m: int,
+    u: Scalar,
+    c: Scalar,
+    cfg: SolverConfig,
+    tol_d: float,
+    sos_tol: float,
+    with_certificate: bool = False,
+) -> BoundaryReport:
+    """N once, then M (or the bundle at M) from it; the report without breakpoint.
+
+    A failed N keeps the eigensolver's best bound, tagged undecided, and
+    no M is bisected from it. Any RuntimeError (SolverFailure,
+    SosUndecided, an SDP that rejects a closed form) lands in ``errors``.
+    """
+    m_val, bundle, errors = math.nan, None, ()
+    try:
+        n = n_value(m, u, c, cfg)
+    except SolverFailure as exc:
+        n = NValue(math.nan if exc.best is None else -exc.best.lam, TAG_UNDECIDED)
+        errors = (f"n_value: {exc}",)
+    else:
+        try:
+            M, cert = sos._threshold(m, u, c, n.value, n.tag in SOS_EXACT_TAGS, tol_d, sos_tol)
+            if with_certificate:
+                bundle = sos._bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
+            m_val = float(M)
+        except RuntimeError as exc:
+            errors = (f"m_value: {exc}",)
+    gap = m_val - float(n.value)
+    confirmed = math.isfinite(gap) and abs(gap) <= 1e-5 * max(1.0, abs(m_val)) and not errors
+    return BoundaryReport(
+        m=m,
+        u=float(u),
+        c=float(c),
+        n=float(n.value),
+        n_tag=n.tag,
+        m_val=m_val,
+        m_method="closed-form" if n.tag in SOS_EXACT_TAGS else "bisection",
+        gap=gap,
+        confirmed=confirmed,
+        tol_d=tol_d,
+        seed=cfg.seed,
+        bundle=bundle,
+        errors=errors,
+    )
+
+
 def analyze(
     m: int,
     u: Scalar,
@@ -275,68 +320,21 @@ def analyze(
     cfg: SolverConfig = DEFAULT_CONFIG,
     tol_d: float = sos.DEFAULT_TOL_D,
     with_certificate: bool = True,
+    sos_tol: float = sos.DEFAULT_SOS_TOL,
 ) -> BoundaryReport:
     """Both thresholds at one point, with evidence, never raising.
 
-    N comes from n_value, M from the certificate layer (carrying the
-    full evidence bundle when with_certificate is set), and the report
-    is CONFIRMED when |M - N| <= max(1e-5, 1e-5 * max(|M|, 1)).
+    N comes from n_value, M from the certificate layer at SOS tolerance
+    sos_tol (carrying the full evidence bundle when with_certificate is
+    set), and the report is CONFIRMED when |M - N| <= 1e-5 * max(1, |M|).
+    Solver failures are named in ``errors``.
     """
-    require_even_order(m)
-    errors = []
-
-    n_val = math.nan
-    n_tag = TAG_UNDECIDED
-    try:
-        result = n_value(m, u, c, cfg)
-        n_val = float(result.value)
-        n_tag = result.tag
-    except SolverFailure as exc:
-        errors.append(f"n_value: {exc}")
-        if exc.best is not None:
-            n_val = -exc.best.lam
-
-    bp: Optional[Breakpoint] = None
-    if c == -1 and n_tag in (TAG_LINEAR_CNEG, TAG_EIGEN_CNEG):
-        bp = breakpoint_u0(m, cfg)
-    elif c == 1 and n_tag in (TAG_LINEAR_CPOS, TAG_EIGEN_CPOS):
-        bp = breakpoint_v0(m, cfg)
-
-    m_val = math.nan
-    bundle: Optional[sos.CertificateBundle] = None
-    closed = closed_form_n(m, u, c)
-    exact_branch = closed is not None and closed.tag in SOS_EXACT_TAGS
-    m_method = "closed-form" if exact_branch else "bisection"
-    try:
-        if with_certificate:
-            bundle = sos.certify_pns_free(m, u, c, tol_d=tol_d, cfg=cfg)
-            m_val = bundle.critical_value
-        else:
-            lower = n_val if math.isfinite(n_val) else None
-            m_val = float(sos.m_value(m, u, c, tol_d=tol_d, lower=lower, cfg=cfg))
-    except sos.SosUndecided as exc:
-        errors.append(f"m_value: {exc}")
-    except SolverFailure as exc:
-        errors.append(f"m_value: {exc}")
-
-    gap = m_val - n_val
-    confirmed = math.isfinite(gap) and abs(gap) <= _confirm_tol(m_val) and not errors
-    return BoundaryReport(
-        m=m,
-        u=float(u),
-        c=float(c),
-        n=n_val,
-        n_tag=n_tag,
-        m_val=m_val,
-        m_method=m_method,
-        gap=gap,
-        confirmed=confirmed,
-        tol_d=tol_d,
-        seed=cfg.seed,
-        breakpoint=bp,
-        bundle=bundle,
-        errors=tuple(errors),
-    )
+    report = _report(m, u, c, cfg, tol_d, sos_tol, with_certificate)
+    if report.n_tag in (TAG_LINEAR_CNEG, TAG_EIGEN_CNEG):
+        return dataclasses.replace(report, breakpoint=breakpoint_u0(m, cfg))
+    if report.n_tag in (TAG_LINEAR_CPOS, TAG_EIGEN_CPOS):
+        return dataclasses.replace(report, breakpoint=breakpoint_v0(m, cfg))
+    return report
 
 
 @dataclass(frozen=True)
@@ -415,33 +413,18 @@ def verify_linear_segment(
     flagged = [] if bp.verified else [f"breakpoint {bp.kind} unverified"]
     points = []
     for u_s in samples:
-        expected = _linear(m, u_s, c)
-        ok = False
-        n_val = math.nan
-        tag = TAG_UNDECIDED
-        m_val = math.nan
-        try:
-            res = n_value(m, u_s, c, cfg)
-            n_val = float(res.value)
-            tag = res.tag
-            m_val = float(sos.m_value(m, u_s, c, tol_d=tol_d, lower=float(expected)))
-            ok = (
-                tag == linear_tag
-                and res.value == expected
-                and abs(m_val - float(expected)) <= _confirm_tol(m_val)
-            )
-        except (SolverFailure, sos.SosUndecided) as exc:
-            flagged.append(f"u={u_s}: {exc}")
-        else:
-            if not ok:
-                flagged.append(f"u={u_s}: not confirmed")
+        expected = float(_linear(m, u_s, c))
+        report = _report(m, u_s, c, cfg, tol_d, sos.DEFAULT_SOS_TOL)
+        ok = report.confirmed and report.n_tag == linear_tag and report.n == expected
+        if not ok:
+            flagged += [f"u={u_s}: {err}" for err in report.errors or ("not confirmed",)]
         points.append(
             SegmentPoint(
                 u=str(u_s),
-                expected=float(expected),
-                n=n_val,
-                n_tag=tag,
-                m_val=m_val,
+                expected=expected,
+                n=report.n,
+                n_tag=report.n_tag,
+                m_val=report.m_val,
                 confirmed=ok,
             )
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from circulant3 import boundary, sos, tables
-from circulant3.eigen import SolverConfig, SolverFailure
+from circulant3.eigen import SolverConfig
 from circulant3.tensor import Scalar, make_tensor, require_even_order
 
 EXIT_OK = 0
@@ -125,9 +125,11 @@ def _scalar_repr(v: Scalar) -> object:
     return str(v)
 
 
-def _parse_point(args: argparse.Namespace) -> tuple:
+def _parse_point(args: argparse.Namespace, cfg: RunConfig) -> tuple:
     m = args.m
     require_even_order(m)
+    if m > cfg.max_m:
+        raise ValueError(f"m = {m} exceeds configured max_m = {cfg.max_m}")
     u = tables.parse_scalar(args.u)
     c = tables.parse_scalar(args.c)
     return m, u, c
@@ -168,16 +170,10 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
-        m, u, c = _parse_point(args)
-        if m > cfg.max_m:
-            raise ValueError(f"m = {m} exceeds configured max_m = {cfg.max_m}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        m, u, c = _parse_point(args, cfg)
         report = boundary.analyze(
             m, u, c, cfg=cfg.solver_config(), tol_d=cfg.tol_d,
-            with_certificate=not args.no_certificate,
+            with_certificate=not args.no_certificate, sos_tol=cfg.sos_tol,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -293,18 +289,14 @@ def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
-        m, u, c = _parse_point(args)
-        if m > cfg.max_m:
-            raise ValueError(f"m = {m} exceeds configured max_m = {cfg.max_m}")
+        m, u, c = _parse_point(args, cfg)
+        bundle = sos.certify_pns_free(
+            m, u, c, tol_d=cfg.tol_d, cfg=cfg.solver_config(), sos_tol=cfg.sos_tol
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        bundle = sos.certify_pns_free(m, u, c, tol_d=cfg.tol_d, cfg=cfg.solver_config())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SolverFailure, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     doc = {"config": cfg.to_json_dict(), "bundle": bundle.to_json_dict()}

@@ -35,6 +35,7 @@ from circulant3.eigen import (
     SolverConfig,
     SolverFailure,
     _scan_two_equal,
+    _tensor_scale,
     lambda_min,
 )
 from circulant3.tensor import (
@@ -155,7 +156,7 @@ def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
     return sdp.SdpProblem(n, coeffs, rhs)
 
 
-def _zeros(m: int, d: float, u: float, c: float) -> List[Tuple[float, float, float]]:
+def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
     """Real zeros of the form, one per S3 orbit; empty off the threshold.
 
     The two-equal-coordinate scan that ``lambda_min`` trusts gives the
@@ -163,7 +164,8 @@ def _zeros(m: int, d: float, u: float, c: float) -> List[Tuple[float, float, flo
     A point of the unit m-norm sphere is a zero when |f| there is at most
     _ZERO_TOL times the tensor's scale |d| + dd_bound.
     """
-    tol = _ZERO_TOL * max(1.0, abs(d) + float(dd_bound(m, u, c)))
+    m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
+    tol = _ZERO_TOL * _tensor_scale(t)
     lam, x1, x2, x3, _ = _scan_two_equal(m, d, u, c)
     zeros = [(x1, x2, x3)] if abs(lam) <= tol else []
     if abs(kernels.eval_form(m, d, u, c, 1.0, 1.0, 1.0)) <= 3.0 * tol:
@@ -183,12 +185,11 @@ def _face(t: CirculantTensor) -> Optional[np.ndarray]:
     form has no zero.
     """
     basis = MonomialBasis.for_half_degree(t.m // 2)
-    d, u, c = float(t.d), float(t.u), float(t.c)
-    if d == u == c > 0:
+    if float(t.d) == float(t.u) == float(t.c) > 0:
         w = np.array([math.factorial(basis.k) / math.prod(map(math.factorial, e))
                       for e in basis.monos])
         return (w / np.linalg.norm(w))[:, None]
-    zeros = _zeros(t.m, d, u, c)
+    zeros = _zeros(t)
     if not zeros:
         return None
     Z = np.array([[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in basis.monos]
@@ -306,50 +307,52 @@ def m_value(
     diagonal-dominance bound, exploiting upward closure of the SOS
     property in d.
     """
-    return _m_value_and_certificate(m, u, c, tol_d, lower, sos_tol, cfg)[0]
+    from circulant3 import boundary
+
+    if lower is None:
+        n = boundary.n_value(m, u, c, cfg)
+        lower = n.value
+    else:  # a given lower end still gives way to the exact closed forms
+        n = boundary.closed_form_n(m, u, c)
+    exact = n is not None and n.tag in boundary.SOS_EXACT_TAGS
+    return _threshold(m, u, c, n.value if exact else lower, exact, tol_d, sos_tol)[0]
 
 
-def _m_value_and_certificate(
+def _threshold(
     m: int,
     u: Scalar,
     c: Scalar,
+    n: Scalar,
+    exact: bool,
     tol_d: float,
-    lower: Optional[Scalar],
     sos_tol: float,
-    cfg: SolverConfig,
 ) -> Tuple[Scalar, Optional[GramCertificate]]:
-    """m_value and the certificate is_sos accepted at d = M; None if it was undecided there."""
-    require_even_order(m)
+    """M from the PSD threshold n, and the certificate is_sos accepted at d = M.
+
+    ``exact`` marks n as a closed form that M equals, which one SDP solve
+    verifies; otherwise M is bisected upward from n. The certificate is
+    None where is_sos was undecided at M.
+    """
     if not (math.isfinite(tol_d) and tol_d > 0):
         raise ValueError(f"tol_d must be finite and positive, got {tol_d}")
-    from circulant3 import boundary
-
-    closed = boundary.closed_form_n(m, u, c)
-    if closed is not None and closed.tag in boundary.SOS_EXACT_TAGS:
-        exact = closed.value
-        ok, cert = is_sos(make_tensor(m, float(exact), float(u), float(c)), sos_tol)
-        if not ok:
-            raise RuntimeError(
-                f"closed-form SOS threshold {exact} rejected by the SDP at "
-                f"(m={m}, u={u}, c={c}); solver and theory disagree"
-            )
-        return exact, cert
-
-    if lower is None:
-        lower = boundary.n_value(m, u, c, cfg)[0]
-    lo = float(lower)
-    hi = float(dd_bound(m, u, c))
-    uf, cf = float(u), float(c)
-
+    lo, uf, cf = float(n), float(u), float(c)
     try:
         ok, cert = is_sos(make_tensor(m, lo, uf, cf), sos_tol)
     except SosUndecided:
+        if exact:
+            raise
         # the solver cannot separate the lower end from the threshold,
         # which is the best locatable answer
-        return lower, None
+        return n, None
     if ok:
         # the PSD threshold is already SOS: the two thresholds coincide
-        return lower, cert
+        return n, cert
+    if exact:
+        raise RuntimeError(
+            f"closed-form SOS threshold {n} rejected by the SDP at "
+            f"(m={m}, u={u}, c={c}); solver and theory disagree"
+        )
+    hi = float(dd_bound(m, u, c))
     ok, cert = is_sos(make_tensor(m, hi, uf, cf), sos_tol)
     if not ok:
         raise RuntimeError(
@@ -420,6 +423,7 @@ def certify_pns_free(
     c: Scalar,
     tol_d: float = DEFAULT_TOL_D,
     cfg: SolverConfig = DEFAULT_CONFIG,
+    sos_tol: float = DEFAULT_SOS_TOL,
 ) -> CertificateBundle:
     """Assemble the three-piece evidence bundle at one parameter point.
 
@@ -430,7 +434,24 @@ def certify_pns_free(
     present -> CONFIRMED; a missing or failed piece -> UNCONFIRMED with
     the evidence that does exist.
     """
-    M, cert = _m_value_and_certificate(m, u, c, tol_d, None, DEFAULT_SOS_TOL, cfg)
+    from circulant3 import boundary
+
+    n = boundary.n_value(m, u, c, cfg)
+    M, cert = _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol)
+    return _bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
+
+
+def _bundle(
+    m: int,
+    u: Scalar,
+    c: Scalar,
+    M: Scalar,
+    cert: Optional[GramCertificate],
+    tol_d: float,
+    sos_tol: float,
+    cfg: SolverConfig,
+) -> CertificateBundle:
+    """The bundle at the SOS threshold M and the certificate is_sos accepted there."""
     Mf = float(M)
 
     cert_ok = False
@@ -445,7 +466,7 @@ def certify_pns_free(
         for e in ((k, 0, 0), (0, k, 0), (0, 0, k)):
             G[cert.basis.index(e), cert.basis.index(e)] += tol_d
         cert = _certificate_from_solution(form, problem, G, scale)
-        cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=DEFAULT_SOS_TOL * scale)
+        cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=sos_tol * scale)
 
     eig: Optional[EigenResult] = None
     try:

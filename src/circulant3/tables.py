@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
 from circulant3 import boundary, sos
-from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure
+from circulant3.eigen import DEFAULT_CONFIG, SolverConfig
 from circulant3.tensor import Scalar
 
 FIXTURE_NAME = "tables.csv"
@@ -150,22 +150,10 @@ def compute_row(
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> RowResult:
     """Recompute both thresholds for a row and grade them."""
-    u = row.u_value
-    m_comp = math.nan
-    n_comp = math.nan
-    error = None
-    try:
-        n_comp = float(boundary.n_value(row.m, u, row.c, cfg).value)
-        m_comp = float(
-            sos.m_value(row.m, u, row.c, tol_d=tol_d, lower=n_comp, sos_tol=sos_tol)
-        )
-    except (SolverFailure, sos.SosUndecided, RuntimeError) as exc:
-        error = str(exc)
-    m_ok = math.isfinite(m_comp) and abs(m_comp - row.expected_m_value) <= row.tol_m
-    n_ok = math.isfinite(n_comp) and abs(n_comp - row.expected_n_value) <= row.tol_n
-    return RowResult(
-        row=row, m_computed=m_comp, n_computed=n_comp, m_ok=m_ok, n_ok=n_ok, error=error
-    )
+    report = boundary._report(row.m, row.u_value, row.c, cfg, tol_d, sos_tol)
+    m_ok = math.isfinite(report.m_val) and abs(report.m_val - row.expected_m_value) <= row.tol_m
+    n_ok = math.isfinite(report.n) and abs(report.n - row.expected_n_value) <= row.tol_n
+    return RowResult(row, report.m_val, report.n, m_ok, n_ok, "; ".join(report.errors) or None)
 
 
 def run_tables(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from circulant3 import boundary, sos
+from circulant3 import boundary, cli, eigen, sos
 from circulant3.boundary import (
     TAG_EIGEN_CNEG,
     TAG_EIGEN_CPOS,
@@ -173,6 +173,40 @@ def test_analyze_reports_solver_failure_instead_of_raising():
     report = boundary.analyze(6, 5, -1, cfg=cfg, with_certificate=False)
     assert report.errors
     assert not report.confirmed
+
+
+def test_analyze_computes_n_once(monkeypatch):
+    # N at d = 0, the u0 pencil, the bundle's minimizer at d = M: the
+    # certificate is derived from the N already computed, not from a second one
+    seen = []
+    real = eigen.lambda_min
+
+    def spy(t, cfg=eigen.DEFAULT_CONFIG):
+        seen.append(float(t.d))
+        return real(t, cfg)
+
+    for mod in (eigen, boundary, sos):
+        monkeypatch.setattr(mod, "lambda_min", spy)
+    report = boundary.analyze(6, 5, -1)
+    assert report.confirmed
+    assert seen.count(0.0) == 1
+    assert len(seen) == 3
+
+
+def test_sdp_rejection_is_reported_not_raised(monkeypatch, capsys):
+    # an SDP that rejects every form contradicts the closed forms; each
+    # entry point must name that in its result instead of raising it
+    monkeypatch.setattr(sos, "is_sos", lambda t, tol=sos.DEFAULT_SOS_TOL: (False, None))
+    report = boundary.analyze(6, -1, -1, with_certificate=False)
+    assert not report.confirmed
+    assert math.isnan(report.m_val)
+    assert len(report.errors) == 1 and "rejected by the SDP" in report.errors[0]
+    seg = boundary.verify_linear_segment(6, -1)
+    assert not seg.confirmed
+    assert any("rejected by the SDP" in flag for flag in seg.flagged)
+    argv = ["analyze", "--m", "6", "--u", "-1", "--c", "-1", "--no-certificate"]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    assert "rejected by the SDP" in capsys.readouterr().out
 
 
 def test_linear_segments_confirm_on_both_slices():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import circulant3
-from circulant3 import boundary, cli, tables
+from circulant3 import boundary, cli, sos, tables
 
 FIXTURE_SHA256 = "81ff8a027ef62e78bc516f8848d53a01412598b6812fdc519e4fb632d5b982a3"
 
@@ -96,6 +96,81 @@ def test_analyze_maps_unconfirmed_and_failed_reports_to_exit_codes(
     monkeypatch.setattr(boundary, "analyze", lambda *a, **k: stub_failed)
     assert cli.main(["analyze", "--m", "6", "--u", "-1", "--c", "0"]) == 4
     capsys.readouterr()
+
+
+def test_config_sos_tol_decides_analyze_and_certify(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("sos_tol = 1e-6\n")
+    tols = []
+    real = sos.is_sos
+
+    def spy(t, tol=sos.DEFAULT_SOS_TOL):
+        tols.append(tol)
+        return real(t, tol)
+
+    monkeypatch.setattr(sos, "is_sos", spy)
+    assert cli.main(["analyze", "--m", "6", "--u", "5", "--c", "-1", "--config", str(path)]) == 0
+    assert cli.main(["certify", "--m", "6", "--u", "-1", "--c", "-1", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert tols and set(tols) == {1e-6}
+
+
+def _shape(doc):
+    """Nested key structure of a JSON document; a list maps to its items' distinct shapes."""
+    if isinstance(doc, dict):
+        return {k: _shape(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        shapes = []
+        for item in map(_shape, doc):
+            if item not in shapes:
+                shapes.append(item)
+        return shapes
+    return None
+
+
+CONFIG_SHAPE = dict.fromkeys(
+    ("eigen_tol", "format", "jobs", "max_m", "n_starts", "out", "seed", "sos_tol", "tol_d")
+)
+BREAKPOINT_SHAPE = dict.fromkeys(("kind", "lambda_residual", "m", "value", "value_float", "verified"))
+BUNDLE_SHAPE = {
+    **dict.fromkeys(("c", "critical_value", "m", "minimizer_residual", "minimizer_value",
+                     "seed", "status", "tol_d", "u")),
+    "certificate": {
+        **dict.fromkeys(("half_degree", "min_eig", "reconstruction_error")),
+        "basis": [[None]],
+        "gram_lower_triangle": [None],
+    },
+    "minimizer": [None],
+}
+REPORT_SHAPE = {
+    **dict.fromkeys(("c", "confirmed", "gap", "m", "m_method", "m_value", "n_tag", "n_value",
+                     "seed", "tol_d", "u")),
+    "breakpoint": BREAKPOINT_SHAPE,
+    "bundle": BUNDLE_SHAPE,
+    "errors": [],
+}
+ROW_SHAPE = dict.fromkeys(
+    ("M_computed", "M_expected", "N_computed", "N_expected", "c", "m", "pass", "table", "u")
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["analyze", "--m", "6", "--u", "2", "--c", "-1", "--format", "json"],
+         {"config": CONFIG_SHAPE, "report": REPORT_SHAPE}),
+        (["certify", "--m", "6", "--u", "-1", "--c", "-1"],
+         {"config": CONFIG_SHAPE, "bundle": BUNDLE_SHAPE}),
+        (["breakpoints", "--m", "6", "--format", "json"],
+         {"config": CONFIG_SHAPE, "breakpoints": [BREAKPOINT_SHAPE]}),
+        (["table", "--table", "2", "--format", "json"],
+         {"config": CONFIG_SHAPE, "rows": [ROW_SHAPE]}),
+    ],
+    ids=["analyze", "certify", "breakpoints", "table"],
+)
+def test_json_outputs_keep_their_key_sets(argv, expected, capsys):
+    assert cli.main(argv) == 0
+    assert _shape(json.loads(capsys.readouterr().out)) == expected
 
 
 def test_table_csv_schema_and_all_pass(tmp_path, capsys):
