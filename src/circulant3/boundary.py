@@ -25,8 +25,10 @@ from circulant3 import sos
 from circulant3.eigen import (
     _PSD_TOL,
     DEFAULT_CONFIG,
+    EigenResult,
     SolverConfig,
     SolverFailure,
+    _scan_min,
     lambda_min,
     pencil_margin_cneg,
     pencil_margin_cpos,
@@ -44,6 +46,16 @@ TAG_EIGEN_CPOS = "eigen-cpos"  # c = +1, u above the breakpoint
 TAG_UNDECIDED = "undecided"  # eigensolver failed; value is its best bound
 # closed-form branches on which the SOS threshold M equals N as well
 SOS_EXACT_TAGS = (TAG_NONPOS, TAG_EQUAL_UC)
+# branches whose N is the negated smallest H-eigenvalue from a search
+SEARCH_TAGS = (TAG_UNIT_U, TAG_EIGEN_CNEG, TAG_EIGEN_CPOS)
+
+# the evidence that an N from the threshold pipeline is the threshold and
+# not just a lower bound on it
+GUARD_CLOSED_FORM = "closed-form"  # an exact linear form
+GUARD_CERTIFICATE = "certificate"  # a Gram certificate verified at d = N
+GUARD_MULTISTART = "multistart"  # the general multistart ran alongside the scan
+# how _report names an SOS step that is_sos could not decide
+UNDECIDED_PREFIX = "m_value: SOS undecided"
 
 
 def _is_exact(x: Scalar) -> bool:
@@ -75,11 +87,20 @@ def _linear(m: int, u: Scalar, c: Scalar) -> Scalar:
     return -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
 
 
+EigenSearch = Callable[[CirculantTensor, SolverConfig], EigenResult]
+
+
 @lru_cache(maxsize=None)
+def _unit_reference(m: int, cfg: SolverConfig, search: EigenSearch) -> float:
+    """Threshold at (u, c) = (1, 0) by one search; cached per search, so a
+    scan-only value never stands in for a multistart one."""
+    require_even_order(m)
+    return -search(make_tensor(m, 0, 1, 0), cfg).lam
+
+
 def unit_scale_reference(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """Threshold at (u, c) = (1, 0); every c = 0, u > 0 query scales off it."""
-    require_even_order(m)
-    return -lambda_min(make_tensor(m, 0, 1, 0), cfg).lam
+    return _unit_reference(m, cfg, lambda_min)
 
 
 class NValue(NamedTuple):
@@ -119,6 +140,11 @@ def n_value(
     c = 0, u > 0 the threshold is u times the cached unit-u value.
     Exact inputs flow through exact arithmetic on the linear branches.
     """
+    return _n(m, u, c, cfg, lambda_min)
+
+
+def _n(m: int, u: Scalar, c: Scalar, cfg: SolverConfig, search: EigenSearch) -> NValue:
+    """n_value with ``search`` for the smallest H-eigenvalue off the closed forms."""
     require_even_order(m)
     for name, val in (("u", u), ("c", c)):
         if isinstance(val, float) and not math.isfinite(val):
@@ -128,11 +154,11 @@ def n_value(
     if closed is not None:
         return closed
     if c == 0:
-        return NValue(float(u) * unit_scale_reference(m, cfg), TAG_UNIT_U)
+        return NValue(float(u) * _unit_reference(m, cfg, search), TAG_UNIT_U)
     if c == -1:
-        return NValue(-lambda_min(make_tensor(m, 0, u, -1), cfg).lam, TAG_EIGEN_CNEG)
+        return NValue(-search(make_tensor(m, 0, u, -1), cfg).lam, TAG_EIGEN_CNEG)
     if c == 1:
-        return NValue(-lambda_min(make_tensor(m, 0, u, 1), cfg).lam, TAG_EIGEN_CPOS)
+        return NValue(-search(make_tensor(m, 0, u, 1), cfg).lam, TAG_EIGEN_CPOS)
     raise ValueError(
         "c must be in {-1, 0, 1} unless (u <= 0 and c <= 0) or u = c > 0; "
         "use normalize() first"
@@ -223,9 +249,11 @@ class BoundaryReport:
     """PSD threshold N and SOS threshold M at one query point, reconciled.
 
     ``gap`` is M - N; ``confirmed`` means the two thresholds agree
-    within the combined tolerance, so the point carries a complete
-    certificate chain.  Component failures land in ``errors`` instead
-    of raising.
+    within the combined tolerance and is_sos accepted a certificate at
+    M, so the point carries a complete certificate chain.  ``n_guard``
+    names the evidence that N is the threshold and not only a lower
+    bound (GUARD_*).  Component failures, and SOS steps that is_sos
+    could not decide, land in ``errors`` instead of raising.
     """
 
     m: int
@@ -233,6 +261,7 @@ class BoundaryReport:
     c: float
     n: float
     n_tag: str
+    n_guard: str
     m_val: float
     m_method: str
     gap: float
@@ -242,6 +271,11 @@ class BoundaryReport:
     breakpoint: Optional[Breakpoint] = None
     bundle: Optional[sos.CertificateBundle] = None
     errors: Tuple[str, ...] = ()
+
+    @property
+    def failed(self) -> bool:
+        """Some error is a solver failure, not only an SOS step left undecided."""
+        return any(not err.startswith(UNDECIDED_PREFIX) for err in self.errors)
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,6 +288,7 @@ class BoundaryReport:
             "m": self.m,
             "m_method": self.m_method,
             "m_value": self.m_val,
+            "n_guard": self.n_guard,
             "n_tag": self.n_tag,
             "n_value": self.n,
             "seed": self.seed,
@@ -274,34 +309,65 @@ def _report(
     sos_tol: float,
     with_certificate: bool = False,
 ) -> BoundaryReport:
-    """N once, then M (or the bundle at M) from it; the report without breakpoint.
+    """N once, guarded, then M (or the bundle at M) from it; the report without breakpoint.
+
+    Off the closed forms N comes from the two-equal-coordinate scan
+    alone, which bounds the threshold from below. A certificate that
+    is_sos accepts at d = N bounds it from above (SOS implies PSD), so
+    the two fix N. Without that certificate the multistart runs once: an
+    unchanged N keeps the verdict already computed there, a moved N
+    starts over. No bisection starts from an unguarded N.
 
     A failed N keeps the eigensolver's best bound, tagged undecided, and
     no M is bisected from it. Any RuntimeError (SolverFailure,
-    SosUndecided, an SDP that rejects a closed form) lands in ``errors``.
+    SosUndecided, an SDP that rejects a closed form) lands in ``errors``,
+    and so does an SOS step that is_sos could not decide: the report is
+    confirmed only with the certificate is_sos accepted at M.
     """
-    m_val, bundle, errors = math.nan, None, ()
+    m_val, bundle, errors, cert = math.nan, None, (), None
+    guard, at_n = GUARD_MULTISTART, None
     try:
-        n = n_value(m, u, c, cfg)
+        n: Optional[NValue] = _n(m, u, c, cfg, _scan_min)
+    except SolverFailure:
+        n = None  # the scan's eigenpair failed its residual check
+    if n is not None and n.tag not in SEARCH_TAGS:
+        guard = GUARD_CLOSED_FORM
+    elif n is not None:
+        at_n = sos._decide(m, float(n.value), float(u), float(c), sos_tol)
+        if not isinstance(at_n, sos.SosUndecided) and at_n[1] is not None:
+            guard = GUARD_CERTIFICATE
+    try:
+        if guard == GUARD_MULTISTART:
+            full = n_value(m, u, c, cfg)
+            if n is None or full.value != n.value:
+                n, at_n = full, None
     except SolverFailure as exc:
         n = NValue(math.nan if exc.best is None else -exc.best.lam, TAG_UNDECIDED)
         errors = (f"n_value: {exc}",)
     else:
         try:
-            M, cert = sos._threshold(m, u, c, n.value, n.tag in SOS_EXACT_TAGS, tol_d, sos_tol)
+            M, cert, undecided = sos._threshold(
+                m, u, c, n.value, n.tag in SOS_EXACT_TAGS, tol_d, sos_tol, at_n
+            )
             if with_certificate:
                 bundle = sos._bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
             m_val = float(M)
+            if undecided is not None:
+                errors = (f"{UNDECIDED_PREFIX} {undecided}",)
         except RuntimeError as exc:
             errors = (f"m_value: {exc}",)
     gap = m_val - float(n.value)
-    confirmed = math.isfinite(gap) and abs(gap) <= 1e-5 * max(1.0, abs(m_val)) and not errors
+    confirmed = (
+        math.isfinite(gap) and abs(gap) <= 1e-5 * max(1.0, abs(m_val))
+        and cert is not None and not errors
+    )
     return BoundaryReport(
         m=m,
         u=float(u),
         c=float(c),
         n=float(n.value),
         n_tag=n.tag,
+        n_guard=guard,
         m_val=m_val,
         m_method="closed-form" if n.tag in SOS_EXACT_TAGS else "bisection",
         gap=gap,

@@ -185,7 +185,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         status = "CONFIRMED" if report.confirmed else "UNCONFIRMED"
         lines = [
             f"m={report.m} u={args.u} c={args.c}",
-            f"N = {report.n!r}  [{report.n_tag}]",
+            f"N = {report.n!r}  [{report.n_tag}, guarded by {report.n_guard}]",
             f"M = {report.m_val!r}  [{report.m_method}]",
             f"gap = {report.gap!r}",
             f"status: {status}",
@@ -193,7 +193,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         for err in report.errors:
             lines.append(f"error: {err}")
         _emit("\n".join(lines), cfg)
-    if report.errors:
+    if report.failed:
         return EXIT_SOLVER
     return EXIT_OK if report.confirmed else EXIT_UNCONFIRMED
 
@@ -310,7 +310,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, default: object) -> None:
     parser.add_argument("--seed", type=int, default=default,
                         help="RNG seed for solver multistarts")
     parser.add_argument("--jobs", type=int, default=default,
-                        help="concurrent row solves in table mode")
+                        help="worker processes for table rows (at most the CPU count)")
     parser.add_argument("--format", choices=FORMATS, default=default,
                         help="output format")
     parser.add_argument("--out", default=default,

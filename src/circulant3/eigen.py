@@ -15,6 +15,12 @@ Whenever the general search beats the structured one by more than
 1e-9 of the tensor's scale, the event is logged as a counterexample to
 the two-equal-coordinate heuristic and the better result is returned.
 
+``lambda_min`` and everything public built on it run both searches. The
+threshold pipeline (``boundary._report``) runs the scan alone through
+``_scan_min``: there a Gram certificate at d = N guards the scan (SOS
+implies PSD, so the true threshold is not above N), and the multistart
+runs only when that certificate is missing.
+
 The search budget (scan grid, Newton polish and descent iterations,
 second-round Newton tolerance) is one set of module constants, the same
 at every order: on 184 points at m = 14 and m = 16, doubling the grid
@@ -57,8 +63,8 @@ _PSD_TOL = 1e-7
 class SolverConfig:
     """Caller settings of the eigenvalue search.
 
-    Frozen and hashable: ``boundary.unit_scale_reference`` caches its
-    value on (m, config), so a query at c = 0 honours the caller's
+    Frozen and hashable: ``boundary`` caches the c = 0 reference value
+    on (m, config, search), so a query at c = 0 honours the caller's
     settings like any other.
     """
 
@@ -138,40 +144,22 @@ def _scan_two_equal(m: int, d: float, u: float, c: float):
     return kernels.scan_two_equal(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
 
 
-def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenResult:
-    """Best-found smallest H-eigenvalue of the tensor with its minimizer.
+def _eigenpair(
+    t: CirculantTensor,
+    cfg: SolverConfig,
+    x_raw: Sequence[float],
+    lam_s: float,
+    lam_g: float,
+    used: int,
+) -> EigenResult:
+    """The canonical eigenpair at the winning point, checked against the residual tolerance.
 
-    Runs the structured two-equal-coordinate scan and the general
-    multistart and merges the outcomes. The returned value is certified
-    only as an upper bound on the true minimum; agreement of the two
-    searches (and, downstream, of the SOS side) is the evidence that it
-    is the minimum. Raises SolverFailure when no candidate satisfies the
-    residual tolerance.
+    The eigenvalue and residual are recomputed at the canonical
+    representative; SolverFailure, carrying the result, when the
+    residual exceeds ``cfg.residual_tol`` times the tensor's scale.
     """
-    require_even_order(t.m)
-    m = t.m
-    d, u, c = float(t.d), float(t.u), float(t.c)
-    scale = _tensor_scale(t)
-
-    lam_s, s1, s2, s3, _ = _scan_two_equal(m, d, u, c)
-
-    rng = np.random.default_rng(cfg.seed)
-    starts = rng.standard_normal((cfg.n_starts, 3))
-    lam_g, g1, g2, g3, _, used = kernels.minimize_batch(
-        m, d, u, c, starts, _MAX_ITERS, _TOL_GRAD
-    )
-
-    x_raw = (s1, s2, s3)
-    if lam_g < lam_s - 1e-9 * scale:
-        logger.warning(
-            "general multistart found a lower value than the "
-            "two-equal-coordinate scan at (m=%d, d=%g, u=%g, c=%g): "
-            "%.15g < %.15g",
-            m, d, u, c, lam_g, lam_s,
-        )
-        x_raw = (g1, g2, g3)
+    m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
     x = _canonical(m, x_raw)
-    # recompute the eigenvalue and residual at the canonical representative
     lam = kernels.eval_form(m, d, u, c, *x)
     g = kernels.apply_power(m, d, u, c, *x)
     e1 = m - 1
@@ -185,6 +173,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
         lam_structured=lam_s,
         lam_multistart=lam_g,
     )
+    scale = _tensor_scale(t)
     if not math.isfinite(lam) or residual > cfg.residual_tol * scale:
         raise SolverFailure(
             f"eigenpair residual {residual:.3e} exceeds "
@@ -192,6 +181,52 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
             best=result,
         )
     return result
+
+
+def _scan_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenResult:
+    """The two-equal-coordinate scan alone: an upper bound on the smallest H-eigenvalue.
+
+    Same canonical eigenpair and residual check as ``lambda_min``, with
+    no multistart (``lam_multistart`` is nan, ``starts_used`` 0). Only a
+    caller that guards the value by other evidence may use it.
+    """
+    require_even_order(t.m)
+    lam_s, s1, s2, s3, _ = _scan_two_equal(t.m, float(t.d), float(t.u), float(t.c))
+    return _eigenpair(t, cfg, (s1, s2, s3), lam_s, math.nan, 0)
+
+
+def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenResult:
+    """Best-found smallest H-eigenvalue of the tensor with its minimizer.
+
+    Runs the structured two-equal-coordinate scan and the general
+    multistart and merges the outcomes. The returned value is certified
+    only as an upper bound on the true minimum; agreement of the two
+    searches (and, downstream, of the SOS side) is the evidence that it
+    is the minimum. Raises SolverFailure when no candidate satisfies the
+    residual tolerance.
+    """
+    require_even_order(t.m)
+    m = t.m
+    d, u, c = float(t.d), float(t.u), float(t.c)
+
+    lam_s, s1, s2, s3, _ = _scan_two_equal(m, d, u, c)
+
+    rng = np.random.default_rng(cfg.seed)
+    starts = rng.standard_normal((cfg.n_starts, 3))
+    lam_g, g1, g2, g3, _, used = kernels.minimize_batch(
+        m, d, u, c, starts, _MAX_ITERS, _TOL_GRAD
+    )
+
+    x_raw = (s1, s2, s3)
+    if lam_g < lam_s - 1e-9 * _tensor_scale(t):
+        logger.warning(
+            "general multistart found a lower value than the "
+            "two-equal-coordinate scan at (m=%d, d=%g, u=%g, c=%g): "
+            "%.15g < %.15g",
+            m, d, u, c, lam_g, lam_s,
+        )
+        x_raw = (g1, g2, g3)
+    return _eigenpair(t, cfg, x_raw, lam_s, lam_g, used)
 
 
 def is_psd(

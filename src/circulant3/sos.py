@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -315,7 +315,33 @@ def m_value(
     else:  # a given lower end still gives way to the exact closed forms
         n = boundary.closed_form_n(m, u, c)
     exact = n is not None and n.tag in boundary.SOS_EXACT_TAGS
-    return _threshold(m, u, c, n.value if exact else lower, exact, tol_d, sos_tol)[0]
+    return _threshold(m, u, c, n.value if exact else lower, exact, tol_d, sos_tol).value
+
+
+class Threshold(NamedTuple):
+    """M, the certificate is_sos accepted at d = M, and why it is missing.
+
+    ``certificate`` is None exactly when ``undecided`` names the point
+    at which is_sos could not decide; M is then the best locatable
+    value, not a certified one.
+    """
+
+    value: Scalar
+    certificate: Optional[GramCertificate]
+    undecided: Optional[str] = None
+
+
+# is_sos at one point as a value: its (verdict, certificate) pair, or the
+# SosUndecided it raised
+Verdict = Union[Tuple[bool, Optional[GramCertificate]], SosUndecided]
+
+
+def _decide(m: int, d: float, u: float, c: float, sos_tol: float) -> Verdict:
+    """is_sos of A(m, d, u, c) as a value instead of a raise."""
+    try:
+        return is_sos(make_tensor(m, d, u, c), sos_tol)
+    except SosUndecided as exc:
+        return exc
 
 
 def _threshold(
@@ -326,27 +352,29 @@ def _threshold(
     exact: bool,
     tol_d: float,
     sos_tol: float,
-) -> Tuple[Scalar, Optional[GramCertificate]]:
-    """M from the PSD threshold n, and the certificate is_sos accepted at d = M.
+    at_n: Optional[Verdict] = None,
+) -> Threshold:
+    """M from the PSD threshold n, with the certificate is_sos accepted at d = M.
 
     ``exact`` marks n as a closed form that M equals, which one SDP solve
-    verifies; otherwise M is bisected upward from n. The certificate is
-    None where is_sos was undecided at M.
+    verifies; otherwise M is bisected upward from n. ``at_n`` is the
+    verdict at d = n when the caller already has it (see _decide); it is
+    not asked again.
     """
     if not (math.isfinite(tol_d) and tol_d > 0):
         raise ValueError(f"tol_d must be finite and positive, got {tol_d}")
     lo, uf, cf = float(n), float(u), float(c)
-    try:
-        ok, cert = is_sos(make_tensor(m, lo, uf, cf), sos_tol)
-    except SosUndecided:
+    first = _decide(m, lo, uf, cf, sos_tol) if at_n is None else at_n
+    if isinstance(first, SosUndecided):
         if exact:
-            raise
+            raise first
         # the solver cannot separate the lower end from the threshold,
         # which is the best locatable answer
-        return n, None
+        return Threshold(n, None, f"at the PSD threshold d = {lo!r}: {first}")
+    ok, cert = first
     if ok:
         # the PSD threshold is already SOS: the two thresholds coincide
-        return n, cert
+        return Threshold(n, cert)
     if exact:
         raise RuntimeError(
             f"closed-form SOS threshold {n} rejected by the SDP at "
@@ -363,15 +391,15 @@ def _threshold(
         mid = 0.5 * (lo + hi)
         try:
             ok, mid_cert = is_sos(make_tensor(m, mid, uf, cf), sos_tol)
-        except SosUndecided:
+        except SosUndecided as exc:
             # the solver cannot separate mid from the threshold; no
             # further bisection step can sharpen the answer
-            return mid, None
+            return Threshold(mid, None, f"at the bisection midpoint d = {mid!r}: {exc}")
         if ok:
             hi, cert = mid, mid_cert
         else:
             lo = mid
-    return hi, cert
+    return Threshold(hi, cert)
 
 
 @dataclass(frozen=True)
@@ -437,7 +465,7 @@ def certify_pns_free(
     from circulant3 import boundary
 
     n = boundary.n_value(m, u, c, cfg)
-    M, cert = _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol)
+    M, cert, _ = _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol)
     return _bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
 
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
@@ -129,7 +131,11 @@ def load_fixture() -> List[FixtureRow]:
 
 @dataclass(frozen=True)
 class RowResult:
-    """Recomputation outcome for one fixture row."""
+    """Recomputation outcome for one fixture row.
+
+    ``n_guard`` names the evidence behind the computed N, as in
+    ``boundary.BoundaryReport``.
+    """
 
     row: FixtureRow
     m_computed: float
@@ -137,6 +143,7 @@ class RowResult:
     m_ok: bool
     n_ok: bool
     error: Optional[str] = None
+    n_guard: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -153,7 +160,29 @@ def compute_row(
     report = boundary._report(row.m, row.u_value, row.c, cfg, tol_d, sos_tol)
     m_ok = math.isfinite(report.m_val) and abs(report.m_val - row.expected_m_value) <= row.tol_m
     n_ok = math.isfinite(report.n) and abs(report.n - row.expected_n_value) <= row.tol_n
-    return RowResult(row, report.m_val, report.n, m_ok, n_ok, "; ".join(report.errors) or None)
+    return RowResult(
+        row, report.m_val, report.n, m_ok, n_ok, "; ".join(report.errors) or None, report.n_guard
+    )
+
+
+# thread-count variables of the BLAS builds numpy ships with, read when
+# the library loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin BLAS to one thread in the processes started inside the block."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
 
 
 def run_tables(
@@ -165,21 +194,27 @@ def run_tables(
 ) -> List[RowResult]:
     """Recompute every row of the selected tables, in fixture order.
 
-    Rows may be solved concurrently (jobs > 1, capped at the CPU count);
-    results are returned in the deterministic fixture order regardless
-    of completion order.
+    With jobs > 1 (capped at the CPU count and the number of rows) the
+    rows are solved in that many worker processes, each started fresh
+    with BLAS pinned to one thread; results come back in fixture order
+    whatever the completion order.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
     wanted = set(tables)
     rows = [r for r in load_fixture() if r.table in wanted]
-    if jobs == 1:
+    jobs = min(jobs, os.cpu_count() or 1, len(rows))
+    if jobs <= 1:
         return [compute_row(r, tol_d, sos_tol, cfg) for r in rows]
-    from concurrent.futures import ThreadPoolExecutor
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda r: compute_row(r, tol_d, sos_tol, cfg), rows))
+    row_job = partial(compute_row, tol_d=tol_d, sos_tol=sos_tol, cfg=cfg)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+        with _one_blas_thread():  # every worker starts while the rows are submitted
+            results = pool.map(row_job, rows)
+        return list(results)
 
 
 CSV_HEADER = "table,m,c,u,M_computed,N_computed,M_expected,N_expected,pass"

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from circulant3 import boundary, cli, eigen, sos
+from circulant3 import boundary, cli, eigen, kernels, sos, tables, tensor
 from circulant3.boundary import (
     TAG_EIGEN_CNEG,
     TAG_EIGEN_CPOS,
@@ -177,19 +177,29 @@ def test_analyze_reports_solver_failure_instead_of_raising():
 
 def test_analyze_computes_n_once(monkeypatch):
     # N at d = 0, the u0 pencil, the bundle's minimizer at d = M: the
-    # certificate is derived from the N already computed, not from a second one
+    # certificate is derived from the N already computed, not from a second
+    # one, and the certificate at N spares N the multistart
     seen = []
-    real = eigen.lambda_min
 
-    def spy(t, cfg=eigen.DEFAULT_CONFIG):
-        seen.append(float(t.d))
-        return real(t, cfg)
+    def spy_on(name):
+        real = getattr(eigen, name)
 
-    for mod in (eigen, boundary, sos):
-        monkeypatch.setattr(mod, "lambda_min", spy)
+        def spy(t, cfg=eigen.DEFAULT_CONFIG):
+            seen.append((name, float(t.d)))
+            return real(t, cfg)
+
+        return spy
+
+    for name in ("lambda_min", "_scan_min"):
+        spy = spy_on(name)
+        for mod in (eigen, boundary, sos):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy)
     report = boundary.analyze(6, 5, -1)
     assert report.confirmed
-    assert seen.count(0.0) == 1
+    assert report.n_guard == boundary.GUARD_CERTIFICATE
+    assert [d for _, d in seen].count(0.0) == 1
+    assert ("_scan_min", 0.0) in seen
     assert len(seen) == 3
 
 
@@ -238,3 +248,113 @@ def test_unit_u_slice_honours_the_solver_config():
         boundary.n_value(6, 5, -1, cfg)
     with pytest.raises(SolverFailure):
         boundary.n_value(6, 1, 0, cfg)
+
+
+@pytest.fixture
+def fresh_unit_cache():
+    """A c = 0 reference cache that no other test fills or reads."""
+    boundary._unit_reference.cache_clear()
+    yield
+    boundary._unit_reference.cache_clear()
+
+
+def _count_multistarts(monkeypatch):
+    calls = []
+    real = kernels.minimize_batch
+
+    def spy(*args, **kwargs):
+        calls.append(args[:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "minimize_batch", spy)
+    return calls
+
+
+def _scan_at_the_diagonal(m, d, u, c):
+    # (1, 1, 1) is an H-eigenvector of every member of the family, so it
+    # passes the residual check, but it is not the minimizer here
+    x = 3.0 ** (-1.0 / m)
+    return kernels.eval_form(m, d, u, c, x, x, x), x, x, x, 0.0
+
+
+def test_eigen_branch_table_runs_no_multistart(monkeypatch):
+    calls = _count_multistarts(monkeypatch)
+    results = tables.run_tables([2])
+    assert calls == []
+    assert all(r.passed for r in results)
+    guards = {r.row.u: r.n_guard for r in results}
+    assert guards == {"0.1": "closed-form", "2": "closed-form", "45/16": "closed-form",
+                      "5": "certificate", "10": "certificate", "40": "certificate",
+                      "300": "certificate"}
+
+
+def test_failed_certificate_at_n_falls_back_to_one_multistart(monkeypatch):
+    calls = _count_multistarts(monkeypatch)
+    monkeypatch.setattr(sos, "_decide", lambda *args: (False, None))
+    row = next(r for r in tables.load_fixture() if (r.table, r.u) == (2, "5"))
+    res = tables.compute_row(row)
+    assert len(calls) == 1
+    assert res.n_guard == boundary.GUARD_MULTISTART
+    monkeypatch.undo()
+    assert res.n_computed == boundary.n_value(6, 5, -1).value
+    assert res.passed  # M is bisected upward from the guarded N
+
+
+def test_non_minimal_scan_point_yields_the_true_n_through_the_fallback(monkeypatch):
+    true_n = boundary.n_value(6, 5, -1).value
+    monkeypatch.setattr(eigen, "_scan_two_equal", _scan_at_the_diagonal)
+    assert -eigen._scan_min(make_tensor(6, 0, 5, -1)).lam < true_n - 100.0
+    report = boundary.analyze(6, 5, -1, with_certificate=False)
+    assert report.n_guard == boundary.GUARD_MULTISTART
+    assert abs(report.n - true_n) <= 1e-9 * true_n
+    assert report.confirmed and report.errors == ()
+
+
+def test_unit_reference_cache_never_serves_a_fallback_row_the_scan_value(
+    monkeypatch, fresh_unit_cache
+):
+    true_ref = boundary.unit_scale_reference(6)
+    boundary._unit_reference.cache_clear()
+    monkeypatch.setattr(eigen, "_scan_two_equal", _scan_at_the_diagonal)
+    # the scan-only reference is cached first, from a row whose certificate fails
+    report = boundary._report(6, 2, 0, eigen.DEFAULT_CONFIG, sos.DEFAULT_TOL_D,
+                              sos.DEFAULT_SOS_TOL)
+    assert boundary._unit_reference(6, eigen.DEFAULT_CONFIG, eigen._scan_min) < 0
+    assert report.n_guard == boundary.GUARD_MULTISTART
+    assert abs(report.n - 2 * true_ref) <= 1e-9 * true_ref
+    assert abs(boundary.unit_scale_reference(6) - true_ref) <= 1e-9 * true_ref
+    assert report.confirmed
+
+
+def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):
+    real = sos.is_sos
+
+    def undecided(t, tol=sos.DEFAULT_SOS_TOL):
+        raise sos.SosUndecided("forced")
+
+    monkeypatch.setattr(sos, "is_sos", undecided)
+    report = boundary.analyze(6, 5, -1)
+    assert not report.confirmed
+    assert report.bundle.status == "UNCONFIRMED"
+    assert report.n_guard == boundary.GUARD_MULTISTART
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the PSD threshold")
+    assert not report.failed
+    assert cli.main(["analyze", "--m", "6", "--u", "5", "--c", "-1"]) == cli.EXIT_UNCONFIRMED
+    assert "SOS undecided" in capsys.readouterr().out
+
+    # undecided at a bisection midpoint: not SOS at N, SOS at the dominance
+    # bound, undecided in between
+    hi = float(tensor.dd_bound(6, 5, -1))
+
+    def midpoint_undecided(t, tol=sos.DEFAULT_SOS_TOL):
+        if float(t.d) == hi:
+            return real(t, tol)
+        if float(t.d) < 9.43:
+            return False, None
+        raise sos.SosUndecided("forced")
+
+    monkeypatch.setattr(sos, "is_sos", midpoint_undecided)
+    report = boundary.analyze(6, 5, -1, with_certificate=False)
+    assert not report.confirmed
+    assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the bisection midpoint")

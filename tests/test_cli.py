@@ -143,8 +143,8 @@ BUNDLE_SHAPE = {
     "minimizer": [None],
 }
 REPORT_SHAPE = {
-    **dict.fromkeys(("c", "confirmed", "gap", "m", "m_method", "m_value", "n_tag", "n_value",
-                     "seed", "tol_d", "u")),
+    **dict.fromkeys(("c", "confirmed", "gap", "m", "m_method", "m_value", "n_guard", "n_tag",
+                     "n_value", "seed", "tol_d", "u")),
     "breakpoint": BREAKPOINT_SHAPE,
     "bundle": BUNDLE_SHAPE,
     "errors": [],
@@ -198,6 +198,31 @@ def test_table_output_is_byte_deterministic(tmp_path, capsys):
         paths.append(out)
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+GOLDEN_TABLE = Path(__file__).with_name("table_all.csv")
+GOLDEN_TABLE_MD5 = "ddb9737319f2cac98a3475b0692055b4"
+
+
+def test_table_all_reproduces_the_golden_csv_serially_and_in_processes(tmp_path, capsys):
+    golden = GOLDEN_TABLE.read_bytes()
+    assert hashlib.md5(golden).hexdigest() == GOLDEN_TABLE_MD5
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.csv"
+        argv = ["table", "--all", "--format", "csv", "--out", str(out), "--jobs", str(jobs)]
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == golden, f"--jobs {jobs}"
+    capsys.readouterr()
+
+
+def test_process_pool_pins_blas_only_while_workers_start(monkeypatch):
+    for var in tables._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with tables._one_blas_thread():
+        assert all(os.environ[var] == "1" for var in tables._BLAS_THREAD_VARS)
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_table_requires_selection():
