@@ -300,6 +300,31 @@ class BoundaryReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
+def _guarded_n(
+    m: int, u: Scalar, c: Scalar, cfg: SolverConfig, sos_tol: float
+) -> Tuple[NValue, str, Optional[sos.Verdict]]:
+    """N, the evidence that it is the threshold (GUARD_*), and is_sos at d = N or None.
+
+    Off the closed forms N is the two-equal-coordinate scan's, a lower
+    bound; a certificate is_sos accepts at d = N is an upper bound (SOS
+    implies PSD). Without one the multistart (n_value; its SolverFailure
+    is raised) runs once: an unchanged N keeps its verdict, a moved N has
+    none. No bisection starts from an unguarded N.
+    """
+    try:
+        n: Optional[NValue] = _n(m, u, c, cfg, _scan_min)
+    except SolverFailure:
+        n, at_n = None, None  # the scan's eigenpair failed its residual check
+    else:
+        if n.tag not in SEARCH_TAGS:
+            return n, GUARD_CLOSED_FORM, None
+        at_n = sos._decide(m, float(n.value), float(u), float(c), sos_tol)
+        if not isinstance(at_n, sos.SosUndecided) and at_n[1] is not None:
+            return n, GUARD_CERTIFICATE, at_n
+    full = n_value(m, u, c, cfg)
+    return full, GUARD_MULTISTART, at_n if full == n else None
+
+
 def _report(
     m: int,
     u: Scalar,
@@ -309,14 +334,7 @@ def _report(
     sos_tol: float,
     with_certificate: bool = False,
 ) -> BoundaryReport:
-    """N once, guarded, then M (or the bundle at M) from it; the report without breakpoint.
-
-    Off the closed forms N comes from the two-equal-coordinate scan
-    alone, which bounds the threshold from below. A certificate that
-    is_sos accepts at d = N bounds it from above (SOS implies PSD), so
-    the two fix N. Without that certificate the multistart runs once: an
-    unchanged N keeps the verdict already computed there, a moved N
-    starts over. No bisection starts from an unguarded N.
+    """N once, guarded (see _guarded_n), then M (or the bundle at M); no breakpoint.
 
     A failed N keeps the eigensolver's best bound, tagged undecided, and
     no M is bisected from it. Any RuntimeError (SolverFailure,
@@ -325,25 +343,11 @@ def _report(
     confirmed only with the certificate is_sos accepted at M.
     """
     m_val, bundle, errors, cert = math.nan, None, (), None
-    guard, at_n = GUARD_MULTISTART, None
     try:
-        n: Optional[NValue] = _n(m, u, c, cfg, _scan_min)
-    except SolverFailure:
-        n = None  # the scan's eigenpair failed its residual check
-    if n is not None and n.tag not in SEARCH_TAGS:
-        guard = GUARD_CLOSED_FORM
-    elif n is not None:
-        at_n = sos._decide(m, float(n.value), float(u), float(c), sos_tol)
-        if not isinstance(at_n, sos.SosUndecided) and at_n[1] is not None:
-            guard = GUARD_CERTIFICATE
-    try:
-        if guard == GUARD_MULTISTART:
-            full = n_value(m, u, c, cfg)
-            if n is None or full.value != n.value:
-                n, at_n = full, None
+        n, guard, at_n = _guarded_n(m, u, c, cfg, sos_tol)
     except SolverFailure as exc:
         n = NValue(math.nan if exc.best is None else -exc.best.lam, TAG_UNDECIDED)
-        errors = (f"n_value: {exc}",)
+        guard, errors = GUARD_MULTISTART, (f"n_value: {exc}",)
     else:
         try:
             M, cert, undecided = sos._threshold(

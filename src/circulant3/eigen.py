@@ -15,11 +15,11 @@ Whenever the general search beats the structured one by more than
 1e-9 of the tensor's scale, the event is logged as a counterexample to
 the two-equal-coordinate heuristic and the better result is returned.
 
-``lambda_min`` and everything public built on it run both searches. The
-threshold pipeline (``boundary._report``) runs the scan alone through
-``_scan_min``: there a Gram certificate at d = N guards the scan (SOS
-implies PSD, so the true threshold is not above N), and the multistart
-runs only when that certificate is missing.
+``lambda_min`` runs both, and so do ``is_psd``, ``boundary.n_value``,
+the breakpoint pencils and the bundle's minimizer. Every threshold entry
+point takes N from ``boundary._guarded_n``: the scan alone (``_scan_min``),
+guarded by a Gram certificate at d = N (SOS implies PSD, so the true
+threshold is not above N); the multistart runs only without one.
 
 The search budget (scan grid, Newton polish and descent iterations,
 second-round Newton tolerance) is one set of module constants, the same

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -83,10 +83,10 @@ class SdpProblem:
             rhs.append(float(b))
         return cls(dim, np.array(mats), np.array(rhs))
 
-    @property
-    def constraints(self) -> Iterator[Tuple[np.ndarray, float]]:
-        for mat, b in zip(self.coeffs, self.rhs):
-            yield mat, float(b)
+    def violation(self, G: np.ndarray) -> float:
+        """max_l |<A_l, G> - b_l|, the worst equality violation of G, as one product."""
+        flat = self.coeffs.reshape(len(self.rhs), -1)
+        return float(np.max(np.abs(flat @ np.ravel(G) - self.rhs)))
 
 
 @dataclass(frozen=True)
@@ -348,9 +348,6 @@ def check_certificate(
         raise ValueError(f"G must have shape ({problem.dim}, {problem.dim})")
     if not np.allclose(G, G.T, atol=1e-9):
         raise ValueError("G must be symmetric")
-    viol = 0.0
-    for mat, b in problem.constraints:
-        viol = max(viol, abs(float(np.sum(mat * G)) - b))
     lam = float(np.linalg.eigvalsh(0.5 * (G + G.T))[0])
-    viol = max(viol, max(0.0, -lam))
+    viol = max(problem.violation(G), -lam)
     return viol <= tol, viol

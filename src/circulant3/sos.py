@@ -226,10 +226,7 @@ def _certificate_from_solution(
     if lam < 0.0:
         G = G + (-lam) * np.eye(G.shape[0])
         lam = 0.0
-    worst = 0.0
-    for mat, b in problem.constraints:
-        worst = max(worst, abs(float(np.sum(mat * G)) - b))
-    return GramCertificate(basis, G, lam, worst / scale)
+    return GramCertificate(basis, G, lam, problem.violation(G) / scale)
 
 
 def is_sos(
@@ -237,14 +234,15 @@ def is_sos(
 ) -> Tuple[bool, Optional[GramCertificate]]:
     """Decide whether the tensor's form is a sum of squares.
 
-    One tolerance decides: theta = tol * max(1, max_l |b_l|), relative to
-    the largest coefficient b_l of the form, whatever precision the solver
-    reached; the solver encloses the optimal t in [t*, t* + precision].
-    "Yes", with G shifted by -t* onto the PSD cone as the certificate, when
-    that G passes the independent check at theta; the shift moves each
-    even-exponent constraint by |t*|, so t* >= -theta is tried first and a
-    rejection builds no certificate. "No" when the whole enclosure lies
-    below -theta. Anything else raises SosUndecided.
+    One tolerance decides: theta = tol * max(1, max_l |b_l|) (tol finite and
+    > 0, else ValueError), relative to the largest coefficient b_l of the
+    form, whatever precision the solver reached; the solver encloses the
+    optimal t in [t*, t* + precision]. "Yes", with G shifted by -t* onto
+    the PSD cone as the certificate, when that G passes the independent
+    check at theta; the shift moves each even-exponent constraint by |t*|,
+    so t* >= -theta is tried first and a rejection builds no certificate.
+    "No" when the whole enclosure lies below -theta. Anything else raises
+    SosUndecided.
 
     Where the form has real zeros (at a threshold) the Gram problem has
     no interior, and the SDP is solved on the face those zeros cut out
@@ -252,6 +250,8 @@ def is_sos(
     certificate is still checked against the full problem, so a wrong
     face can make the verdict undecided but never a wrong "yes".
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     require_even_order(t.m)
     form = t.to_form()
     problem = build_gram_problem(form)
@@ -292,7 +292,6 @@ def m_value(
     u: Scalar,
     c: Scalar,
     tol_d: float = DEFAULT_TOL_D,
-    lower: Optional[Scalar] = None,
     sos_tol: float = DEFAULT_SOS_TOL,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> Scalar:
@@ -303,19 +302,11 @@ def m_value(
     where the threshold is u itself, and u <= 0, c <= 0, where it is
     -u(2^m - 2) - c(3^{m-1} - 2^m + 1). Everywhere else the value comes
     from bisection on d between the PSD threshold (never above the SOS
-    threshold; computed with ``cfg`` unless ``lower`` gives it) and the
-    diagonal-dominance bound, exploiting upward closure of the SOS
+    threshold; computed with ``cfg`` and guarded as in boundary._guarded_n)
+    and the diagonal-dominance bound, exploiting upward closure of the SOS
     property in d.
     """
-    from circulant3 import boundary
-
-    if lower is None:
-        n = boundary.n_value(m, u, c, cfg)
-        lower = n.value
-    else:  # a given lower end still gives way to the exact closed forms
-        n = boundary.closed_form_n(m, u, c)
-    exact = n is not None and n.tag in boundary.SOS_EXACT_TAGS
-    return _threshold(m, u, c, n.value if exact else lower, exact, tol_d, sos_tol).value
+    return _guarded_threshold(m, u, c, tol_d, sos_tol, cfg).value
 
 
 class Threshold(NamedTuple):
@@ -352,14 +343,13 @@ def _threshold(
     exact: bool,
     tol_d: float,
     sos_tol: float,
-    at_n: Optional[Verdict] = None,
+    at_n: Optional[Verdict],
 ) -> Threshold:
     """M from the PSD threshold n, with the certificate is_sos accepted at d = M.
 
     ``exact`` marks n as a closed form that M equals, which one SDP solve
     verifies; otherwise M is bisected upward from n. ``at_n`` is the
-    verdict at d = n when the caller already has it (see _decide); it is
-    not asked again.
+    verdict at d = n if the caller has it (see _decide), else None.
     """
     if not (math.isfinite(tol_d) and tol_d > 0):
         raise ValueError(f"tol_d must be finite and positive, got {tol_d}")
@@ -400,6 +390,16 @@ def _threshold(
         else:
             lo = mid
     return Threshold(hi, cert)
+
+
+def _guarded_threshold(
+    m: int, u: Scalar, c: Scalar, tol_d: float, sos_tol: float, cfg: SolverConfig
+) -> Threshold:
+    """_threshold from the guarded N, reusing the verdict the guard took at d = N."""
+    from circulant3 import boundary
+
+    n, _, at_n = boundary._guarded_n(m, u, c, cfg, sos_tol)
+    return _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol, at_n)
 
 
 @dataclass(frozen=True)
@@ -460,12 +460,10 @@ def certify_pns_free(
     that passes the independent check at is_sos's theta; and a minimizer
     of the form at d = threshold with value at most 10 * tol_d. All three
     present -> CONFIRMED; a missing or failed piece -> UNCONFIRMED with
-    the evidence that does exist.
+    the evidence that does exist. M comes as in m_value, the minimizer
+    from lambda_min, which runs both eigen searches.
     """
-    from circulant3 import boundary
-
-    n = boundary.n_value(m, u, c, cfg)
-    M, cert, _ = _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol)
+    M, cert, _ = _guarded_threshold(m, u, c, tol_d, sos_tol, cfg)
     return _bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
 
 

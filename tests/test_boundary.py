@@ -288,13 +288,34 @@ def test_eigen_branch_table_runs_no_multistart(monkeypatch):
                       "300": "certificate"}
 
 
+def test_m_value_and_certify_run_the_multistart_only_for_the_minimizer(monkeypatch):
+    # the certificate at N spares N the multistart; the bundle's minimizer
+    # at d = M still comes from lambda_min
+    calls = _count_multistarts(monkeypatch)
+    sos.m_value(6, 5, -1)
+    assert calls == []
+    sos.certify_pns_free(6, 5, -1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("u, c", [(-1, 0), (5, -1), (1, 0)])
+def test_m_value_and_certify_agree_with_analyze(u, c):
+    report = boundary.analyze(6, u, c)
+    assert float(sos.m_value(6, u, c)) == report.m_val
+    assert sos.certify_pns_free(6, u, c).to_json() == report.bundle.to_json()
+
+
 def test_failed_certificate_at_n_falls_back_to_one_multistart(monkeypatch):
+    guarded = sos.m_value(6, 5, -1)
     calls = _count_multistarts(monkeypatch)
     monkeypatch.setattr(sos, "_decide", lambda *args: (False, None))
     row = next(r for r in tables.load_fixture() if (r.table, r.u) == (2, "5"))
     res = tables.compute_row(row)
     assert len(calls) == 1
     assert res.n_guard == boundary.GUARD_MULTISTART
+    # m_value takes the same fallback and bisects upward from the same N
+    assert abs(sos.m_value(6, 5, -1) - guarded) <= sos.DEFAULT_TOL_D
+    assert len(calls) == 2
     monkeypatch.undo()
     assert res.n_computed == boundary.n_value(6, 5, -1).value
     assert res.passed  # M is bisected upward from the guarded N

@@ -72,6 +72,17 @@ def test_is_sos_rejects_odd_or_small_order():
         sos.is_sos(make_tensor(3, 1, 0, 0))
 
 
+def test_is_sos_rejects_a_tolerance_that_is_not_finite_and_positive():
+    # tol = inf said "yes" to A(6, 0, 5, -1), which is not even PSD (N is
+    # about 9.43), and tol = -10 said "no" to the SOS form A(6, 242, -1, -1)
+    for tol in (math.inf, math.nan, 0.0, -10.0):
+        for t in (make_tensor(6, 0, 5, -1), make_tensor(6, 242, -1, -1)):
+            with pytest.raises(ValueError, match="tol"):
+                sos.is_sos(t, tol)
+    with pytest.raises(ValueError, match="tol"):
+        boundary.analyze(6, 5, -1, sos_tol=math.inf)
+
+
 def test_m_value_exact_branches_return_exact_scalars():
     assert sos.m_value(6, -1, 0) == 62
     assert sos.m_value(6, 0, -1) == 180
@@ -146,11 +157,12 @@ def test_gram_problem_shape_and_rhs():
 
 
 def test_sandwich_between_psd_threshold_and_dominance_bound():
+    # M is positively homogeneous: M(m, u, c) = |c| M(m, u / |c|, sign c)
     rng = np.random.default_rng(31)
     for _ in range(5):
         u, c = (float(v) for v in rng.uniform(-1.5, 1.5, size=2))
         psd_threshold = -lambda_min(make_tensor(4, 0.0, u, c)).lam
-        got = float(sos.m_value(4, u, c, lower=psd_threshold))
+        got = abs(c) * float(sos.m_value(4, u / abs(c), 1 if c > 0 else -1))
         assert got >= psd_threshold - 1e-6
         assert got <= float(dd_bound(4, u, c)) + 1e-6
 
