@@ -25,11 +25,9 @@ from circulant3 import sos
 from circulant3.eigen import (
     _PSD_TOL,
     DEFAULT_CONFIG,
-    EigenResult,
     SolverConfig,
     SolverFailure,
     _scan_min,
-    lambda_min,
     pencil_margin_cneg,
     pencil_margin_cpos,
 )
@@ -49,11 +47,10 @@ SOS_EXACT_TAGS = (TAG_NONPOS, TAG_EQUAL_UC)
 # branches whose N is the negated smallest H-eigenvalue from a search
 SEARCH_TAGS = (TAG_UNIT_U, TAG_EIGEN_CNEG, TAG_EIGEN_CPOS)
 
-# the evidence that an N from the threshold pipeline is the threshold and
-# not just a lower bound on it
+# the evidence behind an N from the threshold pipeline
 GUARD_CLOSED_FORM = "closed-form"  # an exact linear form
 GUARD_CERTIFICATE = "certificate"  # a Gram certificate verified at d = N
-GUARD_MULTISTART = "multistart"  # the general multistart ran alongside the scan
+GUARD_SCAN = "scan"  # the scan's lower bound alone, M bisected up from it
 # how _report names an SOS step that is_sos could not decide
 UNDECIDED_PREFIX = "m_value: SOS undecided"
 
@@ -87,20 +84,11 @@ def _linear(m: int, u: Scalar, c: Scalar) -> Scalar:
     return -u * (2**m - 2) - c * (3 ** (m - 1) - 2**m + 1)
 
 
-EigenSearch = Callable[[CirculantTensor, SolverConfig], EigenResult]
-
-
 @lru_cache(maxsize=None)
-def _unit_reference(m: int, cfg: SolverConfig, search: EigenSearch) -> float:
-    """Threshold at (u, c) = (1, 0) by one search; cached per search, so a
-    scan-only value never stands in for a multistart one."""
-    require_even_order(m)
-    return -search(make_tensor(m, 0, 1, 0), cfg).lam
-
-
 def unit_scale_reference(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     """Threshold at (u, c) = (1, 0); every c = 0, u > 0 query scales off it."""
-    return _unit_reference(m, cfg, lambda_min)
+    require_even_order(m)
+    return -_scan_min(make_tensor(m, 0, 1, 0), cfg).lam
 
 
 class NValue(NamedTuple):
@@ -136,15 +124,13 @@ def n_value(
     Dispatch: (u <= 0, c <= 0) and (u = c > 0) have exact closed forms
     for any c; otherwise c must already be normalized to {-1, 0, 1}
     (see normalize).  On the c = +-1 slices the linear closed form is
-    used up to the verified breakpoint and the eigensolver past it; at
-    c = 0, u > 0 the threshold is u times the cached unit-u value.
-    Exact inputs flow through exact arithmetic on the linear branches.
+    used up to the verified breakpoint and the two-equal-coordinate scan
+    (eigen._scan_min) past it; at c = 0, u > 0 the threshold is u times
+    the cached unit-u value.  Off the closed forms the value is the
+    scan's, a lower bound on N; SolverFailure when its eigenpair fails
+    the residual check.  Exact inputs flow through exact arithmetic on
+    the linear branches.
     """
-    return _n(m, u, c, cfg, lambda_min)
-
-
-def _n(m: int, u: Scalar, c: Scalar, cfg: SolverConfig, search: EigenSearch) -> NValue:
-    """n_value with ``search`` for the smallest H-eigenvalue off the closed forms."""
     require_even_order(m)
     for name, val in (("u", u), ("c", c)):
         if isinstance(val, float) and not math.isfinite(val):
@@ -154,11 +140,11 @@ def _n(m: int, u: Scalar, c: Scalar, cfg: SolverConfig, search: EigenSearch) -> 
     if closed is not None:
         return closed
     if c == 0:
-        return NValue(float(u) * _unit_reference(m, cfg, search), TAG_UNIT_U)
+        return NValue(float(u) * unit_scale_reference(m, cfg), TAG_UNIT_U)
     if c == -1:
-        return NValue(-search(make_tensor(m, 0, u, -1), cfg).lam, TAG_EIGEN_CNEG)
+        return NValue(-_scan_min(make_tensor(m, 0, u, -1), cfg).lam, TAG_EIGEN_CNEG)
     if c == 1:
-        return NValue(-search(make_tensor(m, 0, u, 1), cfg).lam, TAG_EIGEN_CPOS)
+        return NValue(-_scan_min(make_tensor(m, 0, u, 1), cfg).lam, TAG_EIGEN_CPOS)
     raise ValueError(
         "c must be in {-1, 0, 1} unless (u <= 0 and c <= 0) or u = c > 0; "
         "use normalize() first"
@@ -250,10 +236,12 @@ class BoundaryReport:
 
     ``gap`` is M - N; ``confirmed`` means the two thresholds agree
     within the combined tolerance and is_sos accepted a certificate at
-    M, so the point carries a complete certificate chain.  ``n_guard``
-    names the evidence that N is the threshold and not only a lower
-    bound (GUARD_*).  Component failures, and SOS steps that is_sos
-    could not decide, land in ``errors`` instead of raising.
+    M, so the point carries a complete certificate chain.  Off the
+    closed forms N is the scan's lower bound and M, certified, an upper
+    bound, so [N, M] encloses the threshold.  ``n_guard`` names the
+    evidence behind N (GUARD_*): a closed form, a certificate at d = N
+    itself, or the scan alone.  Component failures, and SOS steps that
+    is_sos could not decide, land in ``errors`` instead of raising.
     """
 
     m: int
@@ -300,31 +288,6 @@ class BoundaryReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _guarded_n(
-    m: int, u: Scalar, c: Scalar, cfg: SolverConfig, sos_tol: float
-) -> Tuple[NValue, str, Optional[sos.Verdict]]:
-    """N, the evidence that it is the threshold (GUARD_*), and is_sos at d = N or None.
-
-    Off the closed forms N is the two-equal-coordinate scan's, a lower
-    bound; a certificate is_sos accepts at d = N is an upper bound (SOS
-    implies PSD). Without one the multistart (n_value; its SolverFailure
-    is raised) runs once: an unchanged N keeps its verdict, a moved N has
-    none. No bisection starts from an unguarded N.
-    """
-    try:
-        n: Optional[NValue] = _n(m, u, c, cfg, _scan_min)
-    except SolverFailure:
-        n, at_n = None, None  # the scan's eigenpair failed its residual check
-    else:
-        if n.tag not in SEARCH_TAGS:
-            return n, GUARD_CLOSED_FORM, None
-        at_n = sos._decide(m, float(n.value), float(u), float(c), sos_tol)
-        if not isinstance(at_n, sos.SosUndecided) and at_n[1] is not None:
-            return n, GUARD_CERTIFICATE, at_n
-    full = n_value(m, u, c, cfg)
-    return full, GUARD_MULTISTART, at_n if full == n else None
-
-
 def _report(
     m: int,
     u: Scalar,
@@ -334,25 +297,31 @@ def _report(
     sos_tol: float,
     with_certificate: bool = False,
 ) -> BoundaryReport:
-    """N once, guarded (see _guarded_n), then M (or the bundle at M); no breakpoint.
+    """N once (n_value), then M (or the bundle at M) from it; no breakpoint.
 
-    A failed N keeps the eigensolver's best bound, tagged undecided, and
-    no M is bisected from it. Any RuntimeError (SolverFailure,
-    SosUndecided, an SDP that rejects a closed form) lands in ``errors``,
-    and so does an SOS step that is_sos could not decide: the report is
-    confirmed only with the certificate is_sos accepted at M.
+    ValueError for a non-finite or non-positive tol_d or sos_tol, before
+    any search. A failed N keeps the scan's best bound, tagged
+    undecided, and no M is bisected from it. Any RuntimeError
+    (SosUndecided, an SDP that rejects a closed form) lands in
+    ``errors``, and so does an SOS step that is_sos could not decide:
+    the report is confirmed only with the certificate is_sos accepted at
+    M, and only when M is within the gap tolerance of N.
     """
+    sos._require_tolerances(tol_d, sos_tol)
     m_val, bundle, errors, cert = math.nan, None, (), None
     try:
-        n, guard, at_n = _guarded_n(m, u, c, cfg, sos_tol)
+        n = n_value(m, u, c, cfg)
     except SolverFailure as exc:
         n = NValue(math.nan if exc.best is None else -exc.best.lam, TAG_UNDECIDED)
-        guard, errors = GUARD_MULTISTART, (f"n_value: {exc}",)
+        guard, errors = GUARD_SCAN, (f"n_value: {exc}",)
     else:
+        guard = GUARD_SCAN if n.tag in SEARCH_TAGS else GUARD_CLOSED_FORM
         try:
             M, cert, undecided = sos._threshold(
-                m, u, c, n.value, n.tag in SOS_EXACT_TAGS, tol_d, sos_tol, at_n
+                m, u, c, n.value, n.tag in SOS_EXACT_TAGS, tol_d, sos_tol
             )
+            if guard == GUARD_SCAN and cert is not None and M == n.value:
+                guard = GUARD_CERTIFICATE  # is_sos accepted d = N itself
             if with_certificate:
                 bundle = sos._bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
             m_val = float(M)

@@ -15,11 +15,12 @@ Whenever the general search beats the structured one by more than
 1e-9 of the tensor's scale, the event is logged as a counterexample to
 the two-equal-coordinate heuristic and the better result is returned.
 
-``lambda_min`` runs both, and so do ``is_psd``, ``boundary.n_value``,
-the breakpoint pencils and the bundle's minimizer. Every threshold entry
-point takes N from ``boundary._guarded_n``: the scan alone (``_scan_min``),
-guarded by a Gram certificate at d = N (SOS implies PSD, so the true
-threshold is not above N); the multistart runs only without one.
+``lambda_min`` runs both, and so do ``is_psd`` and the breakpoint
+pencils. The thresholds use the scan alone (``_scan_min``):
+``boundary.n_value`` takes N from it, a lower bound on the threshold,
+and the certificate bundle its minimizer. A Gram certificate at d = M
+bounds the threshold from above (SOS implies PSD), so [N, M] encloses
+it whatever the search.
 
 The search budget (scan grid, Newton polish and descent iterations,
 second-round Newton tolerance) is one set of module constants, the same
@@ -64,8 +65,8 @@ class SolverConfig:
     """Caller settings of the eigenvalue search.
 
     Frozen and hashable: ``boundary`` caches the c = 0 reference value
-    on (m, config, search), so a query at c = 0 honours the caller's
-    settings like any other.
+    on (m, config), so a query at c = 0 honours the caller's settings
+    like any other.
     """
 
     n_starts: int = 64
@@ -187,8 +188,9 @@ def _scan_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenRe
     """The two-equal-coordinate scan alone: an upper bound on the smallest H-eigenvalue.
 
     Same canonical eigenpair and residual check as ``lambda_min``, with
-    no multistart (``lam_multistart`` is nan, ``starts_used`` 0). Only a
-    caller that guards the value by other evidence may use it.
+    no multistart (``lam_multistart`` is nan, ``starts_used`` 0). Its
+    negation at d = 0 is a lower bound on the PSD threshold, which the
+    thresholds pair with the certificate at M, an upper bound.
     """
     require_even_order(t.m)
     lam_s, s1, s2, s3, _ = _scan_two_equal(t.m, float(t.d), float(t.u), float(t.c))

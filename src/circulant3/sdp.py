@@ -83,6 +83,10 @@ class SdpProblem:
             rhs.append(float(b))
         return cls(dim, np.array(mats), np.array(rhs))
 
+    def scale(self) -> float:
+        """max(1, max_l |b_l|): the unit of every tolerance on the problem."""
+        return max(1.0, float(np.max(np.abs(self.rhs))))
+
     def violation(self, G: np.ndarray) -> float:
         """max_l |<A_l, G> - b_l|, the worst equality violation of G, as one product."""
         flat = self.coeffs.reshape(len(self.rhs), -1)
@@ -154,7 +158,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     A_flat = A.reshape(L, -1)
     c = np.einsum("lii->l", A)
 
-    scale = max(1.0, float(np.max(np.abs(problem.rhs))))
+    scale = problem.scale()
     b = problem.rhs / scale
 
     # consistency of the linear system in (G, t); Gram systems built in

@@ -24,19 +24,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from circulant3 import kernels, sdp
 from circulant3.eigen import (
     DEFAULT_CONFIG,
-    EigenResult,
     SolverConfig,
     SolverFailure,
+    _scan_min,
     _scan_two_equal,
     _tensor_scale,
-    lambda_min,
 )
 from circulant3.tensor import (
     CirculantTensor,
@@ -65,6 +64,12 @@ class SosUndecided(RuntimeError):
         self.solution = solution
 
 
+def _exponent_triples(k: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Exponent triples of total degree k, graded-lex descending."""
+    triples = ((a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1))
+    return tuple(sorted(triples, reverse=True))
+
+
 @dataclass(frozen=True)
 class MonomialBasis:
     """Ordered exponent triples of total degree k (graded-lex descending)."""
@@ -76,11 +81,7 @@ class MonomialBasis:
     def for_half_degree(cls, k: int) -> "MonomialBasis":
         if k < 1:
             raise ValueError(f"half-degree must be >= 1, got {k}")
-        monos = sorted(
-            ((a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)),
-            reverse=True,
-        )
-        return cls(k, tuple(monos))
+        return cls(k, _exponent_triples(k))
 
     def __len__(self) -> int:
         return len(self.monos)
@@ -105,8 +106,7 @@ class GramCertificate:
     reconstruction_error: float
 
     def to_json_dict(self) -> dict:
-        n = len(self.basis)
-        lower = [float(self.G[i, j]) for i in range(n) for j in range(i + 1)]
+        lower = self.G[np.tril_indices(len(self.basis))].tolist()
         return {
             "basis": [list(t) for t in self.basis.monos],
             "gram_lower_triangle": lower,
@@ -117,16 +117,22 @@ class GramCertificate:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GramCertificate":
+        """Inverse of to_json_dict; ValueError for a basis that is not the
+        half-degree's or a lower triangle of the wrong length."""
         k = int(doc["half_degree"])
         basis = MonomialBasis(k, tuple(tuple(int(e) for e in t) for t in doc["basis"]))
+        if basis != MonomialBasis.for_half_degree(k):
+            raise ValueError(f"basis is not the degree-{k} monomial basis")
         n = len(basis)
+        lower = [float(v) for v in doc["gram_lower_triangle"]]
+        if len(lower) != n * (n + 1) // 2:
+            raise ValueError(
+                f"gram_lower_triangle has {len(lower)} entries, expected {n * (n + 1) // 2}"
+            )
         G = np.zeros((n, n))
-        it = iter(doc["gram_lower_triangle"])
-        for i in range(n):
-            for j in range(i + 1):
-                v = float(next(it))
-                G[i, j] = v
-                G[j, i] = v
+        rows, cols = np.tril_indices(n)
+        G[rows, cols] = lower
+        G[cols, rows] = lower
         return cls(basis, G, float(doc["min_eig"]), float(doc["reconstruction_error"]))
 
 
@@ -142,10 +148,7 @@ def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
         raise ValueError(f"degree must be even for a Gram construction, got {m}")
     basis = MonomialBasis.for_half_degree(m // 2)
     n = len(basis)
-    monos_m = sorted(
-        ((a, b, m - a - b) for a in range(m + 1) for b in range(m - a + 1)),
-        reverse=True,
-    )
+    monos_m = _exponent_triples(m)
     index = {mu: pos for pos, mu in enumerate(monos_m)}
     coeffs = np.zeros((len(monos_m), n, n))
     for i, ei in enumerate(basis.monos):
@@ -213,9 +216,16 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U[:, :k].T @ problem.rhs)
 
 
-def _coeff_scale(problem: sdp.SdpProblem) -> float:
-    """max(1, max_l |b_l|): the unit of every tolerance on a Gram problem."""
-    return max(1.0, float(np.max(np.abs(problem.rhs))))
+def _require_positive(name: str, value: float) -> None:
+    """ValueError unless ``value`` is finite and positive."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _require_tolerances(tol_d: float, sos_tol: float) -> None:
+    """Check a threshold search's two tolerances before it runs any search."""
+    _require_positive("tol_d", tol_d)
+    _require_positive("sos_tol", sos_tol)
 
 
 def _certificate_from_solution(
@@ -250,8 +260,7 @@ def is_sos(
     certificate is still checked against the full problem, so a wrong
     face can make the verdict undecided but never a wrong "yes".
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _require_positive("tol", tol)
     require_even_order(t.m)
     form = t.to_form()
     problem = build_gram_problem(form)
@@ -267,7 +276,7 @@ def is_sos(
             "this indicates a construction bug, not SOS infeasibility",
             solution,
         )
-    scale = _coeff_scale(problem)
+    scale = problem.scale()
     theta = tol * scale
     if solution.t_star >= -theta:
         cert = _certificate_from_solution(form, problem, solution.G, scale)
@@ -301,10 +310,12 @@ def m_value(
     arithmetic of the inputs and verified by one SDP solve): u = c > 0,
     where the threshold is u itself, and u <= 0, c <= 0, where it is
     -u(2^m - 2) - c(3^{m-1} - 2^m + 1). Everywhere else the value comes
-    from bisection on d between the PSD threshold (never above the SOS
-    threshold; computed with ``cfg`` and guarded as in boundary._guarded_n)
-    and the diagonal-dominance bound, exploiting upward closure of the SOS
-    property in d.
+    from bisection on d between the PSD threshold N of boundary.n_value
+    (computed with ``cfg``; off the closed forms the scan's lower bound,
+    never above the SOS threshold) and the diagonal-dominance bound,
+    exploiting upward closure of the SOS property in d; it is N itself
+    when is_sos accepts d = N. ValueError for a non-finite or
+    non-positive tol_d or sos_tol, before any search.
     """
     return _guarded_threshold(m, u, c, tol_d, sos_tol, cfg).value
 
@@ -322,19 +333,6 @@ class Threshold(NamedTuple):
     undecided: Optional[str] = None
 
 
-# is_sos at one point as a value: its (verdict, certificate) pair, or the
-# SosUndecided it raised
-Verdict = Union[Tuple[bool, Optional[GramCertificate]], SosUndecided]
-
-
-def _decide(m: int, d: float, u: float, c: float, sos_tol: float) -> Verdict:
-    """is_sos of A(m, d, u, c) as a value instead of a raise."""
-    try:
-        return is_sos(make_tensor(m, d, u, c), sos_tol)
-    except SosUndecided as exc:
-        return exc
-
-
 def _threshold(
     m: int,
     u: Scalar,
@@ -343,25 +341,22 @@ def _threshold(
     exact: bool,
     tol_d: float,
     sos_tol: float,
-    at_n: Optional[Verdict],
 ) -> Threshold:
     """M from the PSD threshold n, with the certificate is_sos accepted at d = M.
 
     ``exact`` marks n as a closed form that M equals, which one SDP solve
-    verifies; otherwise M is bisected upward from n. ``at_n`` is the
-    verdict at d = n if the caller has it (see _decide), else None.
+    verifies; otherwise is_sos decides at d = n itself, and without a
+    certificate there M is bisected upward from n.
     """
-    if not (math.isfinite(tol_d) and tol_d > 0):
-        raise ValueError(f"tol_d must be finite and positive, got {tol_d}")
     lo, uf, cf = float(n), float(u), float(c)
-    first = _decide(m, lo, uf, cf, sos_tol) if at_n is None else at_n
-    if isinstance(first, SosUndecided):
+    try:
+        ok, cert = is_sos(make_tensor(m, lo, uf, cf), sos_tol)
+    except SosUndecided as exc:
         if exact:
-            raise first
+            raise
         # the solver cannot separate the lower end from the threshold,
         # which is the best locatable answer
-        return Threshold(n, None, f"at the PSD threshold d = {lo!r}: {first}")
-    ok, cert = first
+        return Threshold(n, None, f"at the PSD threshold d = {lo!r}: {exc}")
     if ok:
         # the PSD threshold is already SOS: the two thresholds coincide
         return Threshold(n, cert)
@@ -395,11 +390,12 @@ def _threshold(
 def _guarded_threshold(
     m: int, u: Scalar, c: Scalar, tol_d: float, sos_tol: float, cfg: SolverConfig
 ) -> Threshold:
-    """_threshold from the guarded N, reusing the verdict the guard took at d = N."""
+    """_threshold from boundary.n_value, with both tolerances checked first."""
     from circulant3 import boundary
 
-    n, _, at_n = boundary._guarded_n(m, u, c, cfg, sos_tol)
-    return _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol, at_n)
+    _require_tolerances(tol_d, sos_tol)
+    n = boundary.n_value(m, u, c, cfg)
+    return _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol)
 
 
 @dataclass(frozen=True)
@@ -460,8 +456,9 @@ def certify_pns_free(
     that passes the independent check at is_sos's theta; and a minimizer
     of the form at d = threshold with value at most 10 * tol_d. All three
     present -> CONFIRMED; a missing or failed piece -> UNCONFIRMED with
-    the evidence that does exist. M comes as in m_value, the minimizer
-    from lambda_min, which runs both eigen searches.
+    the evidence that does exist. M comes as in m_value (and its
+    tolerances are checked the same way), the minimizer from the
+    two-equal-coordinate scan (eigen._scan_min) at d = M.
     """
     M, cert, _ = _guarded_threshold(m, u, c, tol_d, sos_tol, cfg)
     return _bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
@@ -486,7 +483,7 @@ def _bundle(
         # Gram matrix of f + tol_d * (x1^m + x2^m + x3^m), the form at M + tol_d
         form = make_tensor(m, Mf + tol_d, float(u), float(c)).to_form()
         problem = build_gram_problem(form)
-        scale = _coeff_scale(problem)
+        scale = problem.scale()
         k = cert.basis.k
         G = cert.G.copy()
         for e in ((k, 0, 0), (0, k, 0), (0, 0, k)):
@@ -494,11 +491,10 @@ def _bundle(
         cert = _certificate_from_solution(form, problem, G, scale)
         cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=sos_tol * scale)
 
-    eig: Optional[EigenResult] = None
     try:
-        eig = lambda_min(make_tensor(m, Mf, float(u), float(c)), cfg)
+        eig = _scan_min(make_tensor(m, Mf, float(u), float(c)), cfg)
     except SolverFailure:
-        pass
+        eig = None
     min_ok = eig is not None and eig.lam <= 10.0 * tol_d
 
     status = "CONFIRMED" if (cert_ok and min_ok) else "UNCONFIRMED"

@@ -168,17 +168,26 @@ def test_analyze_attaches_breakpoint_on_unit_c_slices():
     assert report.breakpoint.value == Fraction(45, 16)
 
 
-def test_analyze_reports_solver_failure_instead_of_raising():
+def test_analyze_reports_solver_failure_instead_of_raising(tmp_path, capsys):
+    # the scan's eigenpair fails its residual check: N is undecided, no M
+    # is bisected from it, and analyze exits with the solver-failure code
     cfg = SolverConfig(n_starts=4, residual_tol=1e-300)
     report = boundary.analyze(6, 5, -1, cfg=cfg, with_certificate=False)
     assert report.errors
     assert not report.confirmed
+    assert (report.n_tag, report.n_guard) == (boundary.TAG_UNDECIDED, boundary.GUARD_SCAN)
+    assert math.isnan(report.m_val) and report.failed
+    config = tmp_path / "tight.cfg"
+    config.write_text("eigen_tol = 1e-300\n")
+    argv = ["analyze", "--m", "6", "--u", "5", "--c", "-1", "--config", str(config)]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    assert "undecided" in capsys.readouterr().out
 
 
 def test_analyze_computes_n_once(monkeypatch):
     # N at d = 0, the u0 pencil, the bundle's minimizer at d = M: the
     # certificate is derived from the N already computed, not from a second
-    # one, and the certificate at N spares N the multistart
+    # one, and N and the minimizer come from the scan alone
     seen = []
 
     def spy_on(name):
@@ -200,6 +209,7 @@ def test_analyze_computes_n_once(monkeypatch):
     assert report.n_guard == boundary.GUARD_CERTIFICATE
     assert [d for _, d in seen].count(0.0) == 1
     assert ("_scan_min", 0.0) in seen
+    assert ("_scan_min", report.m_val) in seen
     assert len(seen) == 3
 
 
@@ -250,14 +260,6 @@ def test_unit_u_slice_honours_the_solver_config():
         boundary.n_value(6, 1, 0, cfg)
 
 
-@pytest.fixture
-def fresh_unit_cache():
-    """A c = 0 reference cache that no other test fills or reads."""
-    boundary._unit_reference.cache_clear()
-    yield
-    boundary._unit_reference.cache_clear()
-
-
 def _count_multistarts(monkeypatch):
     calls = []
     real = kernels.minimize_batch
@@ -288,14 +290,12 @@ def test_eigen_branch_table_runs_no_multistart(monkeypatch):
                       "300": "certificate"}
 
 
-def test_m_value_and_certify_run_the_multistart_only_for_the_minimizer(monkeypatch):
-    # the certificate at N spares N the multistart; the bundle's minimizer
-    # at d = M still comes from lambda_min
+def test_m_value_and_certify_run_no_multistart(monkeypatch):
+    # N, M and the bundle's minimizer all come from the scan
     calls = _count_multistarts(monkeypatch)
     sos.m_value(6, 5, -1)
-    assert calls == []
     sos.certify_pns_free(6, 5, -1)
-    assert len(calls) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("u, c", [(-1, 0), (5, -1), (1, 0)])
@@ -305,46 +305,46 @@ def test_m_value_and_certify_agree_with_analyze(u, c):
     assert sos.certify_pns_free(6, u, c).to_json() == report.bundle.to_json()
 
 
-def test_failed_certificate_at_n_falls_back_to_one_multistart(monkeypatch):
+def _no_certificate_at(monkeypatch, d_no):
+    """is_sos answers "no" at d = d_no and decides as usual elsewhere."""
+    real = sos.is_sos
+
+    def is_sos(t, tol=sos.DEFAULT_SOS_TOL):
+        return (False, None) if float(t.d) == d_no else real(t, tol)
+
+    monkeypatch.setattr(sos, "is_sos", is_sos)
+
+
+def test_missing_certificate_at_n_bisects_up_from_the_scan(monkeypatch):
     guarded = sos.m_value(6, 5, -1)
+    n = boundary.n_value(6, 5, -1).value
     calls = _count_multistarts(monkeypatch)
-    monkeypatch.setattr(sos, "_decide", lambda *args: (False, None))
+    _no_certificate_at(monkeypatch, n)
     row = next(r for r in tables.load_fixture() if (r.table, r.u) == (2, "5"))
     res = tables.compute_row(row)
-    assert len(calls) == 1
-    assert res.n_guard == boundary.GUARD_MULTISTART
-    # m_value takes the same fallback and bisects upward from the same N
-    assert abs(sos.m_value(6, 5, -1) - guarded) <= sos.DEFAULT_TOL_D
-    assert len(calls) == 2
-    monkeypatch.undo()
-    assert res.n_computed == boundary.n_value(6, 5, -1).value
-    assert res.passed  # M is bisected upward from the guarded N
+    assert res.n_guard == boundary.GUARD_SCAN
+    assert res.n_computed == n
+    assert abs(res.m_computed - guarded) <= sos.DEFAULT_TOL_D
+    assert res.passed  # M is bisected upward from the scan's N
+    # m_value bisects upward from the same N
+    assert n < sos.m_value(6, 5, -1) <= guarded + sos.DEFAULT_TOL_D
+    assert calls == []
 
 
-def test_non_minimal_scan_point_yields_the_true_n_through_the_fallback(monkeypatch):
+def test_non_minimal_scan_point_leaves_the_report_unconfirmed(monkeypatch):
     true_n = boundary.n_value(6, 5, -1).value
     monkeypatch.setattr(eigen, "_scan_two_equal", _scan_at_the_diagonal)
     assert -eigen._scan_min(make_tensor(6, 0, 5, -1)).lam < true_n - 100.0
     report = boundary.analyze(6, 5, -1, with_certificate=False)
-    assert report.n_guard == boundary.GUARD_MULTISTART
-    assert abs(report.n - true_n) <= 1e-9 * true_n
-    assert report.confirmed and report.errors == ()
-
-
-def test_unit_reference_cache_never_serves_a_fallback_row_the_scan_value(
-    monkeypatch, fresh_unit_cache
-):
-    true_ref = boundary.unit_scale_reference(6)
-    boundary._unit_reference.cache_clear()
-    monkeypatch.setattr(eigen, "_scan_two_equal", _scan_at_the_diagonal)
-    # the scan-only reference is cached first, from a row whose certificate fails
-    report = boundary._report(6, 2, 0, eigen.DEFAULT_CONFIG, sos.DEFAULT_TOL_D,
-                              sos.DEFAULT_SOS_TOL)
-    assert boundary._unit_reference(6, eigen.DEFAULT_CONFIG, eigen._scan_min) < 0
-    assert report.n_guard == boundary.GUARD_MULTISTART
-    assert abs(report.n - 2 * true_ref) <= 1e-9 * true_ref
-    assert abs(boundary.unit_scale_reference(6) - true_ref) <= 1e-9 * true_ref
-    assert report.confirmed
+    assert report.n_guard == boundary.GUARD_SCAN
+    assert report.n < true_n - 100.0
+    assert not report.confirmed  # the gap [N, M] is wider than 100
+    # bisected up from the scan's N, M lands on the true threshold; the
+    # step next to it may be left undecided (at (6, 5, -1) a midpoint
+    # 1.3e-5 below the threshold is), which is named in the errors and
+    # is not a solver failure
+    assert abs(report.m_val - true_n) <= 1e-4
+    assert not report.failed
 
 
 def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):
@@ -357,7 +357,7 @@ def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):
     report = boundary.analyze(6, 5, -1)
     assert not report.confirmed
     assert report.bundle.status == "UNCONFIRMED"
-    assert report.n_guard == boundary.GUARD_MULTISTART
+    assert report.n_guard == boundary.GUARD_SCAN
     assert len(report.errors) == 1
     assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the PSD threshold")
     assert not report.failed

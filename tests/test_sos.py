@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circulant3 import sdp, sos
+from circulant3 import kernels, sdp, sos
 from circulant3 import boundary
 from circulant3.eigen import SolverConfig, SolverFailure, lambda_min
 from circulant3.tensor import dd_bound, make_tensor
@@ -83,7 +83,7 @@ def test_is_sos_rejects_a_tolerance_that_is_not_finite_and_positive():
         boundary.analyze(6, 5, -1, sos_tol=math.inf)
 
 
-def test_m_value_exact_branches_return_exact_scalars():
+def test_m_value_exact_branches_return_exact_scalars(monkeypatch):
     assert sos.m_value(6, -1, 0) == 62
     assert sos.m_value(6, 0, -1) == 180
     assert sos.m_value(6, -1, -1) == 242
@@ -93,10 +93,24 @@ def test_m_value_exact_branches_return_exact_scalars():
     with pytest.raises(ValueError):
         sos.m_value(5, 1, 1)
     # a NaN or infinite tol_d would skip the bisection loop and return the
-    # diagonal-dominance bound
-    for tol_d in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol_d"):
-            sos.m_value(6, 1, 0, tol_d=tol_d)
+    # diagonal-dominance bound; a bad tolerance is rejected before any scan
+    # or SDP runs
+    calls = []
+    for module, name in ((sdp, "solve"), (kernels, "scan_two_equal")):
+        monkeypatch.setattr(module, name, lambda *args, _n=name: calls.append(_n))
+    entry_points = (
+        lambda **tols: sos.m_value(6, 1, 0, **tols),
+        lambda **tols: sos.m_value(6, 5, -1, **tols),
+        lambda **tols: sos.certify_pns_free(6, 5, -1, **tols),
+        lambda **tols: boundary.analyze(6, 5, -1, **tols),
+    )
+    for bad in (0.0, math.nan, math.inf):
+        for entry in entry_points:
+            with pytest.raises(ValueError, match="tol_d"):
+                entry(tol_d=bad)
+            with pytest.raises(ValueError, match="sos_tol"):
+                entry(sos_tol=bad)
+    assert calls == []
 
 
 def test_m_value_bisection_matches_reference_points():
@@ -144,6 +158,18 @@ def test_certificate_round_trips_through_json():
     assert np.array_equal(back.G, cert.G)
     assert back.min_eig == cert.min_eig
     assert back.reconstruction_error == cert.reconstruction_error
+    # a short or long lower triangle, or a basis that is not the
+    # half-degree's, is rejected instead of read partly
+    lower = doc["gram_lower_triangle"]
+    for bad in (
+        {"gram_lower_triangle": lower[:-1]},
+        {"gram_lower_triangle": lower + [0.0]},
+        {"half_degree": 2},
+        {"half_degree": 4},
+        {"basis": doc["basis"][::-1]},
+    ):
+        with pytest.raises(ValueError):
+            sos.GramCertificate.from_json_dict({**doc, **bad})
 
 
 def test_gram_problem_shape_and_rhs():
