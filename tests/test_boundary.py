@@ -305,21 +305,16 @@ def test_m_value_and_certify_agree_with_analyze(u, c):
     assert sos.certify_pns_free(6, u, c).to_json() == report.bundle.to_json()
 
 
-def _no_certificate_at(monkeypatch, d_no):
-    """is_sos answers "no" at d = d_no and decides as usual elsewhere."""
-    real = sos.is_sos
-
-    def is_sos(t, tol=sos.DEFAULT_SOS_TOL):
-        return (False, None) if float(t.d) == d_no else real(t, tol)
-
-    monkeypatch.setattr(sos, "is_sos", is_sos)
-
-
 def test_missing_certificate_at_n_bisects_up_from_the_scan(monkeypatch):
     guarded = sos.m_value(6, 5, -1)
     n = boundary.n_value(6, 5, -1).value
     calls = _count_multistarts(monkeypatch)
-    _no_certificate_at(monkeypatch, n)
+    real = sos.is_sos
+
+    def no_certificate_at_n(t, tol=sos.DEFAULT_SOS_TOL):
+        return (False, None) if float(t.d) == n else real(t, tol)
+
+    monkeypatch.setattr(sos, "is_sos", no_certificate_at_n)
     row = next(r for r in tables.load_fixture() if (r.table, r.u) == (2, "5"))
     res = tables.compute_row(row)
     assert res.n_guard == boundary.GUARD_SCAN
