@@ -14,12 +14,18 @@ The solver is a hand-rolled infeasible primal-dual interior-point
 method with Nesterov-Todd scaling and a Mehrotra-style predictor
 corrector. Problem sizes here are tiny (N <= 64, L <= a few hundred),
 so the Schur complement is assembled densely and factored per
-iteration. The final iterate is projected onto the constraints, and
-t_star is read off the projected matrix. The solver expects a problem
-with an interior: a Gram problem whose form has real zeros is first
-restricted to the face those zeros cut out (see ``sos``). Everything is
-deterministic: fixed starting point, fixed iteration schedule, no
-randomization.
+iteration, and the pace is set by the fixed cost of each numpy call,
+not by the L*N^3 arithmetic: an iteration is written as a few plain
+matrix products over the (L, N, N) constraint stack, and the primal and
+dual step lengths share one stacked solve and eigenvalue call (after
+SDPT3, "SDPT3 -- a MATLAB software package for semidefinite
+programming", Toh, Todd & Tutuncu, 1999). Each solution records why
+its loop stopped (``SdpSolution.stop``). The final iterate is
+projected onto the constraints, and t_star is read off the projected
+matrix. The solver expects a problem with an interior: a Gram problem
+whose form has real zeros is first restricted to the face those zeros
+cut out (see ``sos``). Everything is deterministic: fixed starting
+point, fixed iteration schedule, no randomization.
 """
 
 from __future__ import annotations
@@ -103,6 +109,15 @@ class SdpSolution:
     attainable t up to the recorded infeasibility. The optimal t lies in
     the enclosure [t_star, t_star + precision], in the problem's own
     units (``precision`` is the duality gap plus the dual residuals).
+
+    ``status`` grades the returned matrix; ``stop`` says why the loop
+    ended: "converged" (the stopping rule was met), "stall" (8 iterations
+    without a 1% gain in the worst residual), "budget" (the iteration
+    budget ran out) or "breakdown" (a failed factorization, a non-finite
+    Schur matrix or step, or a blow-up of the iterate; also the
+    inconsistent equality system of status "infeasible", on which no
+    iteration runs). A run that stops on a stall or the budget can still
+    grade "optimal" once its best iterate is projected.
     """
 
     G: np.ndarray
@@ -113,6 +128,7 @@ class SdpSolution:
     gap: float
     dual_obj: float
     precision: float
+    stop: str
 
 
 def _chol_psd(S: np.ndarray) -> np.ndarray:
@@ -132,15 +148,22 @@ def _chol_psd(S: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("matrix is not positive definite even with jitter")
 
 
-def _step_length(S: np.ndarray, dS: np.ndarray, chol: np.ndarray) -> float:
-    """Largest step alpha <= 1 keeping S + alpha*dS positive definite."""
-    Y = np.linalg.solve(chol, dS)
-    Y = np.linalg.solve(chol, Y.T).T
-    w = np.linalg.eigvalsh(0.5 * (Y + Y.T))
-    beta = w[0]
-    if beta >= -1e-16:
-        return 1.0
-    return min(1.0, _STEP_SHRINK / (-beta))
+def _step_lengths(
+    dX: np.ndarray, dZ: np.ndarray, Lx: np.ndarray, Lz: np.ndarray
+) -> Tuple[float, float]:
+    """Largest steps alpha <= 1 keeping X + alpha*dX and Z + alpha*dZ positive definite.
+
+    ``Lx`` and ``Lz`` are Cholesky factors of X and Z. Each step reads
+    the smallest eigenvalue beta of Y = L^-1 dS L^-T; both Y come from
+    one stacked solve per side and one stacked ``eigvalsh``, which give
+    the same numbers as two separate one-matrix passes.
+    """
+    chol = np.stack([Lx, Lz])
+    Y = np.linalg.solve(chol, np.stack([dX, dZ]))
+    Y = np.swapaxes(np.linalg.solve(chol, np.swapaxes(Y, 1, 2)), 1, 2)
+    beta = np.linalg.eigvalsh(0.5 * (Y + np.swapaxes(Y, 1, 2)))[:, 0]
+    ap, ad = (1.0 if b >= -1e-16 else min(1.0, _STEP_SHRINK / (-b)) for b in beta)
+    return ap, ad
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -148,9 +171,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     Returns status "optimal" when mu reaches 1e-11 and the residuals
     1e-9 (in units of the scaled problem, i.e. relative to max|b|),
-    "max-iterations" when the budget of 150 iterations or a stall ends
-    the run first, and "infeasible" when the equality system itself is
-    inconsistent.
+    "max-iterations" when the budget of 150 iterations, a stall or a
+    breakdown ends the run first, and "infeasible" when the equality
+    system itself is inconsistent; ``stop`` on the solution tells these
+    endings apart.
+
+    Each iteration is a handful of dense products on the (L, N, N) stack
+    A of constraint matrices: the Schur complement M_kl = <A_k, W A_l W>
+    is ``A_flat @ ((W @ A) @ W)`` and the adjoint sum_l y_l A_l is
+    ``A_flat.T @ y``, so no contraction path is searched per iteration.
+    The primal and dual step lengths of the predictor, and again of the
+    corrector, come from one stacked solve and eigenvalue pass
+    (``_step_lengths``).
     """
     N = problem.dim
     L = problem.coeffs.shape[0]
@@ -178,6 +210,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             gap=math.inf,
             dual_obj=math.inf,
             precision=math.inf,
+            stop="breakdown",
         )
 
     X = np.eye(N)
@@ -186,12 +219,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
     t = 0.0
 
     def adjoint(v: np.ndarray) -> np.ndarray:
-        return np.tensordot(v, A, axes=1)
+        return (A_flat.T @ v).reshape(N, N)
 
     best = None
     best_err = math.inf
     stall = 0
     status = "max-iterations"
+    stop = "budget"
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
@@ -215,8 +249,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         if mu <= _MU_TOL and feas <= _FEAS_TOL and dfeas <= _FEAS_TOL and abs(rg) <= _RG_TOL:
             status = "optimal"
+            stop = "converged"
             break
         if stall >= 8:
+            stop = "stall"
             break
 
         try:
@@ -233,10 +269,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
             Zinv = Zinv_half.T @ Zinv_half
 
             with np.errstate(over="ignore", invalid="ignore"):
-                WAW = np.einsum("ij,ljk,km->lim", W, A, W, optimize=True)
-                M = A_flat @ WAW.reshape(L, -1).T
+                M = A_flat @ ((W @ A) @ W).reshape(L, -1).T
                 M = 0.5 * (M + M.T)
             if not np.all(np.isfinite(M)):
+                stop = "breakdown"
                 break
             # a floor on M's spectrum; a floor much above 1e-14 of its largest
             # diagonal entry biases the Newton steps enough for the primal
@@ -260,8 +296,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             with np.errstate(over="ignore", invalid="ignore"):
                 # predictor (sigma = 0) fixes the centering parameter
                 dy_a, dt_a, dZ_a, dX_a = newton(-X)
-                ap = _step_length(X, dX_a, Lx)
-                ad = _step_length(Z, dZ_a, Lz)
+                ap, ad = _step_lengths(dX_a, dZ_a, Lx, Lz)
                 mu_aff = float(np.sum((X + ap * dX_a) * (Z + ad * dZ_a))) / N
                 sigma = (
                     min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 0.0
@@ -277,10 +312,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 and np.all(np.isfinite(dZ))
                 and np.all(np.isfinite(dy))
             ):
+                stop = "breakdown"
                 break
-            ap = _step_length(X, dX, Lx)
-            ad = _step_length(Z, dZ, Lz)
+            ap, ad = _step_lengths(dX, dZ, Lx, Lz)
         except np.linalg.LinAlgError:
+            stop = "breakdown"
             break
 
         X = 0.5 * ((X + ap * dX) + (X + ap * dX).T)
@@ -288,6 +324,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         y = y + ad * dy
         t = t + ap * dt
         if not (math.isfinite(t) and float(np.max(np.abs(X))) < 1e60 and float(np.max(np.abs(Z))) < 1e60):
+            stop = "breakdown"
             break
 
     if status == "optimal":
@@ -307,7 +344,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     # t_star = lambda_min(G) is a value the problem actually attains, never
     # an interior-point estimate
     resid = problem.rhs - A_flat @ G.ravel()
-    G = G + np.tensordot(np.linalg.pinv(A_flat @ A_flat.T) @ resid, A, axes=1)
+    G = G + adjoint(np.linalg.pinv(A_flat @ A_flat.T) @ resid)
     G = 0.5 * (G + G.T)
     t_star = float(np.linalg.eigvalsh(G)[0])
     obj_scale = max(1.0, float(np.linalg.norm(G)))
@@ -335,6 +372,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         gap=dual_obj - t_star,
         dual_obj=dual_obj,
         precision=precision,
+        stop=stop,
     )
 
 

@@ -209,7 +209,7 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     basis of their span, with the right-hand sides combined alike.
     """
     r = V.shape[1]
-    A = np.einsum("ia,lij,jb->lab", V, problem.coeffs, V, optimize=True).reshape(-1, r * r)
+    A = (V.T @ problem.coeffs @ V).reshape(-1, r * r)
     U, sing, Wt = np.linalg.svd(A, full_matrices=False)
     k = int(np.sum(sing > 1e-10 * sing[0]))
     coeffs = (sing[:k, None] * Wt[:k]).reshape(k, r, r)

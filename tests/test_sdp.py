@@ -161,3 +161,51 @@ def test_precision_encloses_the_true_error_on_solved_cases():
     sol = sdp.solve(prob)
     assert abs(sol.t_star - (-1.0)) <= sol.precision
     assert sol.gap == sol.dual_obj - sol.t_star
+
+
+def _one_step_length(dS, chol):
+    # the one-matrix formula: two solves against one Cholesky factor, then
+    # the smallest eigenvalue of the symmetrized L^-1 dS L^-T
+    Y = np.linalg.solve(chol, dS)
+    Y = np.linalg.solve(chol, Y.T).T
+    beta = np.linalg.eigvalsh(0.5 * (Y + Y.T))[0]
+    return 1.0 if beta >= -1e-16 else min(1.0, 0.98 / (-beta))
+
+
+def test_stacked_step_lengths_equal_the_one_matrix_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 7, 15, 33):
+        for _ in range(4):
+            B, C = rng.standard_normal((2, n, n))
+            Lx = np.linalg.cholesky(B @ B.T + 1e-3 * np.eye(n))
+            Lz = np.linalg.cholesky(C @ C.T + 1e-3 * np.eye(n))
+            dX, dZ = rng.standard_normal((2, n, n))
+            dX, dZ = dX + dX.T, dZ + dZ.T
+            assert sdp._step_lengths(dX, dZ, Lx, Lz) == (
+                _one_step_length(dX, Lx), _one_step_length(dZ, Lz))
+    # a PSD direction never leaves the cone: the full step is taken
+    D = rng.standard_normal((5, 5))
+    assert sdp._step_lengths(D @ D.T, np.eye(5), np.eye(5), np.eye(5)) == (1.0, 1.0)
+
+
+def _face_problem(m, d, u, c):
+    t = make_tensor(m, d, u, c)
+    return sos._restrict(build_gram_problem(t.to_form()), sos._face(t))
+
+
+def test_stop_records_why_the_loop_ended(monkeypatch):
+    # two table rows at their thresholds: the face problem of
+    # (8, 483/32, 483/64, -1) meets the stopping rule, and that of
+    # (6, 45/8, 45/16, -1) ends on the stall counter well inside the budget
+    sol = sdp.solve(_face_problem(8, Fraction(483, 32), Fraction(483, 64), -1))
+    assert (sol.status, sol.stop) == ("optimal", "converged")
+    sol = sdp.solve(_face_problem(6, Fraction(45, 8), Fraction(45, 16), -1))
+    assert (sol.status, sol.stop) == ("max-iterations", "stall")
+    assert sol.iterations < sdp._MAX_ITER
+    # the full problem above N stalls too, and runs out of a budget of 2
+    prob = build_gram_problem(make_tensor(6, 26, Fraction(225, 16), -1).to_form())
+    assert sdp.solve(prob).stop == "stall"
+    monkeypatch.setattr(sdp, "_MAX_ITER", 2)
+    sol = sdp.solve(prob)
+    assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "budget", 2)
+    assert sdp.solve(_problem(1, [([[1.0]], 1.0), ([[1.0]], 2.0)])).stop == "breakdown"

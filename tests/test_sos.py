@@ -246,3 +246,43 @@ def test_bundle_certificate_is_exact_at_threshold_plus_tol_d():
 def test_sos_undecided_carries_solver_evidence():
     err = sos.SosUndecided("msg", None)
     assert isinstance(err, RuntimeError)
+
+
+# Decisions that earlier solvers got wrong after a stalled interior-point
+# run, so a change to the solver can flip them: below N the answer is "no",
+# above N "yes" with a certificate that passes the independent check.
+# Together with the points already in test_is_sos_accepts_known_members and
+# test_is_sos_rejects_known_non_members they are every decision the
+# sos-decide benchmark lists as a fault.
+STALL_PRONE_BELOW_N = [
+    (6, Fraction(22129895754933903, 703687441776640), Fraction(315, 16), -1),
+    (6, Fraction(171805702030385023, 7036874417766400), Fraction(225, 16), -1),
+    (8, Fraction(31779126091371303, 351843720888320), Fraction(3381, 64), -1),
+    (12, Fraction(1659467648873439, 8796093022208), Fraction(507, 4), -1),
+    (12, Fraction(23180990723877969, 43980465111040), Fraction(1183, 4), -1),
+    (8, 24, 16, 1),
+    (8, 100, 60, -1),
+    (8, 60, 40, 0),
+    (12, 400, 256, 1),
+    (12, 60, 40, 0),
+    (12, 400, 210, -1),
+]
+STALL_PRONE_ABOVE_N = [
+    (8, Fraction(38841154111676037, 351843720888320), Fraction(3381, 64), -1),
+    (8, 110, 52, -1),
+]
+
+
+@pytest.mark.parametrize("m, d, u, c", STALL_PRONE_BELOW_N)
+def test_stall_prone_decisions_below_n_are_rejected(m, d, u, c):
+    assert sos.is_sos(make_tensor(m, d, u, c)) == (False, None)
+
+
+@pytest.mark.parametrize("m, d, u, c", STALL_PRONE_ABOVE_N)
+def test_stall_prone_decisions_above_n_are_certified(m, d, u, c):
+    t = make_tensor(m, d, u, c)
+    ok, cert = sos.is_sos(t)
+    assert ok
+    prob = sos.build_gram_problem(t.to_form())
+    good, viol = sdp.check_certificate(cert.G, prob, tol=sos.DEFAULT_SOS_TOL * prob.scale())
+    assert good, f"violation {viol:.3e}"
