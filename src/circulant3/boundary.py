@@ -289,25 +289,18 @@ class BoundaryReport:
 
 
 def _report(
-    m: int,
-    u: Scalar,
-    c: Scalar,
-    cfg: SolverConfig,
-    tol_d: float,
-    sos_tol: float,
-    with_certificate: bool = False,
+    m: int, u: Scalar, c: Scalar, cfg: SolverConfig, with_certificate: bool = False
 ) -> BoundaryReport:
     """N once (n_value), then M (or the bundle at M) from it; no breakpoint.
 
-    ValueError for a non-finite or non-positive tol_d or sos_tol, before
-    any search. A failed N keeps the scan's best bound, tagged
-    undecided, and no M is bisected from it. Any RuntimeError
-    (SosUndecided, an SDP that rejects a closed form) lands in
-    ``errors``, and so does an SOS step that is_sos could not decide:
-    the report is confirmed only with the certificate is_sos accepted at
-    M, and only when M is within the gap tolerance of N.
+    Every setting, the tolerances included, comes from ``cfg``. A failed
+    N keeps the scan's best bound, tagged undecided, and no M is
+    bisected from it. Any RuntimeError (SosUndecided, an SDP that
+    rejects a closed form) lands in ``errors``, and so does an SOS step
+    that is_sos could not decide: the report is confirmed only with the
+    certificate is_sos accepted at M, and only when M is within the gap
+    tolerance of N.
     """
-    sos._require_tolerances(tol_d, sos_tol)
     m_val, bundle, errors, cert = math.nan, None, (), None
     try:
         n = n_value(m, u, c, cfg)
@@ -317,13 +310,11 @@ def _report(
     else:
         guard = GUARD_SCAN if n.tag in SEARCH_TAGS else GUARD_CLOSED_FORM
         try:
-            M, cert, undecided = sos._threshold(
-                m, u, c, n.value, n.tag in SOS_EXACT_TAGS, tol_d, sos_tol
-            )
+            M, cert, undecided = sos._threshold(m, u, c, n.value, n.tag in SOS_EXACT_TAGS, cfg)
             if guard == GUARD_SCAN and cert is not None and M == n.value:
                 guard = GUARD_CERTIFICATE  # is_sos accepted d = N itself
             if with_certificate:
-                bundle = sos._bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
+                bundle = sos._bundle(m, u, c, M, cert, cfg)
             m_val = float(M)
             if undecided is not None:
                 errors = (f"{UNDECIDED_PREFIX} {undecided}",)
@@ -345,7 +336,7 @@ def _report(
         m_method="closed-form" if n.tag in SOS_EXACT_TAGS else "bisection",
         gap=gap,
         confirmed=confirmed,
-        tol_d=tol_d,
+        tol_d=cfg.tol_d,
         seed=cfg.seed,
         bundle=bundle,
         errors=errors,
@@ -357,18 +348,17 @@ def analyze(
     u: Scalar,
     c: Scalar,
     cfg: SolverConfig = DEFAULT_CONFIG,
-    tol_d: float = sos.DEFAULT_TOL_D,
     with_certificate: bool = True,
-    sos_tol: float = sos.DEFAULT_SOS_TOL,
 ) -> BoundaryReport:
     """Both thresholds at one point, with evidence, never raising.
 
-    N comes from n_value, M from the certificate layer at SOS tolerance
-    sos_tol (carrying the full evidence bundle when with_certificate is
-    set), and the report is CONFIRMED when |M - N| <= 1e-5 * max(1, |M|).
-    Solver failures are named in ``errors``.
+    N comes from n_value, M from the certificate layer at ``cfg``'s
+    sos_tol and tol_d (carrying the full evidence bundle when
+    with_certificate is set), and the report is CONFIRMED when
+    |M - N| <= 1e-5 * max(1, |M|). Solver failures are named in
+    ``errors``.
     """
-    report = _report(m, u, c, cfg, tol_d, sos_tol, with_certificate)
+    report = _report(m, u, c, cfg, with_certificate)
     if report.n_tag in (TAG_LINEAR_CNEG, TAG_EIGEN_CNEG):
         return dataclasses.replace(report, breakpoint=breakpoint_u0(m, cfg))
     if report.n_tag in (TAG_LINEAR_CPOS, TAG_EIGEN_CPOS):
@@ -424,10 +414,7 @@ class SegmentReport:
 
 
 def verify_linear_segment(
-    m: int,
-    c: int,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    tol_d: float = sos.DEFAULT_TOL_D,
+    m: int, c: int, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> SegmentReport:
     """Check M = N = linear closed form on a branch, at the kink and below.
 
@@ -453,7 +440,7 @@ def verify_linear_segment(
     points = []
     for u_s in samples:
         expected = float(_linear(m, u_s, c))
-        report = _report(m, u_s, c, cfg, tol_d, sos.DEFAULT_SOS_TOL)
+        report = _report(m, u_s, c, cfg)
         ok = report.confirmed and report.n_tag == linear_tag and report.n == expected
         if not ok:
             flagged += [f"u={u_s}: {err}" for err in report.errors or ("not confirmed",)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -37,21 +36,23 @@ FORMATS = ("pretty", "json", "csv")
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options: file values overridden by explicit flags."""
+class RunConfig(SolverConfig):
+    """Resolved run options: file values overridden by explicit flags.
 
-    tol_d: float = 1e-7
-    sos_tol: float = 1e-7
-    eigen_tol: float = 1e-9
-    n_starts: int = 64
-    seed: int = 0
+    The solver settings and their checks are SolverConfig's, and a
+    RunConfig is passed on as the solver config itself; the run adds
+    the order cap, the worker count and the output.
+    """
+
     max_m: int = 14
     jobs: int = 1
     format: str = "pretty"
     out: Optional[str] = None
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(n_starts=self.n_starts, seed=self.seed, residual_tol=self.eigen_tol)
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -98,14 +99,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    for key in ("jobs", "n_starts"):
-        if values.get(key, 1) < 1:
-            raise ValueError(f"{key} must be >= 1, got {values[key]}")
-    if values.get("seed", 0) < 0:
-        raise ValueError(f"seed must be >= 0, got {values['seed']}")
-    for key in ("tol_d", "sos_tol", "eigen_tol"):
-        if key in values and not (math.isfinite(values[key]) and values[key] > 0):
-            raise ValueError(f"{key} must be finite and > 0, got {values[key]}")
     return RunConfig(**values)
 
 
@@ -171,10 +164,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         m, u, c = _parse_point(args, cfg)
-        report = boundary.analyze(
-            m, u, c, cfg=cfg.solver_config(), tol_d=cfg.tol_d,
-            with_certificate=not args.no_certificate, sos_tol=cfg.sos_tol,
-        )
+        report = boundary.analyze(m, u, c, cfg, with_certificate=not args.no_certificate)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -204,13 +194,7 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("error: --table must be in 1..9", file=sys.stderr)
         return EXIT_USAGE
     try:
-        results = tables.run_tables(
-            wanted,
-            jobs=cfg.jobs,
-            tol_d=cfg.tol_d,
-            sos_tol=cfg.sos_tol,
-            cfg=cfg.solver_config(),
-        )
+        results = tables.run_tables(wanted, jobs=cfg.jobs, cfg=cfg)
     except FileNotFoundError as exc:
         print(f"error: fixture not found: {exc}", file=sys.stderr)
         return EXIT_FIXTURE
@@ -218,23 +202,7 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.format == "csv":
         _emit(csv_text, cfg)
     elif cfg.format == "json":
-        doc = {
-            "config": cfg.to_json_dict(),
-            "rows": [
-                {
-                    "table": r.row.table,
-                    "m": r.row.m,
-                    "c": r.row.c,
-                    "u": r.row.u,
-                    "M_computed": r.m_computed,
-                    "N_computed": r.n_computed,
-                    "M_expected": r.row.expected_m,
-                    "N_expected": r.row.expected_n,
-                    "pass": r.passed,
-                }
-                for r in results
-            ],
-        }
+        doc = {"config": cfg.to_json_dict(), "rows": [tables.row_fields(r) for r in results]}
         _emit(json.dumps(doc, sort_keys=True, indent=2), cfg)
     else:
         lines = []
@@ -267,8 +235,7 @@ def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    solver_cfg = cfg.solver_config()
-    bps = [boundary.breakpoint_u0(m, solver_cfg), boundary.breakpoint_v0(m, solver_cfg)]
+    bps = [boundary.breakpoint_u0(m, cfg), boundary.breakpoint_v0(m, cfg)]
     if cfg.format == "json":
         doc = {
             "config": cfg.to_json_dict(),
@@ -290,9 +257,7 @@ def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         m, u, c = _parse_point(args, cfg)
-        bundle = sos.certify_pns_free(
-            m, u, c, tol_d=cfg.tol_d, cfg=cfg.solver_config(), sos_tol=cfg.sos_tol
-        )
+        bundle = sos.certify_pns_free(m, u, c, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,8 +26,10 @@ The search budget (scan grid, Newton polish and descent iterations,
 second-round Newton tolerance) is one set of module constants, the same
 at every order: on 184 points at m = 14 and m = 16, doubling the grid
 and the descent iterations left every eigenvalue bit-identical.
-SolverConfig holds only what a caller sets: the number of multistart
-points, their seed and the residual tolerance.
+SolverConfig holds every setting a caller can change: the number of
+multistart points, their seed, the eigenpair residual tolerance, and the
+SOS decision tolerance and bisection step of the SOS threshold. It
+checks them when it is built, so no search starts on a bad setting.
 """
 
 from __future__ import annotations
@@ -60,26 +62,37 @@ _TOL_GRAD = 1e-11  # relative residual above which a start gets a second Newton 
 _PSD_TOL = 1e-7
 
 
+def _require_positive(name: str, value: float) -> None:
+    """ValueError unless ``value`` is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Caller settings of the eigenvalue search.
+    """Caller settings of the threshold pipeline, checked on construction.
 
-    Frozen and hashable: ``boundary`` caches the c = 0 reference value
-    on (m, config), so a query at c = 0 honours the caller's settings
-    like any other.
+    ``n_starts`` and ``seed`` drive the multistart, ``eigen_tol`` is the
+    eigenpair residual tolerance (relative to the tensor's scale),
+    ``sos_tol`` the SOS decision tolerance of ``sos.is_sos`` and
+    ``tol_d`` the bisection step on d. Frozen and hashable: ``boundary``
+    caches the c = 0 reference value on (m, config), so a query at
+    c = 0 honours the caller's settings like any other.
     """
 
     n_starts: int = 64
     seed: int = 0
-    residual_tol: float = 1e-9
+    eigen_tol: float = 1e-9
+    sos_tol: float = 1e-7
+    tol_d: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+            raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("eigen_tol", "sos_tol", "tol_d"):
+            _require_positive(name, getattr(self, name))
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -157,7 +170,7 @@ def _eigenpair(
 
     The eigenvalue and residual are recomputed at the canonical
     representative; SolverFailure, carrying the result, when the
-    residual exceeds ``cfg.residual_tol`` times the tensor's scale.
+    residual exceeds ``cfg.eigen_tol`` times the tensor's scale.
     """
     m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
     x = _canonical(m, x_raw)
@@ -175,10 +188,10 @@ def _eigenpair(
         lam_multistart=lam_g,
     )
     scale = _tensor_scale(t)
-    if not math.isfinite(lam) or residual > cfg.residual_tol * scale:
+    if not math.isfinite(lam) or residual > cfg.eigen_tol * scale:
         raise SolverFailure(
             f"eigenpair residual {residual:.3e} exceeds "
-            f"{cfg.residual_tol:.1e} * scale {scale:.3e}",
+            f"{cfg.eigen_tol:.1e} * scale {scale:.3e}",
             best=result,
         )
     return result

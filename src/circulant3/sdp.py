@@ -131,23 +131,6 @@ class SdpSolution:
     stop: str
 
 
-def _chol_psd(S: np.ndarray) -> np.ndarray:
-    """Cholesky with escalating diagonal jitter for nearly-PSD input."""
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        pass
-    base = max(1.0, float(np.trace(S)) / S.shape[0])
-    eps = 1e-14 * base
-    eye = np.eye(S.shape[0])
-    while eps <= 1e-6 * base:
-        try:
-            return np.linalg.cholesky(S + eps * eye)
-        except np.linalg.LinAlgError:
-            eps *= 10.0
-    raise np.linalg.LinAlgError("matrix is not positive definite even with jitter")
-
-
 def _step_lengths(
     dX: np.ndarray, dZ: np.ndarray, Lx: np.ndarray, Lz: np.ndarray
 ) -> Tuple[float, float]:
@@ -182,7 +165,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     ``A_flat.T @ y``, so no contraction path is searched per iteration.
     The primal and dual step lengths of the predictor, and again of the
     corrector, come from one stacked solve and eigenvalue pass
-    (``_step_lengths``).
+    (``_step_lengths``). X and Z are factored by plain Cholesky, with no
+    diagonal jitter: an iterate that is no longer positive definite is a
+    breakdown, and the best iterate so far is projected and graded.
     """
     N = problem.dim
     L = problem.coeffs.shape[0]
@@ -256,8 +241,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
             break
 
         try:
-            Lx = _chol_psd(X)
-            Lz = _chol_psd(Z)
+            Lx = np.linalg.cholesky(X)
+            Lz = np.linalg.cholesky(Z)
             S = Lx.T @ Z @ Lx
             S = 0.5 * (S + S.T)
             evals, U = np.linalg.eigh(S)

@@ -33,6 +33,7 @@ from circulant3.eigen import (
     DEFAULT_CONFIG,
     SolverConfig,
     SolverFailure,
+    _require_positive,
     _scan_min,
     _scan_two_equal,
     _tensor_scale,
@@ -46,8 +47,8 @@ from circulant3.tensor import (
     require_even_order,
 )
 
-DEFAULT_SOS_TOL = 1e-7
-DEFAULT_TOL_D = 1e-7
+DEFAULT_SOS_TOL = DEFAULT_CONFIG.sos_tol
+DEFAULT_TOL_D = DEFAULT_CONFIG.tol_d
 _ZERO_TOL = 1e-9  # a form value this small, relative to the tensor's scale, is a zero
 
 
@@ -216,18 +217,6 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U[:, :k].T @ problem.rhs)
 
 
-def _require_positive(name: str, value: float) -> None:
-    """ValueError unless ``value`` is finite and positive."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _require_tolerances(tol_d: float, sos_tol: float) -> None:
-    """Check a threshold search's two tolerances before it runs any search."""
-    _require_positive("tol_d", tol_d)
-    _require_positive("sos_tol", sos_tol)
-
-
 def _certificate_from_solution(
     form: TernaryForm, problem: sdp.SdpProblem, G: np.ndarray, scale: float
 ) -> GramCertificate:
@@ -296,28 +285,22 @@ def is_sos(
     )
 
 
-def m_value(
-    m: int,
-    u: Scalar,
-    c: Scalar,
-    tol_d: float = DEFAULT_TOL_D,
-    sos_tol: float = DEFAULT_SOS_TOL,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> Scalar:
+def m_value(m: int, u: Scalar, c: Scalar, cfg: SolverConfig = DEFAULT_CONFIG) -> Scalar:
     """Minimal diagonal entry d making A(m, d, u, c) a sum of squares.
 
     Two parameter ranges have exact closed forms (returned in the exact
     arithmetic of the inputs and verified by one SDP solve): u = c > 0,
     where the threshold is u itself, and u <= 0, c <= 0, where it is
     -u(2^m - 2) - c(3^{m-1} - 2^m + 1). Everywhere else the value comes
-    from bisection on d between the PSD threshold N of boundary.n_value
-    (computed with ``cfg``; off the closed forms the scan's lower bound,
-    never above the SOS threshold) and the diagonal-dominance bound,
-    exploiting upward closure of the SOS property in d; it is N itself
-    when is_sos accepts d = N. ValueError for a non-finite or
-    non-positive tol_d or sos_tol, before any search.
+    from bisection on d, to within ``cfg.tol_d``, between the PSD
+    threshold N of boundary.n_value (off the closed forms the scan's
+    lower bound, never above the SOS threshold) and the
+    diagonal-dominance bound, exploiting upward closure of the SOS
+    property in d; it is N itself when is_sos accepts d = N. Every SOS
+    verdict is decided at ``cfg.sos_tol``; SolverConfig has checked both
+    tolerances before any search runs.
     """
-    return _guarded_threshold(m, u, c, tol_d, sos_tol, cfg).value
+    return _guarded_threshold(m, u, c, cfg).value
 
 
 class Threshold(NamedTuple):
@@ -339,18 +322,18 @@ def _threshold(
     c: Scalar,
     n: Scalar,
     exact: bool,
-    tol_d: float,
-    sos_tol: float,
+    cfg: SolverConfig,
 ) -> Threshold:
     """M from the PSD threshold n, with the certificate is_sos accepted at d = M.
 
     ``exact`` marks n as a closed form that M equals, which one SDP solve
     verifies; otherwise is_sos decides at d = n itself, and without a
-    certificate there M is bisected upward from n.
+    certificate there M is bisected upward from n to within
+    ``cfg.tol_d``. is_sos decides at ``cfg.sos_tol``.
     """
     lo, uf, cf = float(n), float(u), float(c)
     try:
-        ok, cert = is_sos(make_tensor(m, lo, uf, cf), sos_tol)
+        ok, cert = is_sos(make_tensor(m, lo, uf, cf), cfg.sos_tol)
     except SosUndecided as exc:
         if exact:
             raise
@@ -366,16 +349,16 @@ def _threshold(
             f"(m={m}, u={u}, c={c}); solver and theory disagree"
         )
     hi = float(dd_bound(m, u, c))
-    ok, cert = is_sos(make_tensor(m, hi, uf, cf), sos_tol)
+    ok, cert = is_sos(make_tensor(m, hi, uf, cf), cfg.sos_tol)
     if not ok:
         raise RuntimeError(
             f"diagonally dominated tensor rejected by the SDP at "
             f"(m={m}, d={hi}, u={u}, c={c}); solver defect"
         )
-    while hi - lo > tol_d:
+    while hi - lo > cfg.tol_d:
         mid = 0.5 * (lo + hi)
         try:
-            ok, mid_cert = is_sos(make_tensor(m, mid, uf, cf), sos_tol)
+            ok, mid_cert = is_sos(make_tensor(m, mid, uf, cf), cfg.sos_tol)
         except SosUndecided as exc:
             # the solver cannot separate mid from the threshold; no
             # further bisection step can sharpen the answer
@@ -387,15 +370,12 @@ def _threshold(
     return Threshold(hi, cert)
 
 
-def _guarded_threshold(
-    m: int, u: Scalar, c: Scalar, tol_d: float, sos_tol: float, cfg: SolverConfig
-) -> Threshold:
-    """_threshold from boundary.n_value, with both tolerances checked first."""
+def _guarded_threshold(m: int, u: Scalar, c: Scalar, cfg: SolverConfig) -> Threshold:
+    """_threshold from boundary.n_value."""
     from circulant3 import boundary
 
-    _require_tolerances(tol_d, sos_tol)
     n = boundary.n_value(m, u, c, cfg)
-    return _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, tol_d, sos_tol)
+    return _threshold(m, u, c, n.value, n.tag in boundary.SOS_EXACT_TAGS, cfg)
 
 
 @dataclass(frozen=True)
@@ -442,12 +422,7 @@ class CertificateBundle:
 
 
 def certify_pns_free(
-    m: int,
-    u: Scalar,
-    c: Scalar,
-    tol_d: float = DEFAULT_TOL_D,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-    sos_tol: float = DEFAULT_SOS_TOL,
+    m: int, u: Scalar, c: Scalar, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> CertificateBundle:
     """Assemble the three-piece evidence bundle at one parameter point.
 
@@ -456,12 +431,12 @@ def certify_pns_free(
     that passes the independent check at is_sos's theta; and a minimizer
     of the form at d = threshold with value at most 10 * tol_d. All three
     present -> CONFIRMED; a missing or failed piece -> UNCONFIRMED with
-    the evidence that does exist. M comes as in m_value (and its
-    tolerances are checked the same way), the minimizer from the
-    two-equal-coordinate scan (eigen._scan_min) at d = M.
+    the evidence that does exist. M comes as in m_value, the minimizer
+    from the two-equal-coordinate scan (eigen._scan_min) at d = M;
+    tol_d and theta's sos_tol are ``cfg``'s.
     """
-    M, cert, _ = _guarded_threshold(m, u, c, tol_d, sos_tol, cfg)
-    return _bundle(m, u, c, M, cert, tol_d, sos_tol, cfg)
+    M, cert, _ = _guarded_threshold(m, u, c, cfg)
+    return _bundle(m, u, c, M, cert, cfg)
 
 
 def _bundle(
@@ -470,12 +445,10 @@ def _bundle(
     c: Scalar,
     M: Scalar,
     cert: Optional[GramCertificate],
-    tol_d: float,
-    sos_tol: float,
     cfg: SolverConfig,
 ) -> CertificateBundle:
     """The bundle at the SOS threshold M and the certificate is_sos accepted there."""
-    Mf = float(M)
+    Mf, tol_d = float(M), cfg.tol_d
 
     cert_ok = False
     if cert is not None:
@@ -489,7 +462,7 @@ def _bundle(
         for e in ((k, 0, 0), (0, k, 0), (0, 0, k)):
             G[cert.basis.index(e), cert.basis.index(e)] += tol_d
         cert = _certificate_from_solution(form, problem, G, scale)
-        cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=sos_tol * scale)
+        cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=cfg.sos_tol * scale)
 
     try:
         eig = _scan_min(make_tensor(m, Mf, float(u), float(c)), cfg)

@@ -24,7 +24,7 @@ from functools import partial
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
-from circulant3 import boundary, sos
+from circulant3 import boundary
 from circulant3.eigen import DEFAULT_CONFIG, SolverConfig
 from circulant3.tensor import Scalar
 
@@ -150,14 +150,9 @@ class RowResult:
         return self.m_ok and self.n_ok and self.error is None
 
 
-def compute_row(
-    row: FixtureRow,
-    tol_d: float = sos.DEFAULT_TOL_D,
-    sos_tol: float = sos.DEFAULT_SOS_TOL,
-    cfg: SolverConfig = DEFAULT_CONFIG,
-) -> RowResult:
+def compute_row(row: FixtureRow, cfg: SolverConfig = DEFAULT_CONFIG) -> RowResult:
     """Recompute both thresholds for a row and grade them."""
-    report = boundary._report(row.m, row.u_value, row.c, cfg, tol_d, sos_tol)
+    report = boundary._report(row.m, row.u_value, row.c, cfg)
     m_ok = math.isfinite(report.m_val) and abs(report.m_val - row.expected_m_value) <= row.tol_m
     n_ok = math.isfinite(report.n) and abs(report.n - row.expected_n_value) <= row.tol_n
     return RowResult(
@@ -186,11 +181,7 @@ def _one_blas_thread():
 
 
 def run_tables(
-    tables: Sequence[int],
-    jobs: int = 1,
-    tol_d: float = sos.DEFAULT_TOL_D,
-    sos_tol: float = sos.DEFAULT_SOS_TOL,
-    cfg: SolverConfig = DEFAULT_CONFIG,
+    tables: Sequence[int], jobs: int = 1, cfg: SolverConfig = DEFAULT_CONFIG
 ) -> List[RowResult]:
     """Recompute every row of the selected tables, in fixture order.
 
@@ -205,11 +196,11 @@ def run_tables(
     rows = [r for r in load_fixture() if r.table in wanted]
     jobs = min(jobs, os.cpu_count() or 1, len(rows))
     if jobs <= 1:
-        return [compute_row(r, tol_d, sos_tol, cfg) for r in rows]
+        return [compute_row(r, cfg) for r in rows]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    row_job = partial(compute_row, tol_d=tol_d, sos_tol=sos_tol, cfg=cfg)
+    row_job = partial(compute_row, cfg=cfg)
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
         with _one_blas_thread():  # every worker starts while the rows are submitted
@@ -220,13 +211,22 @@ def run_tables(
 CSV_HEADER = "table,m,c,u,M_computed,N_computed,M_expected,N_expected,pass"
 
 
+def row_fields(res: RowResult) -> dict:
+    """A result's nine output fields, keyed by the CSV header's column names."""
+    r = res.row
+    values = (r.table, r.m, r.c, r.u, res.m_computed, res.n_computed,
+              r.expected_m, r.expected_n, res.passed)
+    return dict(zip(CSV_HEADER.split(","), values))
+
+
+def _csv_cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)  # str of a float is its repr: shortest round-trip digits
+
+
 def results_to_csv(results: Iterable[RowResult]) -> str:
     """Fixed-schema CSV, byte-deterministic for identical inputs."""
     lines = [CSV_HEADER]
-    for res in results:
-        r = res.row
-        lines.append(
-            f"{r.table},{r.m},{r.c},{r.u},{res.m_computed!r},{res.n_computed!r},"
-            f"{r.expected_m},{r.expected_n},{'true' if res.passed else 'false'}"
-        )
+    lines += [",".join(map(_csv_cell, row_fields(res).values())) for res in results]
     return "\n".join(lines) + "\n"

@@ -109,7 +109,7 @@ def test_breakpoints_verify_via_the_eigensolver():
 
 
 def test_breakpoint_verification_survives_solver_failure():
-    cfg = SolverConfig(n_starts=4, residual_tol=1e-300)
+    cfg = SolverConfig(n_starts=4, eigen_tol=1e-300)
     bp = boundary.breakpoint_u0(6, cfg)
     assert bp.value == Fraction(45, 16)  # formula still exact
     assert not bp.verified
@@ -171,7 +171,7 @@ def test_analyze_attaches_breakpoint_on_unit_c_slices():
 def test_analyze_reports_solver_failure_instead_of_raising(tmp_path, capsys):
     # the scan's eigenpair fails its residual check: N is undecided, no M
     # is bisected from it, and analyze exits with the solver-failure code
-    cfg = SolverConfig(n_starts=4, residual_tol=1e-300)
+    cfg = SolverConfig(n_starts=4, eigen_tol=1e-300)
     report = boundary.analyze(6, 5, -1, cfg=cfg, with_certificate=False)
     assert report.errors
     assert not report.confirmed
@@ -229,6 +229,20 @@ def test_sdp_rejection_is_reported_not_raised(monkeypatch, capsys):
     assert "rejected by the SDP" in capsys.readouterr().out
 
 
+def test_linear_segment_decides_at_the_callers_sos_tol(monkeypatch):
+    tols = []
+    real = sos.is_sos
+
+    def spy(t, tol=sos.DEFAULT_SOS_TOL):
+        tols.append(tol)
+        return real(t, tol)
+
+    monkeypatch.setattr(sos, "is_sos", spy)
+    seg = boundary.verify_linear_segment(6, -1, SolverConfig(sos_tol=1e-6))
+    assert seg.confirmed
+    assert tols and set(tols) == {1e-6}
+
+
 def test_linear_segments_confirm_on_both_slices():
     for c in (-1, 1):
         seg = boundary.verify_linear_segment(6, c)
@@ -252,7 +266,7 @@ def test_unit_u_slice_honours_the_solver_config():
     # the c = 0 slice scales off a cached eigenvalue; with the default
     # config's value already cached, an impossible residual tolerance must
     # still fail there as it does on the c = -1 slice
-    cfg = SolverConfig(n_starts=4, residual_tol=1e-300)
+    cfg = SolverConfig(n_starts=4, eigen_tol=1e-300)
     boundary.unit_scale_reference(6)
     with pytest.raises(SolverFailure):
         boundary.n_value(6, 5, -1, cfg)

@@ -366,6 +366,25 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert doc["config"]["seed"] == 9
 
 
+def test_config_file_sets_every_key(tmp_path, capsys):
+    # the reader rejects unknown keys, so renaming a setting would turn
+    # existing config files into usage errors
+    out = tmp_path / "report.json"
+    expected = {"tol_d": 2e-7, "sos_tol": 3e-7, "eigen_tol": 4e-9, "n_starts": 8, "seed": 5,
+                "max_m": 8, "jobs": 2, "format": "json", "out": str(out)}
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in expected.items()))
+    argv = ["--config", str(path), "analyze", "--m", "6", "--u", "-1", "--c", "0",
+            "--no-certificate"]
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+    assert cfg.to_json_dict() == expected
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    doc = json.loads(out.read_text())
+    assert doc["config"] == expected
+    assert doc["report"]["tol_d"] == 2e-7 and doc["report"]["seed"] == 5
+
+
 def test_global_flags_accepted_after_subcommand(capsys):
     rc = cli.main(
         ["analyze", "--m", "6", "--u", "-1", "--c", "0", "--no-certificate",

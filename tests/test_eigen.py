@@ -79,7 +79,7 @@ def test_minimizer_is_canonical_unit_vector():
     # the reported eigenvalue is attained at the reported vector
     t = make_tensor(6, 0, -1, 0)
     assert abs(t.eval_form(x) - res.lam) <= 1e-9 * max(1.0, abs(res.lam))
-    assert res.residual <= DEFAULT_CONFIG.residual_tol * 63.0
+    assert res.residual <= DEFAULT_CONFIG.eigen_tol * 63.0
     assert res.starts_used == DEFAULT_CONFIG.n_starts
     assert math.isfinite(res.lam_structured)
     assert math.isfinite(res.lam_multistart)
@@ -101,7 +101,7 @@ def test_odd_order_is_rejected():
 
 
 def test_solver_failure_carries_best_iterate():
-    cfg = SolverConfig(n_starts=4, residual_tol=1e-300)
+    cfg = SolverConfig(n_starts=4, eigen_tol=1e-300)
     with pytest.raises(SolverFailure) as exc_info:
         lambda_min(make_tensor(6, 0, 1, 0), cfg)
     best = exc_info.value.best
@@ -150,12 +150,15 @@ def test_scan_multistart_tie_is_relative_to_the_tensor_scale(caplog):
 
 
 def test_solver_config_rejects_invalid_settings():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_starts must be >= 1"):
         SolverConfig(n_starts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(residual_tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
+    # a nan or infinite eigen_tol switched the eigenpair residual check off
+    for name in ("eigen_tol", "sos_tol", "tol_d"):
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                SolverConfig(**{name: bad})
 
 
 def test_pencil_margins_zero_then_negative_across_breakpoint():

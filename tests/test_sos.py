@@ -79,8 +79,8 @@ def test_is_sos_rejects_a_tolerance_that_is_not_finite_and_positive():
         for t in (make_tensor(6, 0, 5, -1), make_tensor(6, 242, -1, -1)):
             with pytest.raises(ValueError, match="tol"):
                 sos.is_sos(t, tol)
-    with pytest.raises(ValueError, match="tol"):
-        boundary.analyze(6, 5, -1, sos_tol=math.inf)
+    with pytest.raises(ValueError, match="sos_tol"):
+        boundary.analyze(6, 5, -1, cfg=SolverConfig(sos_tol=math.inf))
 
 
 def test_m_value_exact_branches_return_exact_scalars(monkeypatch):
@@ -93,23 +93,22 @@ def test_m_value_exact_branches_return_exact_scalars(monkeypatch):
     with pytest.raises(ValueError):
         sos.m_value(5, 1, 1)
     # a NaN or infinite tol_d would skip the bisection loop and return the
-    # diagonal-dominance bound; a bad tolerance is rejected before any scan
-    # or SDP runs
+    # diagonal-dominance bound; a bad tolerance is rejected when its config
+    # is built, before any scan or SDP runs
     calls = []
     for module, name in ((sdp, "solve"), (kernels, "scan_two_equal")):
         monkeypatch.setattr(module, name, lambda *args, _n=name: calls.append(_n))
     entry_points = (
-        lambda **tols: sos.m_value(6, 1, 0, **tols),
-        lambda **tols: sos.m_value(6, 5, -1, **tols),
-        lambda **tols: sos.certify_pns_free(6, 5, -1, **tols),
-        lambda **tols: boundary.analyze(6, 5, -1, **tols),
+        lambda tols: sos.m_value(6, 1, 0, cfg=SolverConfig(**tols)),
+        lambda tols: sos.m_value(6, 5, -1, cfg=SolverConfig(**tols)),
+        lambda tols: sos.certify_pns_free(6, 5, -1, cfg=SolverConfig(**tols)),
+        lambda tols: boundary.analyze(6, 5, -1, cfg=SolverConfig(**tols)),
     )
     for bad in (0.0, math.nan, math.inf):
         for entry in entry_points:
-            with pytest.raises(ValueError, match="tol_d"):
-                entry(tol_d=bad)
-            with pytest.raises(ValueError, match="sos_tol"):
-                entry(sos_tol=bad)
+            for name in ("tol_d", "sos_tol"):
+                with pytest.raises(ValueError, match=name):
+                    entry({name: bad})
     assert calls == []
 
 
@@ -124,7 +123,7 @@ def test_m_value_bisection_matches_reference_points():
 
 
 def test_m_value_computes_n_with_the_callers_config():
-    cfg = SolverConfig(residual_tol=1e-300)
+    cfg = SolverConfig(eigen_tol=1e-300)
     with pytest.raises(SolverFailure):
         boundary.n_value(6, 5, -1, cfg)
     with pytest.raises(SolverFailure):
