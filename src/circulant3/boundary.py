@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,15 +130,18 @@ def n_value(
     the cached unit-u value.  Off the closed forms the value is the
     scan's, a lower bound on N; SolverFailure when its eigenpair fails
     the residual check.  Exact inputs flow through exact arithmetic on
-    the linear branches.
+    the linear branches.  ValueError when u, c or a closed-form N is not
+    finite as a float.
     """
     require_even_order(m)
     for name, val in (("u", u), ("c", c)):
-        if isinstance(val, float) and not math.isfinite(val):
-            raise ValueError(f"{name} must be finite")
+        if not abs(val) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite as a float")
 
     closed = closed_form_n(m, u, c)
     if closed is not None:
+        if not abs(closed.value) <= sys.float_info.max:
+            raise ValueError(f"the closed-form N at m = {m} overflows a float")
         return closed
     if c == 0:
         return NValue(float(u) * unit_scale_reference(m, cfg), TAG_UNIT_U)

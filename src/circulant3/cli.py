@@ -118,14 +118,15 @@ def _scalar_repr(v: Scalar) -> object:
     return str(v)
 
 
-def _parse_point(args: argparse.Namespace, cfg: RunConfig) -> tuple:
-    m = args.m
+def _check_order(m: int, cfg: RunConfig) -> int:
     require_even_order(m)
     if m > cfg.max_m:
         raise ValueError(f"m = {m} exceeds configured max_m = {cfg.max_m}")
-    u = tables.parse_scalar(args.u)
-    c = tables.parse_scalar(args.c)
-    return m, u, c
+    return m
+
+
+def _parse_point(args: argparse.Namespace, cfg: RunConfig) -> tuple:
+    return _check_order(args.m, cfg), tables.parse_scalar(args.u), tables.parse_scalar(args.c)
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -229,9 +230,8 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
-    m = args.m
     try:
-        require_even_order(m)
+        m = _check_order(args.m, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,29 +10,33 @@ Substituting X = G - t*I >= 0 gives the standard-form program
 whose dual is: min b'y over y with sum_l y_l * tr(A_l) = 1 and
 Z = sum_l y_l A_l >= 0; weak duality reads t <= b'y with gap <X, Z>.
 
-The solver is a hand-rolled infeasible primal-dual interior-point
-method with Nesterov-Todd scaling and a Mehrotra-style predictor
-corrector. Problem sizes here are tiny (N <= 64, L <= a few hundred),
-so the Schur complement is assembled densely and factored per
-iteration, and the pace is set by the fixed cost of each numpy call,
-not by the L*N^3 arithmetic: an iteration is written as a few plain
-matrix products over the (L, N, N) constraint stack, and the primal and
-dual step lengths share one stacked solve and eigenvalue call (after
-SDPT3, "SDPT3 -- a MATLAB software package for semidefinite
-programming", Toh, Todd & Tutuncu, 1999). Each solution records why
-its loop stopped (``SdpSolution.stop``). The final iterate is
-projected onto the constraints, and t_star is read off the projected
-matrix. The solver expects a problem with an interior: a Gram problem
-whose form has real zeros is first restricted to the face those zeros
-cut out (see ``sos``). Everything is deterministic: fixed starting
-point, fixed iteration schedule, no randomization.
+The solver is a hand-rolled primal-dual interior-point method, started
+from a point off the constraints, with Nesterov-Todd scaling and a
+Mehrotra-style predictor corrector. Problem sizes here are tiny (N <= 64,
+L <= a few hundred), so the Schur complement is assembled densely and
+factored per iteration, and the pace is set by the fixed cost of each
+numpy call, not by the L*N^3 arithmetic: an iteration is written as a few
+plain matrix products over the (L, N, N) constraint stack, and the primal
+and dual step lengths share one stacked solve and eigenvalue call (after
+SDPT3, "SDPT3 -- a MATLAB software package for semidefinite programming",
+Toh, Todd & Tutuncu, 1999). Each solution records why its loop stopped
+(``SdpSolution.stop``). The constraint matrices must be mutually
+orthogonal, as in every Gram problem of ``sos``: then every b is
+attained, and the final iterate is projected onto the constraints by a
+division by the rows' squared norms (Peyrl & Parrilo, "Computing sum of
+squares decompositions with rational coefficients", 2008); t_star is
+read off the projected matrix. The solver expects a problem with an
+interior: a Gram problem whose form has real zeros is first restricted
+to the face those zeros cut out (see ``sos``). Everything is
+deterministic: fixed starting point, fixed iteration schedule, no
+randomization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -53,7 +57,9 @@ class SdpProblem:
     """Equality-constrained max-lambda-min problem on symmetric matrices.
 
     ``coeffs`` stacks the L symmetric constraint matrices as an
-    (L, N, N) array; ``rhs`` holds the right-hand sides b_l.
+    (L, N, N) array; ``rhs`` holds the right-hand sides b_l. The matrices
+    must be nonzero and mutually orthogonal, |<A_k, A_l>| <= 1e-12 max_l
+    ||A_l||^2 for k != l, else ValueError.
     """
 
     dim: int
@@ -75,19 +81,13 @@ class SdpProblem:
             raise ValueError("constraint matrices must be symmetric")
         if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(rhs))):
             raise ValueError("constraint data must be finite")
+        gram = np.tensordot(coeffs, coeffs, axes=([1, 2], [1, 2]))
+        norms = np.diag(gram)
+        off = np.max(np.abs(gram - np.diag(norms)))
+        if not (np.all(norms > 0.0) and off <= 1e-12 * np.max(norms)):
+            raise ValueError("constraint matrices must be nonzero and mutually orthogonal")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rhs", rhs)
-
-    @classmethod
-    def from_constraints(
-        cls, dim: int, constraints: Iterable[Tuple[Sequence[Sequence[float]], float]]
-    ) -> "SdpProblem":
-        mats = []
-        rhs = []
-        for mat, b in constraints:
-            mats.append(np.asarray(mat, dtype=float))
-            rhs.append(float(b))
-        return cls(dim, np.array(mats), np.array(rhs))
 
     def scale(self) -> float:
         """max(1, max_l |b_l|): the unit of every tolerance on the problem."""
@@ -114,10 +114,9 @@ class SdpSolution:
     ended: "converged" (the stopping rule was met), "stall" (8 iterations
     without a 1% gain in the worst residual), "budget" (the iteration
     budget ran out) or "breakdown" (a failed factorization, a non-finite
-    Schur matrix or step, or a blow-up of the iterate; also the
-    inconsistent equality system of status "infeasible", on which no
-    iteration runs). A run that stops on a stall or the budget can still
-    grade "optimal" once its best iterate is projected.
+    Schur matrix or step, or a blow-up of the iterate). ``status`` is
+    "optimal" or "max-iterations"; a run that stops on a stall or the
+    budget can still grade "optimal" once its best iterate is projected.
     """
 
     G: np.ndarray
@@ -153,10 +152,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     """Run the interior-point method; never raises on numerical trouble.
 
     Returns status "optimal" when mu reaches 1e-11 and the residuals
-    1e-9 (in units of the scaled problem, i.e. relative to max|b|),
+    1e-9 (in units of the scaled problem, i.e. relative to max|b|), and
     "max-iterations" when the budget of 150 iterations, a stall or a
-    breakdown ends the run first, and "infeasible" when the equality
-    system itself is inconsistent; ``stop`` on the solution tells these
+    breakdown ends the run first; ``stop`` on the solution tells these
     endings apart.
 
     Each iteration is a handful of dense products on the (L, N, N) stack
@@ -177,26 +175,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     scale = problem.scale()
     b = problem.rhs / scale
-
-    # consistency of the linear system in (G, t); Gram systems built in
-    # this package are consistent by construction, so failure here means
-    # a malformed problem rather than SOS infeasibility
-    system = np.hstack([A_flat, c[:, None]])
-    lsq = np.linalg.lstsq(system, b, rcond=None)[0]
-    ls_residual = float(np.max(np.abs(system @ lsq - b))) if L else 0.0
-    if ls_residual > 1e-8:
-        G = np.zeros((N, N))
-        return SdpSolution(
-            G=G,
-            t_star=0.0,
-            primal_residual=ls_residual * scale,
-            status="infeasible",
-            iterations=0,
-            gap=math.inf,
-            dual_obj=math.inf,
-            precision=math.inf,
-            stop="breakdown",
-        )
 
     X = np.eye(N)
     Z = np.eye(N)
@@ -312,24 +290,20 @@ def solve(problem: SdpProblem) -> SdpSolution:
             stop = "breakdown"
             break
 
-    if status == "optimal":
-        final = (X, y, t, mu, rg, dfeas)
-    elif best is not None:
-        final = best
-    else:
-        final = (X, y, t, math.inf, math.inf, math.inf)
+    # the first iteration, with its finite mu = 1, always sets best
+    final = (X, y, t, mu, rg, dfeas) if status == "optimal" else best
     Xf, yf, tf, mu_f, rg_f, dfeas_f = final
 
     G = scale * (Xf + tf * np.eye(N))
     G = 0.5 * (G + G.T)
 
     # The interior-point iterate is feasible only up to its residuals:
-    # project it onto the affine constraint set (least-norm correction), so
-    # the returned matrix is feasible to machine precision and
-    # t_star = lambda_min(G) is a value the problem actually attains, never
-    # an interior-point estimate
+    # project it onto the affine constraint set (least-norm correction, a
+    # division as A A' is diagonal), so the returned matrix is feasible to
+    # machine precision and t_star = lambda_min(G) is a value the problem
+    # actually attains, never an interior-point estimate
     resid = problem.rhs - A_flat @ G.ravel()
-    G = G + adjoint(np.linalg.pinv(A_flat @ A_flat.T) @ resid)
+    G = G + adjoint(resid / np.einsum("ij,ij->i", A_flat, A_flat))
     G = 0.5 * (G + G.T)
     t_star = float(np.linalg.eigvalsh(G)[0])
     obj_scale = max(1.0, float(np.linalg.norm(G)))

@@ -259,12 +259,6 @@ def is_sos(
     else:
         solution = sdp.solve(_restrict(problem, V))
         solution = dataclasses.replace(solution, G=V @ solution.G @ V.T)
-    if solution.status == "infeasible":
-        raise SosUndecided(
-            f"Gram equality system inconsistent (residual {solution.primal_residual:.3e}); "
-            "this indicates a construction bug, not SOS infeasibility",
-            solution,
-        )
     scale = problem.scale()
     theta = tol * scale
     if solution.t_star >= -theta:

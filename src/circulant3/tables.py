@@ -51,7 +51,10 @@ def parse_scalar(s: str) -> Scalar:
         return int(s)
     except ValueError:
         pass
-    frac = Fraction(s)  # accepts p/q, decimals, exponents, all exactly
+    try:
+        frac = Fraction(s)  # accepts p/q, decimals, exponents, all exactly
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
     if frac.denominator == 1:
         return int(frac)
     return frac

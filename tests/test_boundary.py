@@ -70,6 +70,10 @@ def test_n_value_input_validation():
         boundary.n_value(5, 1, 1)
     with pytest.raises(ValueError):
         boundary.n_value(6, math.nan, 0)
+    # u, c or the closed-form N beyond the float range
+    for u, c in ((10**400, -1), (-1, -(10**400)), (-(10**305), -1)):
+        with pytest.raises(ValueError, match="float"):
+            boundary.n_value(14, u, c)
 
 
 def test_threshold_is_continuous_across_the_kinks():

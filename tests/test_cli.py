@@ -275,6 +275,37 @@ def test_breakpoints_odd_order_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_breakpoints_honours_max_m(tmp_path, capsys):
+    # above the cap the pencil's smallest eigenvalue is float noise, and at
+    # m = 1000 dd_bound overflows
+    for m in ("16", "40", "1000"):
+        assert cli.main(["breakpoints", "--m", m]) == 2
+        assert f"error: m = {m} exceeds configured max_m = 14" in capsys.readouterr().err
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max_m = 16\n")
+    assert cli.main(["--config", str(cfg), "breakpoints", "--m", "16"]) == 0
+    assert capsys.readouterr().out.count("verified") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--m", "6", "--u", "1/0", "--c", "1"],
+        ["eval", "--m", "6", "--d", "1", "--u", "1", "--c", "1", "--x", "1/0,1,1"],
+        ["analyze", "--m", "6", "--u", "1e400", "--c", "-1"],
+        ["certify", "--m", "6", "--u", "1e400", "--c", "1"],
+        ["analyze", "--m", "14", "--u=-1e305", "--c", "-1"],
+    ],
+    ids=["zero-denominator", "eval-zero-denominator", "u-overflow", "certify-u-overflow",
+         "closed-form-n-overflow"],
+)
+def test_scalars_that_are_not_finite_floats_are_usage_errors(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_certify_writes_confirmed_bundle(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     rc = cli.main(

@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circulant3 import sdp, sos
+from circulant3 import boundary, sdp, sos
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
 
 
 def _problem(dim, constraints):
-    return sdp.SdpProblem.from_constraints(dim, constraints)
+    mats, rhs = zip(*constraints)
+    return sdp.SdpProblem(dim, np.array(mats, dtype=float), np.array(rhs, dtype=float))
 
 
 def test_scalar_problem_attains_fixed_value():
@@ -77,25 +78,21 @@ def test_interior_point_run_reaches_the_optimum_above_the_threshold():
     assert abs(sol.dual_obj - sol.t_star) <= 1e-5
 
 
-def test_inconsistent_constraints_are_reported():
-    prob = _problem(1, [([[1.0]], 1.0), ([[1.0]], 2.0)])
-    sol = sdp.solve(prob)
-    assert sol.status == "infeasible"
-
-
-def test_gram_structured_inconsistent_system_is_reported():
-    # the m = 6 Gram system plus the sum of two of its constraints: with
-    # the matching right-hand side the extra row is redundant, with the
-    # sum off by one the system has no solution
+def test_dependent_constraints_are_rejected_at_construction():
+    # refused before any solve: a zero matrix, a duplicated row, and the
+    # m = 6 Gram system plus the sum of two of its constraints, with the
+    # matching right-hand side (the extra row is redundant) or the sum off
+    # by one (the system has no solution)
+    with pytest.raises(ValueError, match="nonzero"):
+        _problem(2, [([[1.0, 0.0], [0.0, 0.0]], 1.0), ([[0.0, 0.0], [0.0, 0.0]], 0.0)])
+    with pytest.raises(ValueError, match="orthogonal"):
+        _problem(1, [([[1.0]], 1.0), ([[1.0]], 2.0)])
     base = build_gram_problem(make_tensor(6, 1, 1, 1).to_form())
     A, b = base.coeffs, base.rhs
     coeffs = np.concatenate([A, (A[3] + A[7])[None]])
-    consistent = sdp.SdpProblem(base.dim, coeffs, np.append(b, b[3] + b[7]))
-    assert sdp.solve(consistent).status != "infeasible"
-    sol = sdp.solve(sdp.SdpProblem(base.dim, coeffs, np.append(b, b[3] + b[7] + 1.0)))
-    assert sol.status == "infeasible"
-    assert sol.iterations == 0
-    assert sol.primal_residual > 0.1
+    for extra in (b[3] + b[7], b[3] + b[7] + 1.0):
+        with pytest.raises(ValueError, match="orthogonal"):
+            sdp.SdpProblem(base.dim, coeffs, np.append(b, extra))
 
 
 def test_monotone_in_the_diagonal_shift():
@@ -193,19 +190,42 @@ def _face_problem(m, d, u, c):
     return sos._restrict(build_gram_problem(t.to_form()), sos._face(t))
 
 
+def _at_threshold(m, u, c):
+    return _face_problem(m, boundary.n_value(m, u, c).value, u, c)
+
+
+def _off_diagonal(prob):
+    flat = prob.coeffs.reshape(len(prob.rhs), -1)
+    gram = flat @ flat.T
+    return np.max(np.abs(gram - np.diag(np.diag(gram)))) / np.max(np.diag(gram))
+
+
+def test_every_problem_the_package_builds_has_orthogonal_constraints():
+    # the solver's precondition: full Gram problems, and the face problems
+    # at three thresholds and on the rank-one face w of (x1+x2+x3)^6
+    for m in range(4, 16, 2):
+        assert _off_diagonal(build_gram_problem(make_tensor(m, 1, 0.5, -1).to_form())) == 0.0
+    faces = [_at_threshold(6, 5, -1), _face_problem(6, 1, 1, 1),
+             _at_threshold(8, 20, 1), _at_threshold(14, 400, -1)]
+    for prob in faces:
+        assert _off_diagonal(prob) <= 1e-12
+
+
 def test_stop_records_why_the_loop_ended(monkeypatch):
-    # two table rows at their thresholds: the face problem of
-    # (8, 483/32, 483/64, -1) meets the stopping rule, and that of
-    # (6, 45/8, 45/16, -1) ends on the stall counter well inside the budget
+    # three table rows at their thresholds: the face problem of
+    # (8, 483/32, 483/64, -1) meets the stopping rule, that of
+    # (6, 45/8, 45/16, -1) ends on the stall counter well inside the budget,
+    # and that of row (2, 6, 5, -1) breaks down
     sol = sdp.solve(_face_problem(8, Fraction(483, 32), Fraction(483, 64), -1))
     assert (sol.status, sol.stop) == ("optimal", "converged")
     sol = sdp.solve(_face_problem(6, Fraction(45, 8), Fraction(45, 16), -1))
     assert (sol.status, sol.stop) == ("max-iterations", "stall")
     assert sol.iterations < sdp._MAX_ITER
+    sol = sdp.solve(_at_threshold(6, 5, -1))
+    assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "breakdown", 17)
     # the full problem above N stalls too, and runs out of a budget of 2
     prob = build_gram_problem(make_tensor(6, 26, Fraction(225, 16), -1).to_form())
     assert sdp.solve(prob).stop == "stall"
     monkeypatch.setattr(sdp, "_MAX_ITER", 2)
     sol = sdp.solve(prob)
     assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "budget", 2)
-    assert sdp.solve(_problem(1, [([[1.0]], 1.0), ([[1.0]], 2.0)])).stop == "breakdown"
