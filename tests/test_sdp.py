@@ -79,14 +79,23 @@ def test_interior_point_run_reaches_the_optimum_above_the_threshold():
 
 
 def test_dependent_constraints_are_rejected_at_construction():
-    # refused before any solve: a zero matrix, a duplicated row, and the
-    # m = 6 Gram system plus the sum of two of its constraints, with the
-    # matching right-hand side (the extra row is redundant) or the sum off
-    # by one (the system has no solution)
+    # a zero constraint matrix is refused before any solve
     with pytest.raises(ValueError, match="nonzero"):
         _problem(2, [([[1.0, 0.0], [0.0, 0.0]], 1.0), ([[0.0, 0.0], [0.0, 0.0]], 0.0)])
+
+
+def test_inconsistent_constraints_are_reported():
+    # a duplicated row with a different right-hand side is refused at
+    # construction, so solve never sees the inconsistent system
     with pytest.raises(ValueError, match="orthogonal"):
         _problem(1, [([[1.0]], 1.0), ([[1.0]], 2.0)])
+
+
+def test_gram_structured_inconsistent_system_is_reported():
+    # the m = 6 Gram system plus the sum of two of its constraints: with
+    # the matching right-hand side the extra row is redundant, with the
+    # sum off by one the system has no solution; both are refused at
+    # construction because the extra row is not orthogonal to the others
     base = build_gram_problem(make_tensor(6, 1, 1, 1).to_form())
     A, b = base.coeffs, base.rhs
     coeffs = np.concatenate([A, (A[3] + A[7])[None]])
