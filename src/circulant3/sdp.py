@@ -27,9 +27,12 @@ division by the rows' squared norms (Peyrl & Parrilo, "Computing sum of
 squares decompositions with rational coefficients", 2008); t_star is
 read off the projected matrix. The solver expects a problem with an
 interior: a Gram problem whose form has real zeros is first restricted
-to the face those zeros cut out (see ``sos``). Everything is
-deterministic: fixed starting point, fixed iteration schedule, no
-randomization.
+to the face those zeros cut out (see ``sos``). A caller that only needs
+a feasible matrix with t at least some value passes that value as
+``solve``'s ``target``: the loop then ends at the first iterate whose
+projection reaches it ("feasible") instead of running to the optimum.
+Everything is deterministic: fixed starting point, fixed iteration
+schedule, no randomization.
 """
 
 from __future__ import annotations
@@ -111,12 +114,17 @@ class SdpSolution:
     units (``precision`` is the duality gap plus the dual residuals).
 
     ``status`` grades the returned matrix; ``stop`` says why the loop
-    ended: "converged" (the stopping rule was met), "stall" (8 iterations
-    without a 1% gain in the worst residual), "budget" (the iteration
-    budget ran out) or "breakdown" (a failed factorization, a non-finite
-    Schur matrix or step, or a blow-up of the iterate). ``status`` is
-    "optimal" or "max-iterations"; a run that stops on a stall or the
-    budget can still grade "optimal" once its best iterate is projected.
+    ended: "converged" (the stopping rule was met), "feasible" (the
+    projected iterate reached the caller's ``target``), "stall" (8
+    iterations without a 1% gain in the worst residual), "budget" (the
+    iteration budget ran out) or "breakdown" (a failed factorization, a
+    non-finite Schur matrix or step, or a blow-up of the iterate).
+    ``status`` is "optimal", "feasible" or "max-iterations"; a run that
+    stops on a stall or the budget can still grade "optimal" once its best
+    iterate is projected. A run that stops "feasible" grades "feasible",
+    never "optimal": its G is the checked iterate, t_star = lambda_min(G)
+    >= target, and the optimum may lie well above it, inside the wider
+    enclosure of an unconverged dual.
     """
 
     G: np.ndarray
@@ -148,7 +156,7 @@ def _step_lengths(
     return ap, ad
 
 
-def solve(problem: SdpProblem) -> SdpSolution:
+def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     """Run the interior-point method; never raises on numerical trouble.
 
     Returns status "optimal" when mu reaches 1e-11 and the residuals
@@ -156,6 +164,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
     "max-iterations" when the budget of 150 iterations, a stall or a
     breakdown ends the run first; ``stop`` on the solution tells these
     endings apart.
+
+    ``target``, in the problem's own units, is the value of t at which
+    the caller's question is answered. In each iteration whose t has
+    reached it (after the stopping rule, before the stall counter), the
+    iterate is projected onto the constraints as the final matrix is, and
+    one ``eigvalsh`` reads its lambda_min; if that is at least ``target``
+    the loop ends with stop and status "feasible" and returns that
+    matrix. The default, +inf, never checks and runs to the optimum.
 
     Each iteration is a handful of dense products on the (L, N, N) stack
     A of constraint matrices: the Schur complement M_kl = <A_k, W A_l W>
@@ -183,6 +199,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     def adjoint(v: np.ndarray) -> np.ndarray:
         return (A_flat.T @ v).reshape(N, N)
+
+    norms = np.einsum("ij,ij->i", A_flat, A_flat)
+
+    def gram(X: np.ndarray, t: float) -> np.ndarray:
+        # The interior-point iterate is feasible only up to its residuals:
+        # project G = scale * (X + t I) onto the affine constraint set
+        # (least-norm correction, a division as A A' is diagonal), so the
+        # matrix is feasible to machine precision and its lambda_min is a
+        # value the problem actually attains, never an interior-point estimate
+        G = scale * (X + t * np.eye(N))
+        G = 0.5 * (G + G.T)
+        G = G + adjoint((problem.rhs - A_flat @ G.ravel()) / norms)
+        return 0.5 * (G + G.T)
 
     best = None
     best_err = math.inf
@@ -214,6 +243,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
             status = "optimal"
             stop = "converged"
             break
+        if target < math.inf and scale * t >= target:
+            G = gram(X, t)
+            t_star = float(np.linalg.eigvalsh(G)[0])
+            if t_star >= target:
+                status = stop = "feasible"
+                break
         if stall >= 8:
             stop = "stall"
             break
@@ -290,22 +325,14 @@ def solve(problem: SdpProblem) -> SdpSolution:
             stop = "breakdown"
             break
 
-    # the first iteration, with its finite mu = 1, always sets best
-    final = (X, y, t, mu, rg, dfeas) if status == "optimal" else best
+    # a run that met the stopping rule or the target returns its last
+    # iterate, any other its best; the first iteration, with its finite
+    # mu = 1, always sets best
+    final = (X, y, t, mu, rg, dfeas) if stop in ("converged", "feasible") else best
     Xf, yf, tf, mu_f, rg_f, dfeas_f = final
-
-    G = scale * (Xf + tf * np.eye(N))
-    G = 0.5 * (G + G.T)
-
-    # The interior-point iterate is feasible only up to its residuals:
-    # project it onto the affine constraint set (least-norm correction, a
-    # division as A A' is diagonal), so the returned matrix is feasible to
-    # machine precision and t_star = lambda_min(G) is a value the problem
-    # actually attains, never an interior-point estimate
-    resid = problem.rhs - A_flat @ G.ravel()
-    G = G + adjoint(resid / np.einsum("ij,ij->i", A_flat, A_flat))
-    G = 0.5 * (G + G.T)
-    t_star = float(np.linalg.eigvalsh(G)[0])
+    if stop != "feasible":  # a feasible stop returns the matrix it checked
+        G = gram(Xf, tf)
+        t_star = float(np.linalg.eigvalsh(G)[0])
     obj_scale = max(1.0, float(np.linalg.norm(G)))
 
     dual_obj = scale * float(b @ yf)
@@ -318,9 +345,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
     precision = max(dual_obj - t_star, 0.0) + dual_noise + 1e-13 * obj_scale
 
     # grade the repaired matrix, not the raw iterate: the loop may stop on
-    # the stall counter even though the projected result meets tolerance
+    # the stall counter even though the projected result meets tolerance;
+    # a run that stopped at the target keeps "feasible", as it never sought
+    # the optimum
     feas_ok = primal_residual <= _FEAS_TOL * scale
-    if mu_f <= _MU_TOL and dfeas_f <= _FEAS_TOL and abs(rg_f) <= _RG_TOL and feas_ok:
+    converged = mu_f <= _MU_TOL and dfeas_f <= _FEAS_TOL and abs(rg_f) <= _RG_TOL
+    if stop != "feasible" and converged and feas_ok:
         status = "optimal"
     return SdpSolution(
         G=G,

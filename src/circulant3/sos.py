@@ -14,7 +14,10 @@ their monomial vectors in its kernel, and the Gram problem has no
 interior. There the problem is solved on that face of the PSD cone
 ("partial facial reduction", Permenter and Parrilo): G = V H V' with V
 spanning the complement of the zeros' monomial vectors. The resulting
-G is still checked against the full problem.
+G is still checked against the full problem. Every such G has the
+zeros' monomial vectors in its kernel, so lambda_min(G) = 0 whatever H
+is: the face solve stops at its first PSD iterate, while a full solve
+runs to the optimum, whose t* is the certificate's margin.
 """
 
 from __future__ import annotations
@@ -217,6 +220,24 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U[:, :k].T @ problem.rhs)
 
 
+def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
+    """ValueError naming m, d, u and c when a coefficient of the form is not a finite float.
+
+    A finite but huge u or d (say u = 1e308 at m = 6) overflows once
+    multiplied by the multinomial coefficients, and the Gram problem
+    built from it would be refused for data that names no input.
+    """
+    try:
+        finite = all(math.isfinite(float(v)) for v in form.coeffs.values())
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"the form at m = {t.m}, d = {t.d}, u = {t.u}, c = {t.c} has coefficients "
+            f"beyond the float range"
+        )
+
+
 def _certificate_from_solution(
     form: TernaryForm, problem: sdp.SdpProblem, G: np.ndarray, scale: float
 ) -> GramCertificate:
@@ -245,19 +266,26 @@ def is_sos(
 
     Where the form has real zeros (at a threshold) the Gram problem has
     no interior, and the SDP is solved on the face those zeros cut out
-    (see _face); solution.t_star is then the face problem's. The
-    certificate is still checked against the full problem, so a wrong
-    face can make the verdict undecided but never a wrong "yes".
+    (see _face); solution.t_star is then the face problem's. On the face
+    G = V H V' is singular whatever H is, so a larger lambda_min(H) buys
+    the certificate no margin: that solve gets target 0 and stops at its
+    first iterate with a PSD projection (stop "feasible"), or runs on to
+    the optimum when the face holds none. The full problem is solved to
+    its optimum, as t* there is the certificate's margin. The certificate
+    is still checked against the full problem, so a wrong face can make
+    the verdict undecided but never a wrong "yes". A form whose
+    coefficients overflow a float raises ValueError naming m, d, u and c.
     """
     _require_positive("tol", tol)
     require_even_order(t.m)
     form = t.to_form()
+    _require_float_coefficients(t, form)
     problem = build_gram_problem(form)
     V = _face(t)
     if V is None:
         solution = sdp.solve(problem)
     else:
-        solution = sdp.solve(_restrict(problem, V))
+        solution = sdp.solve(_restrict(problem, V), target=0.0)
         solution = dataclasses.replace(solution, G=V @ solution.G @ V.T)
     scale = problem.scale()
     theta = tol * scale

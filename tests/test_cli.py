@@ -306,6 +306,18 @@ def test_scalars_that_are_not_finite_floats_are_usage_errors(argv, capsys):
     assert captured.out == ""
 
 
+def test_a_form_whose_coefficients_overflow_is_a_usage_error_naming_u(capsys):
+    # N at u = 1e308 is a finite float, but the form's coefficients at d = N
+    # overflow one; the error used to be the Gram problem's "constraint
+    # data must be finite", which names no input
+    argv = ["analyze", "--m", "6", "--u", "1e308", "--c", "1", "--no-certificate"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "m = 6" in captured.err and "u = 1e+308" in captured.err
+    assert captured.out == ""
+
+
 def test_certify_writes_confirmed_bundle(tmp_path, capsys):
     out = tmp_path / "bundle.json"
     rc = cli.main(

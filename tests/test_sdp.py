@@ -238,3 +238,38 @@ def test_stop_records_why_the_loop_ended(monkeypatch):
     monkeypatch.setattr(sdp, "_MAX_ITER", 2)
     sol = sdp.solve(prob)
     assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "budget", 2)
+
+
+def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
+    # on the face of table row (14, 1, 0) at N every Gram matrix V H V' has
+    # the zeros' monomial vectors in its kernel, so raising lambda_min(H)
+    # buys the certificate no margin; run to the optimum the loop stalls
+    # (after 59 iterations at 1 BLAS thread, 46 at 2), with target 0 it
+    # ends on the first iterate whose projection is PSD
+    m, u, c = 14, 1, 0
+    t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
+    full = build_gram_problem(t.to_form())
+    V = sos._face(t)
+    prob = sos._restrict(full, V)
+    sol = sdp.solve(prob)
+    assert sol.stop == "stall" and sol.iterations > 40
+    sol = sdp.solve(prob, target=0.0)
+    assert (sol.status, sol.stop) == ("feasible", "feasible")
+    assert sol.iterations <= 9
+    # the returned matrix is the one that was checked
+    assert sol.t_star >= 0.0
+    assert sol.t_star == float(np.linalg.eigvalsh(sol.G)[0])
+    ok, viol = sdp.check_certificate(V @ sol.G @ V.T, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
+    assert ok, f"violation {viol:.3e}"
+
+
+def test_a_face_without_a_psd_point_runs_as_without_a_target():
+    # the breakpoint rows' faces hold no PSD point (t*/scale -7.7e-11 and
+    # -3.2e-8), so target 0 is never met and the run is the untargeted one
+    for m, u, iterations in ((6, Fraction(-70, 11), 17), (8, Fraction(-686, 43), 47)):
+        prob = _at_threshold(m, u, 1)
+        plain, targeted = sdp.solve(prob), sdp.solve(prob, target=0.0)
+        assert (plain.stop, plain.iterations) == ("stall", iterations)
+        assert (targeted.status, targeted.stop, targeted.iterations) == (
+            plain.status, plain.stop, plain.iterations)
+        assert np.array_equal(targeted.G, plain.G)

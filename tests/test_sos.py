@@ -285,3 +285,28 @@ def test_stall_prone_decisions_above_n_are_certified(m, d, u, c):
     prob = sos.build_gram_problem(t.to_form())
     good, viol = sdp.check_certificate(cert.G, prob, tol=sos.DEFAULT_SOS_TOL * prob.scale())
     assert good, f"violation {viol:.3e}"
+
+
+def test_only_face_solves_are_given_a_target(monkeypatch):
+    # at a threshold is_sos solves on the face with target 0 and stops at
+    # the first PSD iterate; every full problem, such as the stall-prone
+    # decisions above, is solved to the optimum, whose t* is the margin
+    calls = []
+    solve = sdp.solve
+
+    def spy(problem, *args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(problem, *args, **kwargs)
+
+    m, u, c = 14, 1, 0
+    at_n = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
+    monkeypatch.setattr(sdp, "solve", spy)
+    ok, cert = sos.is_sos(at_n)
+    assert ok
+    assert cert.min_eig >= 0.0
+    assert cert.reconstruction_error <= 1e-12
+    assert calls == [((), {"target": 0.0})]
+    for m, d, u, c in STALL_PRONE_BELOW_N + STALL_PRONE_ABOVE_N:
+        calls.clear()
+        sos.is_sos(make_tensor(m, d, u, c))
+        assert calls == [((), {})], (m, d, u, c)
