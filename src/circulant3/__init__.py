@@ -27,8 +27,6 @@ from circulant3.eigen import (
     SolverFailure,
     is_psd,
     lambda_min,
-    pencil_margin_cneg,
-    pencil_margin_cpos,
 )
 from circulant3.kernels import BACKEND
 from circulant3.sdp import SdpProblem, SdpSolution, check_certificate, solve
@@ -47,8 +45,6 @@ from circulant3.tensor import (
     TernaryForm,
     dd_bound,
     make_tensor,
-    reference_tensor_c,
-    reference_tensor_u,
 )
 
 __version__ = "0.1.0"
@@ -82,10 +78,6 @@ __all__ = [
     "make_tensor",
     "n_value",
     "normalize",
-    "pencil_margin_cneg",
-    "pencil_margin_cpos",
-    "reference_tensor_c",
-    "reference_tensor_u",
     "solve",
     "verify_linear_segment",
     "__version__",

@@ -20,18 +20,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from circulant3 import sos
-from circulant3.eigen import (
-    _PSD_TOL,
-    DEFAULT_CONFIG,
-    SolverConfig,
-    SolverFailure,
-    _scan_min,
-    pencil_margin_cneg,
-    pencil_margin_cpos,
-)
+from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure, _scan_min, is_psd
 from circulant3.tensor import CirculantTensor, Scalar, make_tensor, require_even_order
 
 # provenance tags naming the rule that produced an N value
@@ -183,9 +175,10 @@ class Breakpoint:
     """Exact kink abscissa of a linear threshold branch plus its verification.
 
     ``value`` comes from the closed formula and is held as an exact
-    rational; ``verified`` records whether the boundary pencil at that
-    abscissa passed the PSD check, and ``lambda_residual`` is the
-    smallest H-eigenvalue the check found (zero in exact arithmetic).
+    rational; ``verified`` records whether the tensor at that abscissa,
+    with d on the linear threshold, passed the PSD check (eigen.is_psd),
+    and ``lambda_residual`` is the smallest H-eigenvalue the check found
+    (zero in exact arithmetic).
     """
 
     kind: str
@@ -206,16 +199,12 @@ class Breakpoint:
 
 
 def _verified_breakpoint(
-    kind: str,
-    m: int,
-    value: Fraction,
-    margin_fn: Callable[[int, Scalar, SolverConfig], float],
-    cfg: SolverConfig,
+    kind: str, m: int, value: Fraction, c: int, cfg: SolverConfig
 ) -> Breakpoint:
-    """Check the pencil ``margin_fn`` at the exact kink ``value``."""
+    """PSD check of A(m, d, value, c) with d on the linear threshold at the exact kink."""
     try:
-        margin = margin_fn(m, value, cfg)
-        verified = margin >= -_PSD_TOL
+        verified, result = is_psd(make_tensor(m, _linear(m, value, c), value, c), cfg)
+        margin = result.lam
     except SolverFailure as exc:
         margin = exc.best.lam if exc.best is not None else math.nan
         verified = False
@@ -225,13 +214,13 @@ def _verified_breakpoint(
 
 
 def breakpoint_u0(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> Breakpoint:
-    """Kink of the c = -1 branch, verified through the reference pencil."""
-    return _verified_breakpoint("u0", m, breakpoint_u0_formula(m), pencil_margin_cneg, cfg)
+    """Kink of the c = -1 branch, verified on the tensor at its linear threshold."""
+    return _verified_breakpoint("u0", m, breakpoint_u0_formula(m), -1, cfg)
 
 
 def breakpoint_v0(m: int, cfg: SolverConfig = DEFAULT_CONFIG) -> Breakpoint:
-    """Kink of the c = +1 branch, verified through the mirrored pencil."""
-    return _verified_breakpoint("v0", m, breakpoint_v0_formula(m), pencil_margin_cpos, cfg)
+    """Kink of the c = +1 branch, verified on the tensor at its linear threshold."""
+    return _verified_breakpoint("v0", m, breakpoint_v0_formula(m), 1, cfg)
 
 
 @dataclass(frozen=True)

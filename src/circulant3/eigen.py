@@ -15,8 +15,9 @@ Whenever the general search beats the structured one by more than
 1e-9 of the tensor's scale, the event is logged as a counterexample to
 the two-equal-coordinate heuristic and the better result is returned.
 
-``lambda_min`` runs both, and so do ``is_psd`` and the breakpoint
-pencils. The thresholds use the scan alone (``_scan_min``):
+``lambda_min`` runs both, and so does ``is_psd``, which
+``boundary`` asks about the tensor on the linear threshold at each
+breakpoint. The thresholds use the scan alone (``_scan_min``):
 ``boundary.n_value`` takes N from it, a lower bound on the threshold,
 and the certificate bundle its minimizer. A Gram certificate at d = M
 bounds the threshold from above (SOS implies PSD), so [N, M] encloses
@@ -42,14 +43,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from circulant3 import kernels
-from circulant3.tensor import (
-    CirculantTensor,
-    Scalar,
-    dd_bound,
-    reference_tensor_c,
-    reference_tensor_u,
-    require_even_order,
-)
+from circulant3.tensor import CirculantTensor, dd_bound, require_even_order
 
 logger = logging.getLogger(__name__)
 
@@ -250,31 +244,3 @@ def is_psd(
     """PSD verdict (smallest H-eigenvalue >= -1e-7) plus the eigen evidence."""
     result = lambda_min(t, cfg)
     return result.lam >= -_PSD_TOL, result
-
-
-def pencil_margin_cneg(
-    m: int, u: Scalar, cfg: SolverConfig = DEFAULT_CONFIG
-) -> float:
-    """Smallest H-eigenvalue of reference_c - u * reference_u.
-
-    The pencil annihilates (1, 1, 1) for every u, so the value is never
-    positive; it is exactly zero on the ray of u where the linear closed
-    form of the PSD threshold at c = -1 is tight, and turns negative
-    past the breakpoint.
-    """
-    require_even_order(m)
-    pencil = reference_tensor_c(m) - u * reference_tensor_u(m)
-    return lambda_min(pencil, cfg).lam
-
-
-def pencil_margin_cpos(
-    m: int, u: Scalar, cfg: SolverConfig = DEFAULT_CONFIG
-) -> float:
-    """Smallest H-eigenvalue of -u * reference_u - reference_c.
-
-    Mirror of pencil_margin_cneg for c = +1: never positive, exactly
-    zero on the ray where the linear closed form at c = 1 is tight.
-    """
-    require_even_order(m)
-    pencil = (-u) * reference_tensor_u(m) - reference_tensor_c(m)
-    return lambda_min(pencil, cfg).lam

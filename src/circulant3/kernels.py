@@ -223,19 +223,6 @@ def _newton(m, d, u, c, state, iters):
     return np.where(blown, best, np.vstack([x, lam])), np.where(blown, best_res, res)
 
 
-def kkt_newton(m, d, u, c, x, lam, iters):
-    """Newton refinement of the eigenpair system A x^{m-1} = lam x^[m-1], |x|_m = 1.
-
-    ``x`` is an (n, 3) array of points and ``lam`` their n eigenvalue
-    guesses; every point is refined on its own. Returns (lam, x,
-    residual) as arrays of shapes (n,), (n, 3) and (n,).
-    """
-    state = np.vstack([np.array(x, dtype=float).reshape(-1, 3).T, np.array(lam, dtype=float).reshape(1, -1)])
-    with np.errstate(all="ignore"):
-        state, res = _newton(m, d, u, c, state, iters)
-    return state[3], state[:3].T, res
-
-
 def _descend(m, d, u, c, x, max_iters):
     """Projected descent on f(x)/|x|_m^m from the unit columns of x.
 

@@ -156,6 +156,21 @@ def _step_lengths(
     return ap, ad
 
 
+def _unprojectable(G: np.ndarray, iterations: int) -> SdpSolution:
+    """A breakdown whose projected matrix is not finite: it attains nothing and bounds nothing."""
+    return SdpSolution(
+        G=G,
+        t_star=-math.inf,
+        primal_residual=math.inf,
+        status="max-iterations",
+        iterations=iterations,
+        gap=math.inf,
+        dual_obj=math.inf,
+        precision=math.inf,
+        stop="breakdown",
+    )
+
+
 def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     """Run the interior-point method; never raises on numerical trouble.
 
@@ -181,7 +196,10 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     corrector, come from one stacked solve and eigenvalue pass
     (``_step_lengths``). X and Z are factored by plain Cholesky, with no
     diagonal jitter: an iterate that is no longer positive definite is a
-    breakdown, and the best iterate so far is projected and graded.
+    breakdown, and the best iterate so far is projected and graded. A
+    projection that is not finite (data near the float range) ends the run
+    at once as a breakdown with t_star -inf and precision +inf, an
+    enclosure that decides nothing.
     """
     N = problem.dim
     L = problem.coeffs.shape[0]
@@ -245,6 +263,8 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             break
         if target < math.inf and scale * t >= target:
             G = gram(X, t)
+            if not np.all(np.isfinite(G)):
+                return _unprojectable(G, iterations)
             t_star = float(np.linalg.eigvalsh(G)[0])
             if t_star >= target:
                 status = stop = "feasible"
@@ -332,6 +352,8 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     Xf, yf, tf, mu_f, rg_f, dfeas_f = final
     if stop != "feasible":  # a feasible stop returns the matrix it checked
         G = gram(Xf, tf)
+        if not np.all(np.isfinite(G)):
+            return _unprojectable(G, iterations)
         t_star = float(np.linalg.eigvalsh(G)[0])
     obj_scale = max(1.0, float(np.linalg.norm(G)))
 

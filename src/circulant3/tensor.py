@@ -104,34 +104,6 @@ class CirculantTensor:
     def dd_bound(self) -> Scalar:
         return dd_bound(self.m, self.u, self.c)
 
-    def _binary_op(self, other: "CirculantTensor", sign: int) -> "CirculantTensor":
-        if not isinstance(other, CirculantTensor):
-            return NotImplemented
-        if other.m != self.m:
-            raise ValueError(f"order mismatch: {self.m} vs {other.m}")
-        return CirculantTensor(
-            self.m,
-            self.d + sign * other.d,
-            self.u + sign * other.u,
-            self.c + sign * other.c,
-        )
-
-    def __add__(self, other: "CirculantTensor") -> "CirculantTensor":
-        return self._binary_op(other, 1)
-
-    def __sub__(self, other: "CirculantTensor") -> "CirculantTensor":
-        return self._binary_op(other, -1)
-
-    def __neg__(self) -> "CirculantTensor":
-        return CirculantTensor(self.m, -self.d, -self.u, -self.c)
-
-    def __mul__(self, alpha: Scalar) -> "CirculantTensor":
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float, Fraction)):
-            return NotImplemented
-        return CirculantTensor(self.m, alpha * self.d, alpha * self.u, alpha * self.c)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class TernaryForm:
@@ -181,24 +153,3 @@ def dd_bound(m: int, u: Scalar, c: Scalar) -> Scalar:
     if m < 3:
         raise ValueError(f"order m must be >= 3, got {m}")
     return abs(u) * (2**m - 2) + abs(c) * (3 ** (m - 1) - 2**m + 1)
-
-
-def reference_tensor_u(m: int) -> CirculantTensor:
-    """The pure-u reference tensor A(m, 2^m - 2, -1, 0).
-
-    Its diagonal equals its off-diagonal absolute row sum, so it sits
-    exactly on the diagonal-dominance boundary; the linear branch of the
-    PSD threshold for u <= 0 is a nonnegative multiple of this tensor
-    plus the pure-c reference.
-    """
-    return CirculantTensor(m, 2**m - 2, -1, 0)
-
-
-def reference_tensor_c(m: int) -> CirculantTensor:
-    """The pure-c reference tensor A(m, 3^{m-1} - 2^m + 1, 0, -1).
-
-    Also exactly diagonally dominated; together with the pure-u
-    reference it spans the pencils whose smallest H-eigenvalue locates
-    the breakpoints of the PSD threshold.
-    """
-    return CirculantTensor(m, 3 ** (m - 1) - 2**m + 1, 0, -1)

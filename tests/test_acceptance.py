@@ -12,10 +12,15 @@ from fractions import Fraction
 import numpy as np
 
 from circulant3 import boundary, sdp, sos, tables
-from circulant3.eigen import lambda_min, pencil_margin_cneg, pencil_margin_cpos
+from circulant3.eigen import lambda_min
 from circulant3.tensor import make_tensor
 
 from helpers import brute_force_eval, orbit_distance
+
+
+def _margin_on_linear_threshold(m, u, c):
+    """Smallest H-eigenvalue of A(m, d, u, c) with d on the linear threshold."""
+    return lambda_min(make_tensor(m, boundary._linear(m, u, c), u, c)).lam
 
 
 def _gate(name, ok, detail=""):
@@ -123,8 +128,8 @@ def test_criterion_4_breakpoint_verification():
     for m in (6, 8, 10, 12, 14):
         u0 = boundary.breakpoint_u0_formula(m)
         v0 = boundary.breakpoint_v0_formula(m)
-        margin_u = pencil_margin_cneg(m, u0)
-        margin_v = pencil_margin_cpos(m, v0)
+        margin_u = _margin_on_linear_threshold(m, u0, -1)
+        margin_v = _margin_on_linear_threshold(m, v0, 1)
         worst = min(worst, margin_u, margin_v) if worst else min(margin_u, margin_v)
         ok = ok and margin_u >= -1e-7 and margin_v >= -1e-7
     seen = set()
@@ -142,9 +147,9 @@ def test_criterion_4_breakpoint_verification():
         ok = ok and row.m == m and Fraction(row.u) == formula
     ok = ok and seen == set(KINK_ABSCISSAS)
     _gate(
-        "criterion 4: breakpoint pencils PSD, fixture abscissas exact",
+        "criterion 4: kinks PSD on the linear threshold, fixture abscissas exact",
         ok,
-        f"worst pencil margin {worst:.2e}",
+        f"worst margin {worst:.2e}",
     )
 
 
@@ -229,16 +234,16 @@ def test_criterion_5_property_suite():
             f"(e) {bad_certs} bad certificates of {len(certificates)}"
         )
 
-    # (f) pencil margins never positive on a 20-point grid
+    # (f) margins on the linear threshold never positive on a 20-point grid
     u0 = float(boundary.breakpoint_u0_formula(6))
     v0 = float(boundary.breakpoint_v0_formula(6))
     worst = -math.inf
     for u in np.linspace(0.0, 2.0 * u0, 10):
-        worst = max(worst, pencil_margin_cneg(6, float(u)))
+        worst = max(worst, _margin_on_linear_threshold(6, float(u), -1))
     for u in np.linspace(2.0 * v0, 0.0, 10):
-        worst = max(worst, pencil_margin_cpos(6, float(u)))
+        worst = max(worst, _margin_on_linear_threshold(6, float(u), 1))
     if worst > 1e-10:
-        failures.append(f"(f) positive pencil margin {worst:.2e}")
+        failures.append(f"(f) positive margin on the linear threshold {worst:.2e}")
 
     # (g) midpoint convexity of both thresholds along the unit-c slices
     def n_of(u, c):

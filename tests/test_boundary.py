@@ -112,6 +112,38 @@ def test_breakpoints_verify_via_the_eigensolver():
     assert doc["verified"] is True
 
 
+# breakpoint_u0(m) and breakpoint_v0(m) at the default settings, with
+# lambda_residual as float.hex: the smallest H-eigenvalue of the tensor on
+# the linear threshold at each kink
+PINNED_BREAKPOINTS = {
+    4: (("3/4", "0x0.0p+0"), ("-2", "-0x1.4000000000000p-46")),
+    6: (("45/16", "0x1.0000000000000p-52"), ("-70/11", "-0x1.0000000000000p-45")),
+    8: (("483/64", "0x1.2000000000000p-50"), ("-686/43", "-0x1.0000000000000p-41")),
+    10: (("4665/256", "-0x1.0000000000000p-51"), ("-710/19", "-0x1.8000000000000p-42")),
+    12: (("43263/1024", "-0x1.f000000000000p-49"), ("-58366/683", "-0x1.1000000000000p-38")),
+    14: (("394485/4096", "0x1.3e00000000000p-46"), ("-528710/2731", "-0x1.2700000000000p-32")),
+}
+
+
+@pytest.mark.parametrize("m", sorted(PINNED_BREAKPOINTS))
+def test_breakpoint_reports_are_pinned_bit_for_bit(m):
+    for bp, kind, (value, residual) in zip(
+        (boundary.breakpoint_u0(m), boundary.breakpoint_v0(m)),
+        ("u0", "v0"),
+        PINNED_BREAKPOINTS[m],
+    ):
+        doc = bp.to_json_dict()
+        assert doc["lambda_residual"].hex() == residual, (m, kind)
+        assert doc == {
+            "kind": kind,
+            "lambda_residual": float.fromhex(residual),
+            "m": m,
+            "value": value,
+            "value_float": float(Fraction(value)),
+            "verified": True,
+        }
+
+
 def test_breakpoint_verification_survives_solver_failure():
     cfg = SolverConfig(n_starts=4, eigen_tol=1e-300)
     bp = boundary.breakpoint_u0(6, cfg)
@@ -189,7 +221,7 @@ def test_analyze_reports_solver_failure_instead_of_raising(tmp_path, capsys):
 
 
 def test_analyze_computes_n_once(monkeypatch):
-    # N at d = 0, the u0 pencil, the bundle's minimizer at d = M: the
+    # N at d = 0, the u0 breakpoint check, the bundle's minimizer at d = M: the
     # certificate is derived from the N already computed, not from a second
     # one, and N and the minimizer come from the scan alone
     seen = []

@@ -276,7 +276,7 @@ def test_breakpoints_odd_order_is_usage_error(capsys):
 
 
 def test_breakpoints_honours_max_m(tmp_path, capsys):
-    # above the cap the pencil's smallest eigenvalue is float noise, and at
+    # above the cap the smallest eigenvalue at a kink is float noise, and at
     # m = 1000 dd_bound overflows
     for m in ("16", "40", "1000"):
         assert cli.main(["breakpoints", "--m", m]) == 2

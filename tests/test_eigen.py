@@ -7,22 +7,14 @@ import numpy as np
 import pytest
 
 from circulant3 import eigen, kernels
-from circulant3.boundary import breakpoint_u0_formula, breakpoint_v0_formula
-from circulant3.eigen import (
-    DEFAULT_CONFIG,
-    SolverConfig,
-    SolverFailure,
-    is_psd,
-    lambda_min,
-    pencil_margin_cneg,
-    pencil_margin_cpos,
-)
-from circulant3.tensor import (
-    dd_bound,
-    make_tensor,
-    reference_tensor_c,
-    reference_tensor_u,
-)
+from circulant3.boundary import _linear, breakpoint_u0_formula, breakpoint_v0_formula
+from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure, is_psd, lambda_min
+from circulant3.tensor import dd_bound, make_tensor
+
+
+def _on_linear_threshold(m, u, c):
+    """A(m, d, u, c) with d on the linear threshold; its lambda_min is 0 up to the kink."""
+    return make_tensor(m, _linear(m, u, c), u, c)
 
 
 def test_known_values_on_closed_form_rays():
@@ -64,7 +56,7 @@ def test_positive_scaling_covariance():
     t = make_tensor(6, 1.5, -0.75, 0.5)
     base = lambda_min(t).lam
     for alpha in (0.25, 4.0):
-        scaled = lambda_min(alpha * t).lam
+        scaled = lambda_min(make_tensor(6, alpha * t.d, alpha * t.u, alpha * t.c)).lam
         assert abs(scaled - alpha * base) <= 1e-8 * max(1.0, abs(alpha * base))
 
 
@@ -97,7 +89,7 @@ def test_odd_order_is_rejected():
     with pytest.raises(ValueError):
         lambda_min(make_tensor(5, 1, 1, 1))
     with pytest.raises(ValueError):
-        pencil_margin_cneg(7, 1.0)
+        lambda_min(_on_linear_threshold(7, 1.0, -1))
 
 
 def test_solver_failure_carries_best_iterate():
@@ -119,8 +111,8 @@ def test_one_search_budget_matches_the_doubled_budget_at_large_orders():
         tensors = [
             make_tensor(m, 0, 1, 0),
             make_tensor(m, 0, 2 * u0, -1),
-            reference_tensor_c(m) - u0 * reference_tensor_u(m),
-            (-v0) * reference_tensor_u(m) - reference_tensor_c(m),
+            _on_linear_threshold(m, u0, -1),
+            _on_linear_threshold(m, v0, 1),
         ]
         for t in tensors:
             d, u, c = float(t.d), float(t.u), float(t.c)
@@ -135,12 +127,12 @@ def test_one_search_budget_matches_the_doubled_budget_at_large_orders():
 
 
 def test_scan_multistart_tie_is_relative_to_the_tensor_scale(caplog):
-    # at the v0 pencil of m = 14 (d about 1.6e6) the multistart reads
+    # at the v0 kink of m = 14 (d about 1.6e6) the multistart reads
     # -3.96e-9 against the scan's -2.68e-10, a difference of 2e-15 of the
     # tensor's scale: a tie, so the scan's minimizer stands and no
     # counterexample is logged
     m = 14
-    t = (-breakpoint_v0_formula(m)) * reference_tensor_u(m) - reference_tensor_c(m)
+    t = _on_linear_threshold(m, breakpoint_v0_formula(m), 1)
     with caplog.at_level(logging.WARNING, logger="circulant3.eigen"):
         res = lambda_min(t)
     assert not caplog.records
@@ -162,13 +154,17 @@ def test_solver_config_rejects_invalid_settings():
 
 
 def test_pencil_margins_zero_then_negative_across_breakpoint():
-    # c = -1 pencil: flat at zero up to u = 45/16, strictly negative past it
-    assert abs(pencil_margin_cneg(6, 1.0)) <= 1e-10
-    assert abs(pencil_margin_cneg(6, 45.0 / 16.0)) <= 1e-9
-    assert pencil_margin_cneg(6, 4.0) < -1e-6
-    # c = +1 pencil: flat at zero down to u = -70/11, negative above it
-    assert abs(pencil_margin_cpos(6, -8.0)) <= 1e-10
-    assert pencil_margin_cpos(6, -5.0) < -1e-6
+    # the tensor on the linear threshold at c = -1: flat at zero up to
+    # u = 45/16, strictly negative past it
+    def margin(u, c):
+        return lambda_min(_on_linear_threshold(6, u, c)).lam
+
+    assert abs(margin(1.0, -1)) <= 1e-10
+    assert abs(margin(45.0 / 16.0, -1)) <= 1e-9
+    assert margin(4.0, -1) < -1e-6
+    # at c = +1: flat at zero down to u = -70/11, negative above it
+    assert abs(margin(-8.0, 1)) <= 1e-10
+    assert margin(-5.0, 1) < -1e-6
 
 
 def test_lambda_min_lower_bounds_negated_dominance_radius():

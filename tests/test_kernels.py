@@ -28,6 +28,17 @@ REF_CASES = [
 ]
 
 
+def _newton(m, d, u, c, x, lam, iters):
+    """kernels._newton on the rows of the (n, 3) array ``x`` with n eigenvalue guesses.
+
+    Returns (lam, x, residual) as arrays of shapes (n,), (n, 3) and (n,).
+    """
+    state = np.vstack([np.asarray(x, dtype=float).T, np.asarray(lam, dtype=float)[None]])
+    with np.errstate(all="ignore"):
+        state, res = kernels._newton(m, d, u, c, state, iters)
+    return state[3], state[:3].T, res
+
+
 def _random_cases(seed, n=30):
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -113,7 +124,7 @@ def test_kkt_newton_polishes_an_eigenpair():
     # start slightly off the known minimizer of (6, 62, -1, 0) at the
     # all-ones direction, where the smallest eigenvalue is exactly 0
     s = 3.0 ** (-1.0 / 6.0)
-    lam, x, res = kernels.kkt_newton(
+    lam, x, res = _newton(
         6, 62.0, -1.0, 0.0, np.array([[s + 0.01, s - 0.02, s]]), np.array([0.5]), 40
     )
     assert lam.shape == (1,) and x.shape == (1, 3) and res.shape == (1,)
@@ -144,7 +155,7 @@ def test_batched_kernels_match_scalar_reference(m, d, u, c):
     assert got == ref_scan_two_equal(m, d, u, c, 501, 40)
 
     x = starts / np.sum(np.abs(starts) ** m, axis=1, keepdims=True) ** (1.0 / m)
-    lam, xs, res = kernels.kkt_newton(m, d, u, c, x, np.full(len(x), 0.5), 30)
+    lam, xs, res = _newton(m, d, u, c, x, np.full(len(x), 0.5), 30)
     for k in range(len(x)):
         ref = ref_kkt_newton(m, d, u, c, *x[k].tolist(), 0.5, 30)
         assert (lam[k], *xs[k], res[k]) == ref
@@ -157,11 +168,11 @@ def test_singular_newton_start_stops_alone(monkeypatch):
     m, d, u, c = 4, 1.0, 0.0, 0.0
     x = np.array([[0.8, 0.6, 0.5], [1.0, 0.0, 0.0], [0.3, -0.9, 0.7]])
     lam0 = np.array([0.2, 0.5, 3.0])
-    lam, xs, res = kernels.kkt_newton(m, d, u, c, x, lam0, 30)
+    lam, xs, res = _newton(m, d, u, c, x, lam0, 30)
     assert xs[1].tolist() == [1.0, 0.0, 0.0]
     assert lam[1] == 1.0 and res[1] == 0.0
     for k in (0, 2):
-        alone = kernels.kkt_newton(m, d, u, c, x[k:k + 1], lam0[k:k + 1], 30)
+        alone = _newton(m, d, u, c, x[k:k + 1], lam0[k:k + 1], 30)
         assert lam[k] == alone[0][0] and res[k] == alone[2][0]
         assert xs[k].tolist() == alone[1][0].tolist()
 

@@ -273,3 +273,18 @@ def test_a_face_without_a_psd_point_runs_as_without_a_target():
         assert (targeted.status, targeted.stop, targeted.iterations) == (
             plain.status, plain.stop, plain.iterations)
         assert np.array_equal(targeted.G, plain.G)
+
+
+def test_a_projection_beyond_the_float_range_is_a_breakdown():
+    # the form at (6, 1e308, 1, 1) has finite coefficients, but projecting
+    # an iterate onto its constraints overflows: the run ends on
+    # "breakdown" with an enclosure that decides nothing, both when the
+    # target check projects (at the first iteration) and at the end
+    prob = build_gram_problem(make_tensor(6, 1e308, 1, 1).to_form())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for target, iterations in ((0.0, 1), (math.inf, 10)):
+            sol = sdp.solve(prob, target=target)
+            assert (sol.status, sol.stop, sol.iterations) == (
+                "max-iterations", "breakdown", iterations
+            )
+            assert sol.t_star == -math.inf and sol.precision == math.inf

@@ -14,6 +14,18 @@ from circulant3.eigen import SolverConfig, SolverFailure, lambda_min
 from circulant3.tensor import dd_bound, make_tensor
 
 
+def test_a_form_near_the_float_range_is_undecided():
+    # its coefficients are finite, so is_sos builds the Gram problem; the
+    # solver's projection overflows, and the verdict is undecided rather
+    # than an error from the final eigenvalue call
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sos.SosUndecided) as exc_info:
+            sos.is_sos(make_tensor(6, 1e308, 1, 1))
+    sol = exc_info.value.solution
+    assert sol.stop == "breakdown"
+    assert sol.t_star == -math.inf and sol.precision == math.inf
+
+
 def test_is_sos_accepts_known_members():
     # the two m = 8 points lie above N; the interior-point run stops on its
     # stall counter there, at t* above 1.6, and its projected iterate is the
