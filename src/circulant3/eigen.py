@@ -152,6 +152,11 @@ def _scan_two_equal(m: int, d: float, u: float, c: float):
     return kernels.scan_two_equal(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
 
 
+def _section_minima(m: int, d: float, u: float, c: float):
+    """Every polished local minimum of the form over x = (s, s, t), at the same budget."""
+    return kernels.section_minima(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
+
+
 def _eigenpair(
     t: CirculantTensor,
     cfg: SolverConfig,

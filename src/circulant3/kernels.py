@@ -12,8 +12,9 @@ searches behind ``eigen.lambda_min`` are batched in numpy:
 * minimize_batch runs the projected descent and its eigenpair Newton
   polish for all starts at once, with one backtracking step size per
   start;
-* scan_two_equal evaluates its whole grid in one pass and polishes the
-  grid minima with the same Newton.
+* section_minima evaluates the two-equal-coordinate grid in one pass
+  and polishes every grid minimum with the same Newton; scan_two_equal
+  keeps the smallest of them.
 
 Batched powers go through ``np.float_power``, which calls the C
 library's pow for each element like Python's ``**`` does, and every
@@ -348,15 +349,17 @@ def _polish_section(m, d, u, c, theta, h, iters):
     return theta
 
 
-def scan_two_equal(m, d, u, c, n_grid, polish_iters):
-    """One-dimensional scan over x = (cos t, cos t, sin t), t in [0, pi).
+def section_minima(m, d, u, c, n_grid, polish_iters):
+    """Every local minimum of the form on x = (cos t, cos t, sin t), t in [0, pi).
 
     Every vector with at least two equal coordinates is a permutation of
     +-(s, s, t), so for the fully symmetric form this section covers the
     whole two-equal-coordinate family. The grid is evaluated in one
     batch; its local minima are polished by Newton on the section
     quotient, then together by Newton on the full eigenpair system.
-    Returns (lam, x1, x2, x3, residual).
+    Returns (state, residual): the columns of the (4, k) state are the
+    polished points x1, x2, x3 on the unit m-norm sphere with their
+    eigenvalues, one per grid minimum (k = 0 when the grid has none).
     """
     h = math.pi / n_grid
     t = np.arange(n_grid) * h
@@ -370,10 +373,17 @@ def scan_two_equal(m, d, u, c, n_grid, polish_iters):
     minima = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
     thetas = [_polish_section(m, d, u, c, i * h, h, polish_iters) for i in np.flatnonzero(minima).tolist()]
     if not thetas:
-        return math.inf, 0.0, 0.0, 0.0, math.inf
+        return np.empty((4, 0)), np.empty(0)
     th = np.array(thetas)
     x = np.array([np.cos(th), np.cos(th), np.sin(th)])
     with np.errstate(all="ignore"):
         x = x / _norm(x, m)
-        state, res = _newton(m, d, u, c, np.vstack([x, _eval_batch(m, d, u, c, x)]), 20)
-    return _best(state, res)
+        return _newton(m, d, u, c, np.vstack([x, _eval_batch(m, d, u, c, x)]), 20)
+
+
+def scan_two_equal(m, d, u, c, n_grid, polish_iters):
+    """The smallest of the section minima: (lam, x1, x2, x3, residual).
+
+    (inf, 0, 0, 0, inf) when the grid has no local minimum.
+    """
+    return _best(*section_minima(m, d, u, c, n_grid, polish_iters))

@@ -13,11 +13,14 @@ At the PSD threshold the form has real zeros, every Gram matrix has
 their monomial vectors in its kernel, and the Gram problem has no
 interior. There the problem is solved on that face of the PSD cone
 ("partial facial reduction", Permenter and Parrilo): G = V H V' with V
-spanning the complement of the zeros' monomial vectors. The resulting
-G is still checked against the full problem. Every such G has the
-zeros' monomial vectors in its kernel, so lambda_min(G) = 0 whatever H
-is: the face solve stops at its first PSD iterate, while a full solve
-runs to the optimum, whose t* is the certificate's margin.
+spanning the complement of the monomial vectors of every zero the
+two-equal-coordinate scan finds, and the dependent restricted
+constraints replaced by an orthogonal basis of their span, read off
+one small eigendecomposition. The resulting G is still checked against
+the full problem. Every such G has the zeros' monomial vectors in its
+kernel, so lambda_min(G) = 0 whatever H is: the face solve stops at its
+first PSD iterate, while a full solve runs to the optimum, whose t* is
+the certificate's margin.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from circulant3.eigen import (
     SolverFailure,
     _require_positive,
     _scan_min,
-    _scan_two_equal,
+    _section_minima,
     _tensor_scale,
 )
 from circulant3.tensor import (
@@ -164,17 +167,21 @@ def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
 
 
 def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
-    """Real zeros of the form, one per S3 orbit; empty off the threshold.
+    """Real zeros of the form on the two-equal-coordinate section; empty off the threshold.
 
-    The two-equal-coordinate scan that ``lambda_min`` trusts gives the
-    form's minimum on that section, and (1, 1, 1) is checked on its own.
-    A point of the unit m-norm sphere is a zero when |f| there is at most
-    _ZERO_TOL times the tensor's scale |d| + dd_bound.
+    Each polished local minimum of the section that ``lambda_min``'s scan
+    searches (kernels.section_minima) is taken when it is a zero, not
+    only the lowest one, and (1, 1, 1) is checked on its own. A form can
+    vanish on more than one S3 orbit: at the breakpoints (6, -70/11, 1)
+    and (8, -686/43, 1) it vanishes at (1, 1, 1) and at a multiple of
+    (-2, -2, 1), and the face cut by (1, 1, 1) alone holds no PSD Gram
+    matrix. A point of the unit m-norm sphere is a zero when |f| there is
+    at most _ZERO_TOL times the tensor's scale |d| + dd_bound.
     """
     m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
     tol = _ZERO_TOL * _tensor_scale(t)
-    lam, x1, x2, x3, _ = _scan_two_equal(m, d, u, c)
-    zeros = [(x1, x2, x3)] if abs(lam) <= tol else []
+    state, _ = _section_minima(m, d, u, c)
+    zeros = [tuple(x) for x in state[:3, np.abs(state[3]) <= tol].T.tolist()]
     if abs(kernels.eval_form(m, d, u, c, 1.0, 1.0, 1.0)) <= 3.0 * tol:
         zeros.append((1.0, 1.0, 1.0))
     return zeros
@@ -208,16 +215,21 @@ def _face(t: CirculantTensor) -> Optional[np.ndarray]:
 def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     """The Gram problem in H for G = V H V', with independent constraints only.
 
-    The restricted constraints V' A_l V are linearly dependent (the
-    zeros tie them together), so they are replaced by an orthonormal
-    basis of their span, with the right-hand sides combined alike.
+    The restricted constraints V' A_l V, the rows of the L x r^2 stack A,
+    are linearly dependent (the zeros tie them together). The
+    eigenvectors U of the small L x L matrix A A' whose eigenvalues
+    exceed 1e-12 of the largest span the same row space through U' A,
+    whose rows are mutually orthogonal (U' A A' U is diagonal); the
+    right-hand sides are combined alike, U' b. On the table's faces the
+    kept eigenvalues are at least 4e-2 of the largest and the dropped
+    ones at most 1e-15 of it, so the rank is never in doubt.
     """
     r = V.shape[1]
     A = (V.T @ problem.coeffs @ V).reshape(-1, r * r)
-    U, sing, Wt = np.linalg.svd(A, full_matrices=False)
-    k = int(np.sum(sing > 1e-10 * sing[0]))
-    coeffs = (sing[:k, None] * Wt[:k]).reshape(k, r, r)
-    return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U[:, :k].T @ problem.rhs)
+    lam, U = np.linalg.eigh(A @ A.T)
+    U = U[:, lam > 1e-12 * lam[-1]]
+    coeffs = (U.T @ A).reshape(-1, r, r)
+    return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U.T @ problem.rhs)
 
 
 def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
@@ -273,7 +285,9 @@ def is_sos(
     the optimum when the face holds none. The full problem is solved to
     its optimum, as t* there is the certificate's margin. The certificate
     is still checked against the full problem, so a wrong face can make
-    the verdict undecided but never a wrong "yes". A form whose
+    the verdict undecided but never a wrong "yes". A solve that breaks
+    down with an iterate that does not project onto the constraints in
+    floating point is undecided too, and says so. A form whose
     coefficients overflow a float raises ValueError naming m, d, u and c.
     """
     _require_positive("tol", tol)
@@ -300,6 +314,12 @@ def is_sos(
         )
     if solution.t_star + solution.precision < -theta:
         return False, None
+    if not math.isfinite(solution.t_star):
+        raise SosUndecided(
+            f"the SDP broke down after {solution.iterations} iterations: its iterate "
+            f"does not project onto the constraints in floating point",
+            solution,
+        )
     raise SosUndecided(
         f"ambiguous SOS evidence: optimum enclosed in [{solution.t_star:.3e}, "
         f"{solution.t_star + solution.precision:.3e}], threshold {-theta:.3e}",

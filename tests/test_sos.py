@@ -1,15 +1,17 @@
 """SOS membership, threshold bisection, and certificate plumbing."""
 
+import csv
 import dataclasses
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circulant3 import kernels, sdp, sos
-from circulant3 import boundary
+from circulant3 import boundary, tables
 from circulant3.eigen import SolverConfig, SolverFailure, lambda_min
 from circulant3.tensor import dd_bound, make_tensor
 
@@ -24,6 +26,16 @@ def test_a_form_near_the_float_range_is_undecided():
     sol = exc_info.value.solution
     assert sol.stop == "breakdown"
     assert sol.t_star == -math.inf and sol.precision == math.inf
+
+
+def test_an_unprojectable_breakdown_says_so_instead_of_an_enclosure():
+    # the enclosure [-inf, -inf + inf] read "[-inf, nan]" in the message
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(sos.SosUndecided) as exc_info:
+            sos.is_sos(make_tensor(6, 1e308, 1, 1))
+    message = str(exc_info.value)
+    assert "nan" not in message and "enclosed" not in message
+    assert "broke down" in message and "project" in message
 
 
 def test_is_sos_accepts_known_members():
@@ -108,7 +120,7 @@ def test_m_value_exact_branches_return_exact_scalars(monkeypatch):
     # diagonal-dominance bound; a bad tolerance is rejected when its config
     # is built, before any scan or SDP runs
     calls = []
-    for module, name in ((sdp, "solve"), (kernels, "scan_two_equal")):
+    for module, name in ((sdp, "solve"), (kernels, "scan_two_equal"), (kernels, "section_minima")):
         monkeypatch.setattr(module, name, lambda *args, _n=name: calls.append(_n))
     entry_points = (
         lambda tols: sos.m_value(6, 1, 0, cfg=SolverConfig(**tols)),
@@ -322,3 +334,86 @@ def test_only_face_solves_are_given_a_target(monkeypatch):
         calls.clear()
         sos.is_sos(make_tensor(m, d, u, c))
         assert calls == [((), {})], (m, d, u, c)
+
+
+BREAKPOINT_ROWS = [(6, Fraction(-70, 11)), (8, Fraction(-686, 43))]
+
+
+def _has_direction(zeros, direction):
+    # a zero parallel to ``direction``, up to sign
+    d = np.array(direction) / np.linalg.norm(direction)
+    return any(abs(abs(d @ z) - np.linalg.norm(z)) <= 1e-9 * np.linalg.norm(z)
+               for z in map(np.array, zeros))
+
+
+@pytest.mark.parametrize("m, u", BREAKPOINT_ROWS)
+def test_the_breakpoint_rows_vanish_on_two_orbits_and_are_certified_on_their_face(m, u, monkeypatch):
+    # at (6, -70/11, 1) and (8, -686/43, 1) the form at N vanishes at
+    # (1, 1, 1) and at a multiple of (-2, -2, 1); the face cut by both
+    # orbits holds a PSD point, so the face solve stops "feasible"
+    t = make_tensor(m, float(boundary.n_value(m, u, 1).value), float(u), 1.0)
+    zeros = sos._zeros(t)
+    assert _has_direction(zeros, (1, 1, 1))
+    assert _has_direction(zeros, (-2, -2, 1))
+    stops = []
+    solve = sdp.solve
+
+    def spy(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        stops.append((sol.stop, sol.t_star))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    ok, cert = sos.is_sos(t)
+    assert ok
+    [(stop, t_star)] = stops
+    assert stop == "feasible" and t_star >= 0.0
+    full = sos.build_gram_problem(t.to_form())
+    good, viol = sdp.check_certificate(cert.G, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
+    assert good, f"violation {viol:.3e}"
+
+
+def _svd_restrict(problem, V):
+    # the restriction by a singular value decomposition of the L x r^2
+    # stack: orthonormal rows Wt spanning the row space, and the
+    # coordinates (U' b) / sing in them of the least-norm point
+    r = V.shape[1]
+    A = (V.T @ problem.coeffs @ V).reshape(-1, r * r)
+    U, sing, Wt = np.linalg.svd(A, full_matrices=False)
+    k = int(np.sum(sing > 1e-10 * sing[0]))
+    return Wt[:k], (U[:, :k].T @ problem.rhs) / sing[:k]
+
+
+def test_the_restricted_face_problem_is_the_svd_restriction_on_every_table_face():
+    # the table solves at d = N_computed, with u and c as floats; both
+    # restrictions must define one affine set {h : <A_l, h> = b_l}: the
+    # same row space (equal projectors onto it) and the same least-norm
+    # point; the kept eigenvalues of A A' are far from the dropped ones
+    golden = Path(__file__).with_name("table_all.csv")
+    sides = set()
+    with golden.open(encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            m = int(row["m"])
+            u = float(tables.parse_scalar(row["u"]))
+            t = make_tensor(m, float(row["N_computed"]), u, float(row["c"]))
+            full = sos.build_gram_problem(t.to_form())
+            V = sos._face(t)
+            r = V.shape[1]
+            sides.add(r)
+            prob = sos._restrict(full, V)
+            assert prob.dim == r
+            rows = prob.coeffs.reshape(len(prob.rhs), -1)
+            norms = np.einsum("ij,ij->i", rows, rows)
+            basis, point_coords = _svd_restrict(full, V)
+            assert rows.shape == basis.shape, (m, row["u"], row["c"])
+            unit = rows / np.sqrt(norms)[:, None]
+            assert np.max(np.abs(unit.T @ unit - basis.T @ basis)) <= 1e-10
+            point = rows.T @ (prob.rhs / norms)
+            assert np.max(np.abs(point - basis.T @ point_coords)) <= 1e-10 * max(
+                1.0, float(np.max(np.abs(point))))
+            A = (V.T @ full.coeffs @ V).reshape(-1, r * r)
+            lam = np.linalg.eigvalsh(A @ A.T)
+            kept = lam > 1e-12 * lam[-1]
+            assert lam[kept][0] >= 1e-2 * lam[-1]
+            assert np.all(lam[~kept] <= 1e-14 * lam[-1])
+    assert max(sides) == 33
