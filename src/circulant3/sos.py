@@ -34,7 +34,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from circulant3 import kernels, sdp
+from circulant3 import sdp
 from circulant3.eigen import (
     DEFAULT_CONFIG,
     SolverConfig,
@@ -171,20 +171,18 @@ def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
 
     Each polished local minimum of the section that ``lambda_min``'s scan
     searches (kernels.section_minima) is taken when it is a zero, not
-    only the lowest one, and (1, 1, 1) is checked on its own. A form can
-    vanish on more than one S3 orbit: at the breakpoints (6, -70/11, 1)
-    and (8, -686/43, 1) it vanishes at (1, 1, 1) and at a multiple of
-    (-2, -2, 1), and the face cut by (1, 1, 1) alone holds no PSD Gram
-    matrix. A point of the unit m-norm sphere is a zero when |f| there is
-    at most _ZERO_TOL times the tensor's scale |d| + dd_bound.
+    only the lowest one. (1, 1, 1) lies on the section, at t = pi/4, so a
+    zero there is one of these minima. A form can vanish on more than one
+    S3 orbit: at the breakpoints (6, -70/11, 1) and (8, -686/43, 1) it
+    vanishes at (1, 1, 1) and at a multiple of (-2, -2, 1), and the face
+    cut by (1, 1, 1) alone holds no PSD Gram matrix. A point of the unit
+    m-norm sphere is a zero when |f| there is at most _ZERO_TOL times the
+    tensor's scale |d| + dd_bound.
     """
     m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
     tol = _ZERO_TOL * _tensor_scale(t)
     state, _ = _section_minima(m, d, u, c)
-    zeros = [tuple(x) for x in state[:3, np.abs(state[3]) <= tol].T.tolist()]
-    if abs(kernels.eval_form(m, d, u, c, 1.0, 1.0, 1.0)) <= 3.0 * tol:
-        zeros.append((1.0, 1.0, 1.0))
-    return zeros
+    return [tuple(x) for x in state[:3, np.abs(state[3]) <= tol].T.tolist()]
 
 
 def _face(t: CirculantTensor) -> Optional[np.ndarray]:
@@ -220,9 +218,15 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     eigenvectors U of the small L x L matrix A A' whose eigenvalues
     exceed 1e-12 of the largest span the same row space through U' A,
     whose rows are mutually orthogonal (U' A A' U is diagonal); the
-    right-hand sides are combined alike, U' b. On the table's faces the
-    kept eigenvalues are at least 4e-2 of the largest and the dropped
-    ones at most 1e-15 of it, so the rank is never in doubt.
+    right-hand sides are combined alike, U' b. The eigenvalues of A A'
+    are the squared singular values of A, so the cut keeps the
+    directions whose singular value exceeds about 1e-6 of the largest:
+    a face whose rank needs a finer resolution than that is not
+    separated, its dropped right-hand sides are lost, and the certificate
+    check against the full problem then leaves the verdict undecided. On
+    the table's faces the kept eigenvalues are at least 4e-2 of the
+    largest and the dropped ones at most 1e-15 of it, so the rank is
+    never in doubt there.
     """
     r = V.shape[1]
     A = (V.T @ problem.coeffs @ V).reshape(-1, r * r)

@@ -1,12 +1,17 @@
 """Interior-point solver for the max-min-eigenvalue problem."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from circulant3 import boundary, sdp, sos
+import circulant3
+from circulant3 import boundary, sdp, sos, tables
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
 
@@ -245,19 +250,40 @@ def test_stop_records_why_the_loop_ended(monkeypatch):
     assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "budget", 2)
 
 
+_FACE_14_CHILD = """
+import circulant3
+from circulant3 import boundary, sdp, sos, tables
+from circulant3.sos import build_gram_problem
+from circulant3.tensor import make_tensor
+t = make_tensor(14, boundary.n_value(14, 1, 0).value, 1, 0)
+sol = sdp.solve(sos._restrict(build_gram_problem(t.to_form()), sos._face(t)))
+print(sol.stop, sol.iterations)
+"""
+
+
 def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
     # on the face of table row (14, 1, 0) at N every Gram matrix V H V' has
     # the zeros' monomial vectors in its kernel, so raising lambda_min(H)
-    # buys the certificate no margin; run to the optimum the loop stalls
-    # (after 31 iterations at 1 BLAS thread, 42 at 2), with target 0 it
-    # ends on the first iterate whose projection is PSD
+    # buys the certificate no margin; run to the optimum the loop stalls,
+    # with target 0 it ends on the first iterate whose projection is PSD.
+    # Where the stall falls moves with the BLAS thread count (31 iterations
+    # at 1 thread, 42 at 2), so the untargeted run is pinned in a child
+    # process held to one thread
+    src = str(Path(circulant3.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _FACE_14_CHILD],
+        capture_output=True, text=True,
+        env={**os.environ, **dict.fromkeys(tables._BLAS_THREAD_VARS, "1"),
+             "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["stall", "31"]
     m, u, c = 14, 1, 0
     t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
     full = build_gram_problem(t.to_form())
     V = sos._face(t)
     prob = sos._restrict(full, V)
-    sol = sdp.solve(prob)
-    assert sol.stop == "stall" and sol.iterations >= 30
     sol = sdp.solve(prob, target=0.0)
     assert (sol.status, sol.stop) == ("feasible", "feasible")
     assert sol.iterations <= 9
