@@ -19,7 +19,6 @@ from circulant3.boundary import (
     breakpoint_v0,
     n_value,
     normalize,
-    verify_linear_segment,
 )
 from circulant3.eigen import (
     EigenResult,
@@ -79,6 +78,5 @@ __all__ = [
     "n_value",
     "normalize",
     "solve",
-    "verify_linear_segment",
     "__version__",
 ]

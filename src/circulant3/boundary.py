@@ -14,7 +14,6 @@ the SOS threshold M from the certificate layer.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -277,9 +276,6 @@ class BoundaryReport:
             "u": self.u,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
 
 def _report(
     m: int, u: Scalar, c: Scalar, cfg: SolverConfig, with_certificate: bool = False
@@ -358,101 +354,3 @@ def analyze(
         return dataclasses.replace(report, breakpoint=breakpoint_v0(m, cfg))
     return report
 
-
-@dataclass(frozen=True)
-class SegmentPoint:
-    """One sampled abscissa on a linear branch and what both sides returned."""
-
-    u: str
-    expected: float
-    n: float
-    n_tag: str
-    m_val: float
-    confirmed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "confirmed": self.confirmed,
-            "expected": self.expected,
-            "m_value": self.m_val,
-            "n_tag": self.n_tag,
-            "n_value": self.n,
-            "u": self.u,
-        }
-
-
-@dataclass(frozen=True)
-class SegmentReport:
-    """Linear-branch audit: breakpoint plus sampled points below it."""
-
-    m: int
-    c: int
-    breakpoint: Breakpoint
-    points: Tuple[SegmentPoint, ...]
-    confirmed: bool
-    flagged: Tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoint": self.breakpoint.to_json_dict(),
-            "c": self.c,
-            "confirmed": self.confirmed,
-            "flagged": list(self.flagged),
-            "m": self.m,
-            "points": [p.to_json_dict() for p in self.points],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-
-def verify_linear_segment(
-    m: int, c: int, cfg: SolverConfig = DEFAULT_CONFIG
-) -> SegmentReport:
-    """Check M = N = linear closed form on a branch, at the kink and below.
-
-    Samples the breakpoint abscissa and three points strictly inside the
-    branch; each point must hit the exact linear value on the PSD side
-    and match it within the combined tolerance on the SOS side.  An
-    unverified breakpoint or any failed point flags the report.
-    """
-    require_even_order(m)
-    if c not in (-1, 1):
-        raise ValueError("c must be -1 or 1")
-
-    if c == -1:
-        bp = breakpoint_u0(m, cfg)
-        samples = [bp.value, bp.value / 2, bp.value / 4, bp.value / 8]
-        linear_tag = TAG_LINEAR_CNEG
-    else:
-        bp = breakpoint_v0(m, cfg)
-        samples = [bp.value, 2 * bp.value, 4 * bp.value, 8 * bp.value]
-        linear_tag = TAG_LINEAR_CPOS
-
-    flagged = [] if bp.verified else [f"breakpoint {bp.kind} unverified"]
-    points = []
-    for u_s in samples:
-        expected = float(_linear(m, u_s, c))
-        report = _report(m, u_s, c, cfg)
-        ok = report.confirmed and report.n_tag == linear_tag and report.n == expected
-        if not ok:
-            flagged += [f"u={u_s}: {err}" for err in report.errors or ("not confirmed",)]
-        points.append(
-            SegmentPoint(
-                u=str(u_s),
-                expected=expected,
-                n=report.n,
-                n_tag=report.n_tag,
-                m_val=report.m_val,
-                confirmed=ok,
-            )
-        )
-
-    return SegmentReport(
-        m=m,
-        c=c,
-        breakpoint=bp,
-        points=tuple(points),
-        confirmed=bp.verified and all(p.confirmed for p in points),
-        flagged=tuple(flagged),
-    )

@@ -102,12 +102,20 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
+def _emit(text: str, cfg: RunConfig) -> bool:
+    """Write text to cfg.out, or to stdout without one; False, with the
+    error printed, when cfg.out cannot be written (a usage error)."""
+    text = text if text.endswith("\n") else text + "\n"
+    if not cfg.out:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _scalar_repr(v: Scalar) -> object:
@@ -145,21 +153,18 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     value = t.eval_form(x)
     power = t.apply_power(x)
     if cfg.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "config": cfg.to_json_dict(),
-                    "f": _scalar_repr(value),
-                    "power": [_scalar_repr(p) for p in power],
-                },
-                sort_keys=True,
-                indent=2,
-            ),
-            cfg,
+        text = json.dumps(
+            {
+                "config": cfg.to_json_dict(),
+                "f": _scalar_repr(value),
+                "power": [_scalar_repr(p) for p in power],
+            },
+            sort_keys=True,
+            indent=2,
         )
     else:
-        _emit(f"f(x) = {value}\nA x^(m-1) = ({power[0]}, {power[1]}, {power[2]})", cfg)
-    return EXIT_OK
+        text = f"f(x) = {value}\nA x^(m-1) = ({power[0]}, {power[1]}, {power[2]})"
+    return EXIT_OK if _emit(text, cfg) else EXIT_USAGE
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -171,7 +176,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_USAGE
     if cfg.format == "json":
         doc = {"config": cfg.to_json_dict(), "report": report.to_json_dict()}
-        _emit(json.dumps(doc, sort_keys=True, indent=2), cfg)
+        text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         status = "CONFIRMED" if report.confirmed else "UNCONFIRMED"
         lines = [
@@ -183,7 +188,9 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         ]
         for err in report.errors:
             lines.append(f"error: {err}")
-        _emit("\n".join(lines), cfg)
+        text = "\n".join(lines)
+    if not _emit(text, cfg):
+        return EXIT_USAGE
     if report.failed:
         return EXIT_SOLVER
     return EXIT_OK if report.confirmed else EXIT_UNCONFIRMED
@@ -201,10 +208,10 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_FIXTURE
     csv_text = tables.results_to_csv(results)
     if cfg.format == "csv":
-        _emit(csv_text, cfg)
+        text = csv_text
     elif cfg.format == "json":
         doc = {"config": cfg.to_json_dict(), "rows": [tables.row_fields(r) for r in results]}
-        _emit(json.dumps(doc, sort_keys=True, indent=2), cfg)
+        text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         lines = []
         for r in results:
@@ -219,13 +226,15 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
         n_pass = sum(1 for r in results if r.passed)
         lines.append(f"{n_pass}/{len(results)} rows pass")
         if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+            if not _emit(csv_text, cfg):
+                return EXIT_USAGE
             lines.append(f"csv written to {cfg.out}")
             sys.stdout.write("\n".join(lines) + "\n")
         else:
             _emit("\n".join(lines), cfg)
         return EXIT_OK if n_pass == len(results) else 1
+    if not _emit(text, cfg):
+        return EXIT_USAGE
     return EXIT_OK if all(r.passed for r in results) else 1
 
 
@@ -241,7 +250,7 @@ def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
             "config": cfg.to_json_dict(),
             "breakpoints": [bp.to_json_dict() for bp in bps],
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2), cfg)
+        text = json.dumps(doc, sort_keys=True, indent=2)
     else:
         lines = []
         for bp in bps:
@@ -250,7 +259,9 @@ def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
                 f"{bp.kind}(m={m}) = {bp.value} = {float(bp.value)!r} "
                 f"[{status}, smallest eigenvalue {bp.lambda_residual:.3e}]"
             )
-        _emit("\n".join(lines), cfg)
+        text = "\n".join(lines)
+    if not _emit(text, cfg):
+        return EXIT_USAGE
     return EXIT_OK if all(bp.verified for bp in bps) else EXIT_UNCONFIRMED
 
 
@@ -265,7 +276,8 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     doc = {"config": cfg.to_json_dict(), "bundle": bundle.to_json_dict()}
-    _emit(json.dumps(doc, sort_keys=True, indent=2), cfg)
+    if not _emit(json.dumps(doc, sort_keys=True, indent=2), cfg):
+        return EXIT_USAGE
     return EXIT_OK if bundle.status == "CONFIRMED" else EXIT_UNCONFIRMED
 
 

@@ -132,7 +132,6 @@ class SdpSolution:
     primal_residual: float
     status: str
     iterations: int
-    gap: float
     dual_obj: float
     precision: float
     stop: str
@@ -164,7 +163,6 @@ def _unprojectable(G: np.ndarray, iterations: int) -> SdpSolution:
         primal_residual=math.inf,
         status="max-iterations",
         iterations=iterations,
-        gap=math.inf,
         dual_obj=math.inf,
         precision=math.inf,
         stop="breakdown",
@@ -380,7 +378,6 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
         primal_residual=primal_residual,
         status=status,
         iterations=iterations,
-        gap=dual_obj - t_star,
         dual_obj=dual_obj,
         precision=precision,
         stop=stop,

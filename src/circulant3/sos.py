@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
@@ -54,7 +53,6 @@ from circulant3.tensor import (
 )
 
 DEFAULT_SOS_TOL = DEFAULT_CONFIG.sos_tol
-DEFAULT_TOL_D = DEFAULT_CONFIG.tol_d
 _ZERO_TOL = 1e-9  # a form value this small, relative to the tensor's scale, is a zero
 
 
@@ -462,9 +460,6 @@ class CertificateBundle:
             "tol_d": self.tol_d,
             "u": self.u,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def certify_pns_free(

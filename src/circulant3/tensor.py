@@ -101,9 +101,6 @@ class CirculantTensor:
                     coeffs[(a, b, g)] = val
         return TernaryForm(self.m, coeffs)
 
-    def dd_bound(self) -> Scalar:
-        return dd_bound(self.m, self.u, self.c)
-
 
 @dataclass(frozen=True)
 class TernaryForm:

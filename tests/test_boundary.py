@@ -192,7 +192,7 @@ def test_analyze_bisection_branch_without_certificate():
     assert report.bundle is None
     assert abs(report.m_val - 1.7373484717783816) <= 1e-4
     assert report.confirmed
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc == report.to_json_dict()
     assert doc["confirmed"] is True
 
@@ -218,6 +218,18 @@ def test_analyze_reports_solver_failure_instead_of_raising(tmp_path, capsys):
     argv = ["analyze", "--m", "6", "--u", "5", "--c", "-1", "--config", str(config)]
     assert cli.main(argv) == cli.EXIT_SOLVER
     assert "undecided" in capsys.readouterr().out
+
+
+def test_certify_reports_solver_failure_with_exit_4(tmp_path, capsys):
+    # the same failing scan on certify's path: a message naming the
+    # residual and the solver-failure code, not a traceback
+    config = tmp_path / "tight.cfg"
+    config.write_text("eigen_tol = 1e-300\n")
+    argv = ["certify", "--m", "6", "--u", "5", "--c", "-1", "--config", str(config)]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver failure: eigenpair residual")
+    assert "exceeds" in err
 
 
 def test_analyze_computes_n_once(monkeypatch):
@@ -257,38 +269,27 @@ def test_sdp_rejection_is_reported_not_raised(monkeypatch, capsys):
     assert not report.confirmed
     assert math.isnan(report.m_val)
     assert len(report.errors) == 1 and "rejected by the SDP" in report.errors[0]
-    seg = boundary.verify_linear_segment(6, -1)
-    assert not seg.confirmed
-    assert any("rejected by the SDP" in flag for flag in seg.flagged)
+    row = next(r for r in tables.load_fixture() if (r.table, r.m, r.u, r.c) == (2, 6, "2", -1))
+    res = tables.compute_row(row)
+    assert not res.passed
+    assert "rejected by the SDP" in res.error
     argv = ["analyze", "--m", "6", "--u", "-1", "--c", "-1", "--no-certificate"]
     assert cli.main(argv) == cli.EXIT_SOLVER
     assert "rejected by the SDP" in capsys.readouterr().out
 
 
-def test_linear_segment_decides_at_the_callers_sos_tol(monkeypatch):
-    tols = []
-    real = sos.is_sos
-
-    def spy(t, tol=sos.DEFAULT_SOS_TOL):
-        tols.append(tol)
-        return real(t, tol)
-
-    monkeypatch.setattr(sos, "is_sos", spy)
-    seg = boundary.verify_linear_segment(6, -1, SolverConfig(sos_tol=1e-6))
-    assert seg.confirmed
-    assert tols and set(tols) == {1e-6}
-
-
 def test_linear_segments_confirm_on_both_slices():
-    for c in (-1, 1):
-        seg = boundary.verify_linear_segment(6, c)
-        assert seg.confirmed
-        assert seg.flagged == ()
-        assert len(seg.points) == 4
-        expected_tag = TAG_LINEAR_CNEG if c == -1 else TAG_LINEAR_CPOS
-        for point in seg.points:
-            assert point.n_tag == expected_tag
-            assert point.confirmed
+    # M = N = the linear closed form at each kink and at three points
+    # strictly inside its branch
+    u0, v0 = boundary.breakpoint_u0_formula(6), boundary.breakpoint_v0_formula(6)
+    for c, tag, points in ((-1, TAG_LINEAR_CNEG, (u0, u0 / 2, u0 / 4, u0 / 8)),
+                           (1, TAG_LINEAR_CPOS, (v0, 2 * v0, 4 * v0, 8 * v0))):
+        for u in points:
+            report = boundary.analyze(6, u, c, with_certificate=False)
+            assert report.confirmed, (u, c, report.errors)
+            assert report.breakpoint.verified
+            assert report.n_tag == tag
+            assert report.n == float(boundary._linear(6, u, c))
 
 
 def test_unit_scale_reference_is_cached_and_positive():
@@ -352,7 +353,7 @@ def test_m_value_and_certify_run_no_multistart(monkeypatch):
 def test_m_value_and_certify_agree_with_analyze(u, c):
     report = boundary.analyze(6, u, c)
     assert float(sos.m_value(6, u, c)) == report.m_val
-    assert sos.certify_pns_free(6, u, c).to_json() == report.bundle.to_json()
+    assert sos.certify_pns_free(6, u, c).to_json_dict() == report.bundle.to_json_dict()
 
 
 def test_missing_certificate_at_n_bisects_up_from_the_scan(monkeypatch):
@@ -369,10 +370,10 @@ def test_missing_certificate_at_n_bisects_up_from_the_scan(monkeypatch):
     res = tables.compute_row(row)
     assert res.n_guard == boundary.GUARD_SCAN
     assert res.n_computed == n
-    assert abs(res.m_computed - guarded) <= sos.DEFAULT_TOL_D
+    assert abs(res.m_computed - guarded) <= eigen.DEFAULT_CONFIG.tol_d
     assert res.passed  # M is bisected upward from the scan's N
     # m_value bisects upward from the same N
-    assert n < sos.m_value(6, 5, -1) <= guarded + sos.DEFAULT_TOL_D
+    assert n < sos.m_value(6, 5, -1) <= guarded + eigen.DEFAULT_CONFIG.tol_d
     assert calls == []
 
 

@@ -332,6 +332,25 @@ def test_certify_writes_confirmed_bundle(tmp_path, capsys):
     assert len(doc["bundle"]["minimizer"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--m", "4", "--d", "1", "--u", "0", "--c", "0", "--x", "1,1,1"],
+        ["analyze", "--m", "6", "--u", "-1", "--c", "-1", "--no-certificate"],
+        ["table", "--table", "2"],
+        ["breakpoints", "--m", "4"],
+        ["certify", "--m", "6", "--u", "-1", "--c", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.out == ""
+
+
 def test_certify_unnormalized_c_is_usage_error(capsys):
     assert cli.main(["certify", "--m", "6", "--u", "2", "--c", "3"]) == 2
     capsys.readouterr()

