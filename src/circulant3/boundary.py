@@ -232,7 +232,9 @@ class BoundaryReport:
     closed forms N is the scan's lower bound and M, certified, an upper
     bound, so [N, M] encloses the threshold.  ``n_guard`` names the
     evidence behind N (GUARD_*): a closed form, a certificate at d = N
-    itself, or the scan alone.  Component failures, and SOS steps that
+    itself, or the scan alone.  ``m_method`` says where M came from:
+    "closed-form", "at-n" (M is N itself) or "bisection" (bisected
+    upward from N).  Component failures, and SOS steps that
     is_sos could not decide, land in ``errors`` instead of raising.
     """
 
@@ -322,7 +324,10 @@ def _report(
         n_tag=n.tag,
         n_guard=guard,
         m_val=m_val,
-        m_method="closed-form" if n.tag in SOS_EXACT_TAGS else "bisection",
+        m_method=(
+            "closed-form" if n.tag in SOS_EXACT_TAGS
+            else "at-n" if m_val == float(n.value) else "bisection"
+        ),
         gap=gap,
         confirmed=confirmed,
         tol_d=cfg.tol_d,

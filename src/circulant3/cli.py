@@ -41,18 +41,12 @@ class RunConfig(SolverConfig):
 
     The solver settings and their checks are SolverConfig's, and a
     RunConfig is passed on as the solver config itself; the run adds
-    the order cap, the worker count and the output.
+    the order cap and the output.
     """
 
     max_m: int = 14
-    jobs: int = 1
     format: str = "pretty"
     out: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -95,7 +89,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in ("seed", "jobs", "format", "out", "tol_d"):
+    for key in ("seed", "format", "out", "tol_d"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -202,7 +196,7 @@ def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("error: --table must be in 1..9", file=sys.stderr)
         return EXIT_USAGE
     try:
-        results = tables.run_tables(wanted, jobs=cfg.jobs, cfg=cfg)
+        results = tables.run_tables(wanted, cfg)
     except FileNotFoundError as exc:
         print(f"error: fixture not found: {exc}", file=sys.stderr)
         return EXIT_FIXTURE
@@ -286,10 +280,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, default: object) -> None:
                         help="path to a key = value config file")
     parser.add_argument("--seed", type=int, default=default,
                         help="RNG seed for solver multistarts")
-    parser.add_argument("--jobs", type=int, default=default,
-                        help="worker processes for table rows (at most the CPU count)")
     parser.add_argument("--format", choices=FORMATS, default=default,
-                        help="output format")
+                        help="output format (csv: table only)")
     parser.add_argument("--out", default=default,
                         help="write output to this path instead of stdout")
     parser.add_argument("--tol-d", dest="tol_d", type=float, default=default,
@@ -354,6 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = resolve_config(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if cfg.format == "csv" and args.command != "table":
+        print(f"error: --format csv is for table only, not {args.command}", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args, cfg)
 

@@ -342,9 +342,13 @@ def m_value(m: int, u: Scalar, c: Scalar, cfg: SolverConfig = DEFAULT_CONFIG) ->
     diagonal-dominance bound, exploiting upward closure of the SOS
     property in d; it is N itself when is_sos accepts d = N. Every SOS
     verdict is decided at ``cfg.sos_tol``; SolverConfig has checked both
-    tolerances before any search runs.
+    tolerances before any search runs. Raises SosUndecided, naming the d
+    at which is_sos could not decide, rather than return an uncertified M.
     """
-    return _guarded_threshold(m, u, c, cfg).value
+    value, _, undecided = _guarded_threshold(m, u, c, cfg)
+    if undecided is not None:
+        raise SosUndecided(undecided)
+    return value
 
 
 class Threshold(NamedTuple):

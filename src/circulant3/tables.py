@@ -16,11 +16,8 @@ for any selection of rows and grades them with a per-row tolerance:
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence
 
@@ -163,52 +160,10 @@ def compute_row(row: FixtureRow, cfg: SolverConfig = DEFAULT_CONFIG) -> RowResul
     )
 
 
-# thread-count variables of the BLAS builds numpy ships with, read when
-# the library loads
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin BLAS to one thread in the processes started inside the block."""
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
-
-
-def run_tables(
-    tables: Sequence[int], jobs: int = 1, cfg: SolverConfig = DEFAULT_CONFIG
-) -> List[RowResult]:
-    """Recompute every row of the selected tables, in fixture order.
-
-    With jobs > 1 (capped at the CPU count and the number of rows) the
-    rows are solved in that many worker processes, each started fresh
-    with BLAS pinned to one thread; results come back in fixture order
-    whatever the completion order.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+def run_tables(tables: Sequence[int], cfg: SolverConfig = DEFAULT_CONFIG) -> List[RowResult]:
+    """Recompute every row of the selected tables, in fixture order."""
     wanted = set(tables)
-    rows = [r for r in load_fixture() if r.table in wanted]
-    jobs = min(jobs, os.cpu_count() or 1, len(rows))
-    if jobs <= 1:
-        return [compute_row(r, cfg) for r in rows]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    row_job = partial(compute_row, cfg=cfg)
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-        with _one_blas_thread():  # every worker starts while the rows are submitted
-            results = pool.map(row_job, rows)
-        return list(results)
+    return [compute_row(r, cfg) for r in load_fixture() if r.table in wanted]
 
 
 CSV_HEADER = "table,m,c,u,M_computed,N_computed,M_expected,N_expected,pass"

@@ -33,7 +33,7 @@ def _gate(name, ok, detail=""):
 
 def test_criterion_1_first_table_reproduction():
     start = time.monotonic()
-    results = tables.run_tables([1], jobs=4)
+    results = tables.run_tables([1])
     worst = 0.0
     ok = len(results) == 5
     for res in results:
@@ -88,7 +88,7 @@ EXACT_INTEGER_ROWS = {
 
 def test_criterion_3_remaining_tables_reproduction():
     start = time.monotonic()
-    results = tables.run_tables(list(range(2, 10)), jobs=4)
+    results = tables.run_tables(list(range(2, 10)))
     ok = len(results) == 56 and all(r.passed for r in results)
     n_failed = sum(1 for r in results if not r.passed)
     exact_checked = 0

@@ -186,15 +186,27 @@ def test_analyze_confirms_exact_branch_with_bundle():
     assert report.breakpoint is None
 
 
-def test_analyze_bisection_branch_without_certificate():
+def test_analyze_bisection_branch_without_certificate(monkeypatch):
+    # is_sos accepts d = N at (6, 1, 0): M is N itself, and no bisection runs
     report = boundary.analyze(6, 1, 0, with_certificate=False)
-    assert report.m_method == "bisection"
+    assert report.m_method == "at-n"
+    assert report.m_val == report.n
     assert report.bundle is None
     assert abs(report.m_val - 1.7373484717783816) <= 1e-4
     assert report.confirmed
     doc = json.loads(json.dumps(report.to_json_dict()))
     assert doc == report.to_json_dict()
     assert doc["confirmed"] is True
+    # rejected at d = N, M is bisected upward from N
+    n, real = report.n, sos.is_sos
+
+    def no_certificate_at_n(t, tol=sos.DEFAULT_SOS_TOL):
+        return (False, None) if float(t.d) == n else real(t, tol)
+
+    monkeypatch.setattr(sos, "is_sos", no_certificate_at_n)
+    report = boundary.analyze(6, 1, 0, with_certificate=False)
+    assert report.m_method == "bisection"
+    assert n < report.m_val <= n + eigen.DEFAULT_CONFIG.tol_d
 
 
 def test_analyze_attaches_breakpoint_on_unit_c_slices():
@@ -391,6 +403,31 @@ def test_non_minimal_scan_point_leaves_the_report_unconfirmed(monkeypatch):
     # is not a solver failure
     assert abs(report.m_val - true_n) <= 1e-4
     assert not report.failed
+
+
+def test_m_value_raises_when_sos_is_undecided(monkeypatch):
+    # m_value returns only a certified M; where is_sos cannot decide, the
+    # reason is raised, not dropped
+    real = sos.is_sos
+
+    def undecided(t, tol=sos.DEFAULT_SOS_TOL):
+        raise sos.SosUndecided("forced")
+
+    monkeypatch.setattr(sos, "is_sos", undecided)
+    with pytest.raises(sos.SosUndecided, match="^at the PSD threshold d = .*: forced$"):
+        sos.m_value(6, 5, -1)
+    hi = float(tensor.dd_bound(6, 5, -1))
+
+    def midpoint_undecided(t, tol=sos.DEFAULT_SOS_TOL):
+        if float(t.d) == hi:
+            return real(t, tol)
+        if float(t.d) < 9.43:
+            return False, None
+        raise sos.SosUndecided("forced")
+
+    monkeypatch.setattr(sos, "is_sos", midpoint_undecided)
+    with pytest.raises(sos.SosUndecided, match="^at the bisection midpoint d = .*: forced$"):
+        sos.m_value(6, 5, -1)
 
 
 def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):

@@ -129,7 +129,7 @@ def _shape(doc):
 
 
 CONFIG_SHAPE = dict.fromkeys(
-    ("eigen_tol", "format", "jobs", "max_m", "n_starts", "out", "seed", "sos_tol", "tol_d")
+    ("eigen_tol", "format", "max_m", "n_starts", "out", "seed", "sos_tol", "tol_d")
 )
 BREAKPOINT_SHAPE = dict.fromkeys(("kind", "lambda_residual", "m", "value", "value_float", "verified"))
 BUNDLE_SHAPE = {
@@ -175,9 +175,7 @@ def test_json_outputs_keep_their_key_sets(argv, expected, capsys):
 
 def test_table_csv_schema_and_all_pass(tmp_path, capsys):
     out = tmp_path / "t2.csv"
-    rc = cli.main(
-        ["table", "--table", "2", "--format", "csv", "--out", str(out), "--jobs", "2"]
-    )
+    rc = cli.main(["table", "--table", "2", "--format", "csv", "--out", str(out)])
     capsys.readouterr()
     assert rc == 0
     lines = out.read_text().splitlines()
@@ -186,43 +184,17 @@ def test_table_csv_schema_and_all_pass(tmp_path, capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
-def test_table_output_is_byte_deterministic(tmp_path, capsys):
-    paths = []
-    for jobs, name in ((1, "a.csv"), (4, "b.csv")):
-        out = tmp_path / name
-        rc = cli.main(
-            ["table", "--table", "2", "--format", "csv",
-             "--out", str(out), "--jobs", str(jobs), "--seed", "0"]
-        )
-        assert rc == 0
-        paths.append(out)
-    capsys.readouterr()
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
 GOLDEN_TABLE = Path(__file__).with_name("table_all.csv")
 GOLDEN_TABLE_MD5 = "ddb9737319f2cac98a3475b0692055b4"
 
 
-def test_table_all_reproduces_the_golden_csv_serially_and_in_processes(tmp_path, capsys):
+def test_table_all_reproduces_the_golden_csv(tmp_path, capsys):
     golden = GOLDEN_TABLE.read_bytes()
     assert hashlib.md5(golden).hexdigest() == GOLDEN_TABLE_MD5
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}.csv"
-        argv = ["table", "--all", "--format", "csv", "--out", str(out), "--jobs", str(jobs)]
-        assert cli.main(argv) == 0
-        assert out.read_bytes() == golden, f"--jobs {jobs}"
+    out = tmp_path / "table.csv"
+    assert cli.main(["table", "--all", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
     capsys.readouterr()
-
-
-def test_process_pool_pins_blas_only_while_workers_start(monkeypatch):
-    for var in tables._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    with tables._one_blas_thread():
-        assert all(os.environ[var] == "1" for var in tables._BLAS_THREAD_VARS)
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_table_requires_selection():
@@ -358,7 +330,7 @@ def test_certify_unnormalized_c_is_usage_error(capsys):
 
 def test_config_file_sets_defaults_and_rejects_unknown_keys(tmp_path, capsys):
     good = tmp_path / "good.cfg"
-    good.write_text("seed = 7\nformat = json\n# comment\n\njobs = 2\n")
+    good.write_text("seed = 7\nformat = json\n# comment\n\nmax_m = 8\n")
     rc = cli.main(
         ["--config", str(good), "analyze", "--m", "6", "--u", "-1", "--c", "0",
          "--no-certificate"]
@@ -366,7 +338,7 @@ def test_config_file_sets_defaults_and_rejects_unknown_keys(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["config"]["seed"] == 7
-    assert doc["config"]["jobs"] == 2
+    assert doc["config"]["max_m"] == 8
     bad = tmp_path / "bad.cfg"
     bad.write_text("not_a_key = 1\n")
     assert cli.main(["--config", str(bad), "breakpoints", "--m", "6"]) == 2
@@ -375,18 +347,41 @@ def test_config_file_sets_defaults_and_rejects_unknown_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_jobs_below_one_is_usage_error(tmp_path, capsys):
-    for jobs in ("0", "-1"):
-        assert cli.main(["table", "--table", "6", "--jobs", jobs, "--format", "csv"]) == 2
-        captured = capsys.readouterr()
-        assert "jobs must be >= 1" in captured.err
-        assert captured.out == ""
+def test_jobs_is_no_longer_a_flag_or_a_config_key(tmp_path, capsys):
+    # table runs its rows in one process, so there is no worker count to set
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["table", "--table", "6", "--jobs", "2"])
+    assert exc_info.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
     cfg = tmp_path / "cfg"
-    cfg.write_text("jobs = 0\n")
-    assert cli.main(["--config", str(cfg), "table", "--table", "6"]) == 2
-    assert "jobs must be >= 1" in capsys.readouterr().err
-    with pytest.raises(ValueError):
-        tables.run_tables([6], jobs=0)
+    cfg.write_text("jobs = 2\n")
+    assert cli.main(["--config", str(cfg), "table", "--table", "6"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unknown config key 'jobs'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--m", "4", "--d", "1", "--u", "0", "--c", "0", "--x", "1,1,1"],
+        ["analyze", "--m", "6", "--u", "-1", "--c", "-1", "--no-certificate"],
+        ["breakpoints", "--m", "4"],
+        ["certify", "--m", "6", "--u", "-1", "--c", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_format_outside_table_is_a_usage_error(argv, tmp_path, capsys):
+    # these commands have no csv output, and a format they would ignore is
+    # refused rather than silently replaced
+    assert cli.main(argv + ["--format", "csv"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --format csv is for table only, not {argv[0]}\n"
+    assert captured.out == ""
+    cfg = tmp_path / "cfg"
+    cfg.write_text("format = csv\n")
+    assert cli.main(["--config", str(cfg)] + argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_nonpositive_or_non_finite_settings_are_usage_errors(tmp_path, capsys):
@@ -433,7 +428,7 @@ def test_config_file_sets_every_key(tmp_path, capsys):
     # existing config files into usage errors
     out = tmp_path / "report.json"
     expected = {"tol_d": 2e-7, "sos_tol": 3e-7, "eigen_tol": 4e-9, "n_starts": 8, "seed": 5,
-                "max_m": 8, "jobs": 2, "format": "json", "out": str(out)}
+                "max_m": 8, "format": "json", "out": str(out)}
     path = tmp_path / "run.cfg"
     path.write_text("".join(f"{key} = {value}\n" for key, value in expected.items()))
     argv = ["--config", str(path), "analyze", "--m", "6", "--u", "-1", "--c", "0",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import circulant3
-from circulant3 import boundary, sdp, sos, tables
+from circulant3 import boundary, sdp, sos
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
 
@@ -273,8 +273,8 @@ def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
     out = subprocess.run(
         [sys.executable, "-c", _FACE_14_CHILD],
         capture_output=True, text=True,
-        env={**os.environ, **dict.fromkeys(tables._BLAS_THREAD_VARS, "1"),
-             "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+             "MKL_NUM_THREADS": "1", "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["stall", "31"]
