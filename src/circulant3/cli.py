@@ -146,18 +146,24 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         return EXIT_USAGE
     value = t.eval_form(x)
     power = t.apply_power(x)
-    if cfg.format == "json":
-        text = json.dumps(
-            {
-                "config": cfg.to_json_dict(),
-                "f": _scalar_repr(value),
-                "power": [_scalar_repr(p) for p in power],
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    else:
-        text = f"f(x) = {value}\nA x^(m-1) = ({power[0]}, {power[1]}, {power[2]})"
+    try:
+        if cfg.format == "json":
+            text = json.dumps(
+                {
+                    "config": cfg.to_json_dict(),
+                    "f": _scalar_repr(value),
+                    "power": [_scalar_repr(p) for p in power],
+                },
+                sort_keys=True,
+                indent=2,
+            )
+        else:
+            text = f"f(x) = {value}\nA x^(m-1) = ({power[0]}, {power[1]}, {power[2]})"
+    except ValueError as exc:
+        # an exact integer with more digits than Python converts to text
+        # (4,300 by default, sys.set_int_max_str_digits)
+        print(f"error: the exact value cannot be written as text: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if _emit(text, cfg) else EXIT_USAGE
 
 

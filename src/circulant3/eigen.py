@@ -21,7 +21,10 @@ breakpoint. The thresholds use the scan alone (``_scan_min``):
 ``boundary.n_value`` takes N from it, a lower bound on the threshold,
 and the certificate bundle its minimizer. A Gram certificate at d = M
 bounds the threshold from above (SOS implies PSD), so [N, M] encloses
-it whatever the search.
+it whatever the search. The scan's section minima sit behind a small
+cache in ``kernels``: ``sos`` finds the zeros of the form at d = N
+among the minima at d = 0, the ones N was read from, so a threshold
+scans its section once.
 
 The search budget (scan grid, Newton polish and descent iterations,
 second-round Newton tolerance) is one set of module constants, the same
@@ -153,8 +156,12 @@ def _scan_two_equal(m: int, d: float, u: float, c: float):
 
 
 def _section_minima(m: int, d: float, u: float, c: float):
-    """Every polished local minimum of the form over x = (s, s, t), at the same budget."""
-    return kernels.section_minima(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
+    """Every polished local minimum of the form over x = (s, s, t), at the same budget.
+
+    Read-only arrays from the kernels' cache, which ``_scan_two_equal``
+    reads too.
+    """
+    return kernels.cached_section_minima(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
 
 
 def _eigenpair(

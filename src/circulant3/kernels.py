@@ -14,7 +14,9 @@ searches behind ``eigen.lambda_min`` are batched in numpy:
   start;
 * section_minima evaluates the two-equal-coordinate grid in one pass
   and polishes every grid minimum with the same Newton; scan_two_equal
-  keeps the smallest of them.
+  keeps the smallest of them. scan_two_equal and the zero scan of
+  ``sos`` read the minima through cached_section_minima, a small cache,
+  so N's scan at d = 0 and the zero scan of the same section run it once.
 
 Batched powers go through ``np.float_power``, which calls the C
 library's pow for each element like Python's ``**`` does, and every
@@ -24,6 +26,7 @@ batched column carries the same bits as the scalar loop from its start.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -381,9 +384,24 @@ def section_minima(m, d, u, c, n_grid, polish_iters):
         return _newton(m, d, u, c, np.vstack([x, _eval_batch(m, d, u, c, x)]), 20)
 
 
+@functools.lru_cache(maxsize=8)
+def cached_section_minima(m, d, u, c, n_grid, polish_iters):
+    """section_minima behind a bounded cache, as read-only arrays.
+
+    The thresholds scan the section of A(m, 0, u, c) for N and then look
+    for the zeros of A(m, N, u, c) on the same section, where the form
+    over the unit m-norm sphere is the one at d = 0 shifted by N: both
+    read these minima, so a table row runs the scan once.
+    """
+    state, res = section_minima(m, d, u, c, n_grid, polish_iters)
+    state.flags.writeable = False
+    res.flags.writeable = False
+    return state, res
+
+
 def scan_two_equal(m, d, u, c, n_grid, polish_iters):
     """The smallest of the section minima: (lam, x1, x2, x3, residual).
 
     (inf, 0, 0, 0, inf) when the grid has no local minimum.
     """
-    return _best(*section_minima(m, d, u, c, n_grid, polish_iters))
+    return _best(*cached_section_minima(m, d, u, c, n_grid, polish_iters))

@@ -55,6 +55,16 @@ _RG_TOL = 1e-10
 _MAX_ITER = 150
 
 
+def _checked_rhs(coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs as a float array, ValueError unless it is finite with one entry per matrix."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (coeffs.shape[0],):
+        raise ValueError("rhs length must match the number of constraint matrices")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("constraint data must be finite")
+    return rhs
+
+
 @dataclass(frozen=True)
 class SdpProblem:
     """Equality-constrained max-lambda-min problem on symmetric matrices.
@@ -62,7 +72,8 @@ class SdpProblem:
     ``coeffs`` stacks the L symmetric constraint matrices as an
     (L, N, N) array; ``rhs`` holds the right-hand sides b_l. The matrices
     must be nonzero and mutually orthogonal, |<A_k, A_l>| <= 1e-12 max_l
-    ||A_l||^2 for k != l, else ValueError.
+    ||A_l||^2 for k != l, else ValueError. ``with_rhs`` makes the same
+    problem with other right-hand sides and checks only those.
     """
 
     dim: int
@@ -73,16 +84,14 @@ class SdpProblem:
         if self.dim < 1 or self.dim > _MAX_DIM:
             raise ValueError(f"matrix side must be in [1, {_MAX_DIM}], got {self.dim}")
         coeffs = np.asarray(self.coeffs, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
         if coeffs.ndim != 3 or coeffs.shape[1:] != (self.dim, self.dim):
             raise ValueError(f"coeffs must have shape (L, {self.dim}, {self.dim})")
-        if rhs.shape != (coeffs.shape[0],):
-            raise ValueError("rhs length must match the number of constraint matrices")
+        rhs = _checked_rhs(coeffs, self.rhs)
         if coeffs.shape[0] < 1:
             raise ValueError("constraint list must be nonempty")
         if not np.allclose(coeffs, np.swapaxes(coeffs, 1, 2), atol=1e-12):
             raise ValueError("constraint matrices must be symmetric")
-        if not (np.all(np.isfinite(coeffs)) and np.all(np.isfinite(rhs))):
+        if not np.all(np.isfinite(coeffs)):
             raise ValueError("constraint data must be finite")
         gram = np.tensordot(coeffs, coeffs, axes=([1, 2], [1, 2]))
         norms = np.diag(gram)
@@ -91,6 +100,18 @@ class SdpProblem:
             raise ValueError("constraint matrices must be nonzero and mutually orthogonal")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rhs", rhs)
+
+    def with_rhs(self, rhs: np.ndarray) -> "SdpProblem":
+        """This problem's constraint matrices, shared and not checked again, with new rhs.
+
+        The right-hand sides get the checks of a new problem (length and
+        finiteness); the matrices passed them when this problem was built.
+        """
+        problem = object.__new__(SdpProblem)
+        object.__setattr__(problem, "dim", self.dim)
+        object.__setattr__(problem, "coeffs", self.coeffs)
+        object.__setattr__(problem, "rhs", _checked_rhs(self.coeffs, rhs))
+        return problem
 
     def scale(self) -> float:
         """max(1, max_l |b_l|): the unit of every tolerance on the problem."""

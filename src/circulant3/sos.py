@@ -16,16 +16,28 @@ interior. There the problem is solved on that face of the PSD cone
 spanning the complement of the monomial vectors of every zero the
 two-equal-coordinate scan finds, and the dependent restricted
 constraints replaced by an orthogonal basis of their span, read off
-one small eigendecomposition. The resulting G is still checked against
-the full problem. Every such G has the zeros' monomial vectors in its
-kernel, so lambda_min(G) = 0 whatever H is: the face solve stops at its
-first PSD iterate, while a full solve runs to the optimum, whose t* is
-the certificate's margin.
+one small eigendecomposition. Every form of the family is invariant
+under permuting x1, x2, x3, and so is the face, so the face solve
+needs one constraint per S3 orbit of exponent triples, the sum of the
+orbit's constraints, and the G it returns is averaged over the six
+permutations of the monomial basis, which restores every single
+constraint ("Symmetry groups, semidefinite programs, and sums of
+squares", Gatermann and Parrilo, 2004). The averaged G is still checked
+against the full problem. Every such G has the zeros' monomial vectors
+in its kernel, so lambda_min(G) = 0 whatever H is: the face solve stops
+at its first PSD iterate, while a full solve runs to the optimum, whose
+t* is the certificate's margin, on the full, unreduced constraints.
+
+What the Gram problems of one order share, the constraint stack, its
+orbit sums and the basis permutations, is built once per order, on
+first use, as read-only arrays, and checked once; each problem adds
+only its right-hand sides.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -141,16 +153,31 @@ class GramCertificate:
         return cls(basis, G, float(doc["min_eig"]), float(doc["reconstruction_error"]))
 
 
-def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
-    """Equality constraints tying a Gram matrix to the form's coefficients.
+class _GramStructure(NamedTuple):
+    """The parts of every degree-m Gram problem that depend on m alone.
 
-    One constraint per degree-m exponent triple mu (including those with
-    zero coefficient): the sum of G over all basis index pairs (i, j)
-    with exp_i + exp_j = mu equals the coefficient of mu.
+    ``problem`` is the constraint stack of build_gram_problem with zero
+    right-hand sides, one matrix per exponent triple of ``monos``.
+    ``orbit_sum`` is the 0/1 matrix that sums over each S3 orbit of those
+    triples, and ``orbits`` the problem of the summed matrices, again
+    with zero right-hand sides. Row k of ``perms`` is the permutation of
+    the monomial basis that one of the six permutations of x1, x2, x3
+    induces: (P G P')[i, j] = G[p[i], p[j]].
     """
-    m = form.degree
-    if m % 2 != 0:
-        raise ValueError(f"degree must be even for a Gram construction, got {m}")
+
+    basis: MonomialBasis
+    monos: Tuple[Tuple[int, int, int], ...]
+    problem: sdp.SdpProblem
+    orbit_sum: np.ndarray
+    orbits: sdp.SdpProblem
+    perms: np.ndarray
+
+
+# one entry per even order; SdpProblem refuses a side above 64, that is
+# any order above 18, before an entry is stored
+@functools.lru_cache(maxsize=None)
+def _gram_structure(m: int) -> _GramStructure:
+    """The order's Gram structure, built and checked on first use, read-only."""
     basis = MonomialBasis.for_half_degree(m // 2)
     n = len(basis)
     monos_m = _exponent_triples(m)
@@ -160,8 +187,39 @@ def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
         for j, ej in enumerate(basis.monos):
             mu = (ei[0] + ej[0], ei[1] + ej[1], ei[2] + ej[2])
             coeffs[index[mu], i, j] = 1.0
-    rhs = np.array([float(form.coefficient(*mu)) for mu in monos_m])
-    return sdp.SdpProblem(n, coeffs, rhs)
+    orbit_of: dict = {}
+    orbit = [orbit_of.setdefault(tuple(sorted(mu)), len(orbit_of)) for mu in monos_m]
+    orbit_sum = np.zeros((len(orbit_of), len(monos_m)))
+    orbit_sum[orbit, np.arange(len(monos_m))] = 1.0
+    orbit_coeffs = np.tensordot(orbit_sum, coeffs, axes=1)
+    perms = np.array([[basis.index(tuple(e[k] for k in p)) for e in basis.monos]
+                      for p in itertools.permutations(range(3))])
+    for array in (coeffs, orbit_sum, orbit_coeffs, perms):
+        array.flags.writeable = False
+    return _GramStructure(
+        basis,
+        monos_m,
+        sdp.SdpProblem(n, coeffs, np.zeros(len(monos_m))),
+        orbit_sum,
+        sdp.SdpProblem(n, orbit_coeffs, np.zeros(len(orbit_of))),
+        perms,
+    )
+
+
+def build_gram_problem(form: TernaryForm) -> sdp.SdpProblem:
+    """Equality constraints tying a Gram matrix to the form's coefficients.
+
+    One constraint per degree-m exponent triple mu (including those with
+    zero coefficient): the sum of G over all basis index pairs (i, j)
+    with exp_i + exp_j = mu equals the coefficient of mu. The constraint
+    stack is the order's (_gram_structure), shared by every form of that
+    degree and read-only; only the right-hand sides are built per call.
+    """
+    m = form.degree
+    if m % 2 != 0:
+        raise ValueError(f"degree must be even for a Gram construction, got {m}")
+    structure = _gram_structure(m)
+    return structure.problem.with_rhs([float(form.coefficient(*mu)) for mu in structure.monos])
 
 
 def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
@@ -176,11 +234,17 @@ def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
     cut by (1, 1, 1) alone holds no PSD Gram matrix. A point of the unit
     m-norm sphere is a zero when |f| there is at most _ZERO_TOL times the
     tensor's scale |d| + dd_bound.
+
+    The minima are read at d = 0, the section that N's scan searched (the
+    kernels cache them): on the unit m-norm sphere the form at d is the
+    one at d = 0 plus d, so both have the same minimizers, and a minimum
+    of value lambda at d = 0 is a zero at d when |lambda + d| is within
+    the tolerance.
     """
     m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
     tol = _ZERO_TOL * _tensor_scale(t)
-    state, _ = _section_minima(m, d, u, c)
-    return [tuple(x) for x in state[:3, np.abs(state[3]) <= tol].T.tolist()]
+    state, _ = _section_minima(m, 0.0, u, c)
+    return [tuple(x) for x in state[:3, np.abs(state[3] + d) <= tol].T.tolist()]
 
 
 def _face(t: CirculantTensor) -> Optional[np.ndarray]:
@@ -192,9 +256,11 @@ def _face(t: CirculantTensor) -> Optional[np.ndarray]:
     u = c = d > 0 the form is u (x1+x2+x3)^m, whose zeros fill a plane;
     there V is the single vector w of multinomial coefficients of
     (x1+x2+x3)^(m/2), and u w w' is the exact Gram matrix. None when the
-    form has no zero.
+    form has no zero. V spans a subspace that the permutations of the
+    monomial basis map onto itself: the zeros come with all their
+    permutations, and w is symmetric.
     """
-    basis = MonomialBasis.for_half_degree(t.m // 2)
+    basis = _gram_structure(t.m).basis
     if float(t.d) == float(t.u) == float(t.c) > 0:
         w = np.array([math.factorial(basis.k) / math.prod(map(math.factorial, e))
                       for e in basis.monos])
@@ -204,7 +270,10 @@ def _face(t: CirculantTensor) -> Optional[np.ndarray]:
         return None
     Z = np.array([[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in basis.monos]
                   for x in zeros for p in itertools.permutations(x)])
-    U, sing, _ = np.linalg.svd(Z.T)
+    # only U is read: once Z has a row per basis monomial the reduced SVD
+    # holds all of U, and the full one would build a square Vt of Z's
+    # row count (12,006 rows where every section point is a zero)
+    U, sing, _ = np.linalg.svd(Z.T, full_matrices=len(Z) < len(basis))
     return U[:, int(np.sum(sing > 1e-9 * sing[0])):]
 
 
@@ -234,6 +303,32 @@ def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
     return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U.T @ problem.rhs)
 
 
+def _orbit_problem(m: int, problem: sdp.SdpProblem) -> sdp.SdpProblem:
+    """One constraint per S3 orbit of exponent triples: the orbit's sum of the full problem's."""
+    structure = _gram_structure(m)
+    return structure.orbits.with_rhs(structure.orbit_sum @ problem.rhs)
+
+
+def _solve_on_face(m: int, problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpSolution:
+    """The face solve on one constraint per S3 orbit, with G averaged over the six permutations.
+
+    ``problem`` is the full Gram problem of an S3-invariant form and V a
+    face basis whose span the basis permutations keep (see _face). The
+    orbit sums of its constraints, restricted to V, are solved with
+    target 0. G = V H V' meets every orbit sum; its average over the
+    permutations P of the monomial basis, (1/6) sum_P P G P', stays on
+    the face and PSD, and meets each single constraint, since the
+    average of <A_nu, G> over an orbit is the orbit's sum of b over its
+    size, and b is constant on the orbit. The solution's other fields
+    are the face problem's.
+    """
+    solution = sdp.solve(_restrict(_orbit_problem(m, problem), V), target=0.0)
+    G = V @ solution.G @ V.T
+    perms = _gram_structure(m).perms
+    G = sum(G[np.ix_(p, p)] for p in perms) / len(perms)
+    return dataclasses.replace(solution, G=G)
+
+
 def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
     """ValueError naming m, d, u and c when a coefficient of the form is not a finite float.
 
@@ -255,7 +350,7 @@ def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
 def _certificate_from_solution(
     form: TernaryForm, problem: sdp.SdpProblem, G: np.ndarray, scale: float
 ) -> GramCertificate:
-    basis = MonomialBasis.for_half_degree(form.degree // 2)
+    basis = _gram_structure(form.degree).basis
     lam = float(np.linalg.eigvalsh(G)[0])
     if lam < 0.0:
         G = G + (-lam) * np.eye(G.shape[0])
@@ -280,11 +375,13 @@ def is_sos(
 
     Where the form has real zeros (at a threshold) the Gram problem has
     no interior, and the SDP is solved on the face those zeros cut out
-    (see _face); solution.t_star is then the face problem's. On the face
-    G = V H V' is singular whatever H is, so a larger lambda_min(H) buys
-    the certificate no margin: that solve gets target 0 and stops at its
-    first iterate with a PSD projection (stop "feasible"), or runs on to
-    the optimum when the face holds none. The full problem is solved to
+    (see _face), with one constraint per S3 orbit and G averaged over the
+    permutations of x1, x2, x3 (see _solve_on_face); solution.t_star is
+    then the face problem's. On the face G = V H V' is singular whatever
+    H is, so a larger lambda_min(H) buys the certificate no margin: that
+    solve gets target 0 and stops at its first iterate with a PSD
+    projection (stop "feasible"), or runs on to the optimum when the face
+    holds none. The full problem keeps every constraint and is solved to
     its optimum, as t* there is the certificate's margin. The certificate
     is still checked against the full problem, so a wrong face can make
     the verdict undecided but never a wrong "yes". A solve that breaks
@@ -301,8 +398,7 @@ def is_sos(
     if V is None:
         solution = sdp.solve(problem)
     else:
-        solution = sdp.solve(_restrict(problem, V), target=0.0)
-        solution = dataclasses.replace(solution, G=V @ solution.G @ V.T)
+        solution = _solve_on_face(t.m, problem, V)
     scale = problem.scale()
     theta = tol * scale
     if solution.t_star >= -theta:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import circulant3
 from circulant3 import boundary, cli, eigen, kernels, sos, tables, tensor
 from circulant3.boundary import (
     TAG_EIGEN_CNEG,
@@ -271,6 +276,37 @@ def test_analyze_computes_n_once(monkeypatch):
     assert ("_scan_min", 0.0) in seen
     assert ("_scan_min", report.m_val) in seen
     assert len(seen) == 3
+
+
+_ZERO_FORM_CHILD = """
+from circulant3 import boundary
+report = boundary.analyze(6, 0, 0)
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(report.confirmed, report.n, report.m_val, peak_kb // 1024)
+"""
+
+
+def test_the_zero_form_is_confirmed_in_little_memory():
+    # the zero form's section is flat, so each of its 2,001 grid points is
+    # a minimum and a zero; with 6 permutations each, the full SVD of the
+    # 10 x 12,006 matrix of their z-vectors built a 12,006-square Vt it
+    # discarded, and analyze peaked at 2.2 GB. The peak is the child's own
+    # VmHWM, which a fresh process does not inherit from this one
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak resident set from /proc")
+    src = str(Path(circulant3.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _ZERO_FORM_CHILD],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert out.returncode == 0, out.stderr
+    confirmed, n, m_val, peak_mb = out.stdout.split()
+    assert confirmed == "True"
+    assert float(n) == float(m_val) == 0.0
+    assert int(peak_mb) < 200
 
 
 def test_sdp_rejection_is_reported_not_raised(monkeypatch, capsys):

@@ -323,6 +323,21 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_eval_of_an_exact_value_too_long_for_text_is_a_usage_error(fmt, capsys):
+    # f(2, 3, 5) at m = 10000 is an integer of about 10,000 digits, past
+    # the limit of Python's int-to-str conversion; printing it ended in a
+    # traceback with exit 1
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python converts integers of any length to text")
+    argv = ["eval", "--m", "10000", "--d", "1", "--u", "1", "--c", "1", "--x", "2,3,5",
+            "--format", fmt]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the exact value cannot be written as text")
+    assert captured.out == ""
+
+
 def test_certify_unnormalized_c_is_usage_error(capsys):
     assert cli.main(["certify", "--m", "6", "--u", "2", "--c", "3"]) == 2
     capsys.readouterr()

@@ -198,13 +198,16 @@ def test_stacked_step_lengths_equal_the_one_matrix_formula_bit_for_bit():
     assert sdp._step_lengths(D @ D.T, np.eye(5), np.eye(5), np.eye(5)) == (1.0, 1.0)
 
 
-def _face_problem(m, d, u, c):
+def _face_problem(m, d, u, c, orbits=False):
+    # the full problem restricted to the face, or with orbits set the
+    # problem is_sos solves there: its S3-orbit sums, restricted
     t = make_tensor(m, d, u, c)
-    return sos._restrict(build_gram_problem(t.to_form()), sos._face(t))
+    full = build_gram_problem(t.to_form())
+    return sos._restrict(sos._orbit_problem(m, full) if orbits else full, sos._face(t))
 
 
-def _at_threshold(m, u, c):
-    return _face_problem(m, boundary.n_value(m, u, c).value, u, c)
+def _at_threshold(m, u, c, orbits=False):
+    return _face_problem(m, boundary.n_value(m, u, c).value, u, c, orbits)
 
 
 def _off_diagonal(prob):
@@ -214,14 +217,29 @@ def _off_diagonal(prob):
 
 
 def test_every_problem_the_package_builds_has_orthogonal_constraints():
-    # the solver's precondition: full Gram problems, and the face problems
-    # at three thresholds and on the rank-one face w of (x1+x2+x3)^6
+    # the solver's precondition: full Gram problems and their S3-orbit
+    # sums, and the face problems at three thresholds and on the rank-one
+    # face w of (x1+x2+x3)^6, restricted from the full problem and from
+    # its orbit sums
     for m in range(4, 16, 2):
-        assert _off_diagonal(build_gram_problem(make_tensor(m, 1, 0.5, -1).to_form())) == 0.0
-    faces = [_at_threshold(6, 5, -1), _face_problem(6, 1, 1, 1),
-             _at_threshold(8, 20, 1), _at_threshold(14, 400, -1)]
-    for prob in faces:
-        assert _off_diagonal(prob) <= 1e-12
+        full = build_gram_problem(make_tensor(m, 1, 0.5, -1).to_form())
+        assert _off_diagonal(full) == 0.0
+        assert _off_diagonal(sos._orbit_problem(m, full)) == 0.0
+    for orbits in (False, True):
+        faces = [_at_threshold(6, 5, -1, orbits), _face_problem(6, 1, 1, 1, orbits),
+                 _at_threshold(8, 20, 1, orbits), _at_threshold(14, 400, -1, orbits)]
+        for prob in faces:
+            assert _off_diagonal(prob) <= 1e-12
+
+
+def test_with_rhs_shares_the_checked_matrices_and_checks_the_new_rhs():
+    prob = _problem(2, [([[1.0, 0.0], [0.0, 0.0]], 1.0), ([[0.0, 0.0], [0.0, 1.0]], 2.0)])
+    other = prob.with_rhs([3.0, 4.0])
+    assert other.dim == 2 and other.coeffs is prob.coeffs
+    assert other.rhs.tolist() == [3.0, 4.0] and prob.rhs.tolist() == [1.0, 2.0]
+    for bad in ([1.0], [1.0, 2.0, 3.0], [1.0, math.nan], [math.inf, 1.0]):
+        with pytest.raises(ValueError):
+            prob.with_rhs(bad)
 
 
 def test_stop_records_why_the_loop_ended(monkeypatch):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -334,6 +335,77 @@ def test_only_face_solves_are_given_a_target(monkeypatch):
         calls.clear()
         sos.is_sos(make_tensor(m, d, u, c))
         assert calls == [((), {})], (m, d, u, c)
+
+
+def _basis_permutations(k):
+    # index arrays p with (P G P')[i, j] = G[p[i], p[j]], one per
+    # permutation of x1, x2, x3 acting on the degree-k monomials
+    monos = sos.MonomialBasis.for_half_degree(k).monos
+    return [[monos.index(tuple(e[i] for i in perm)) for e in monos]
+            for perm in itertools.permutations(range(3))]
+
+
+def test_a_face_is_solved_on_one_constraint_per_s3_orbit(monkeypatch):
+    # at (12, N, 1, 0) the 91 exponent triples of degree 12 fall into 19
+    # orbits under permuting x1, x2, x3; the face solve gets at most one
+    # constraint per orbit, where restricting the full problem gave it 82,
+    # and G averaged over the permutations is invariant under them (the
+    # unaveraged face solution was off by 8e-13 of max |G|) and passes the
+    # full check at theta
+    m, u, c = 12, 1, 0
+    t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
+    sizes = []
+    solve = sdp.solve
+
+    def spy(problem, *args, **kwargs):
+        sizes.append(len(problem.rhs))
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    ok, cert = sos.is_sos(t)
+    assert ok
+    [size] = sizes
+    assert size <= 19
+    G = cert.G
+    for p in _basis_permutations(m // 2):
+        assert np.max(np.abs(G[np.ix_(p, p)] - G)) <= 1e-14 * np.max(np.abs(G))
+    full = sos.build_gram_problem(t.to_form())
+    assert len(sos._orbit_problem(m, full).rhs) == 19
+    good, viol = sdp.check_certificate(G, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
+    assert good, f"violation {viol:.3e}"
+
+
+def test_each_table_row_scans_its_section_once(monkeypatch):
+    # N's scan at d = 0 and the zero scan of the face at d = N read one set
+    # of section minima, as the form on the unit m-norm sphere moves by
+    # exactly d; an eigen row ran kernels.section_minima twice when the
+    # zero scan searched the section at d = N
+    calls = []
+    section_minima = kernels.section_minima
+
+    def spy(*args):
+        calls.append(args)
+        return section_minima(*args)
+
+    monkeypatch.setattr(kernels, "section_minima", spy)
+    for row in tables.load_fixture():
+        kernels.cached_section_minima.cache_clear()
+        calls.clear()
+        assert tables.compute_row(row).passed
+        assert len(calls) == 1, (row.table, row.u)
+
+
+def test_forms_of_one_order_share_one_read_only_constraint_stack():
+    a = sos.build_gram_problem(make_tensor(8, 3, 1, -1).to_form())
+    b = sos.build_gram_problem(make_tensor(8, 40, 20, 1).to_form())
+    assert a.coeffs is b.coeffs
+    assert not np.array_equal(a.rhs, b.rhs)
+    with pytest.raises(ValueError):
+        a.coeffs[0, 0, 0] = 2.0
+    # the minima the kernels cache are read-only too
+    state, res = kernels.cached_section_minima(8, 0.0, 1.0, -1.0, 101, 40)
+    with pytest.raises(ValueError):
+        state[0, 0] = 2.0
 
 
 BREAKPOINT_ROWS = [(6, Fraction(-70, 11)), (8, Fraction(-686, 43))]
