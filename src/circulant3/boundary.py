@@ -234,8 +234,10 @@ class BoundaryReport:
     evidence behind N (GUARD_*): a closed form, a certificate at d = N
     itself, or the scan alone.  ``m_method`` says where M came from:
     "closed-form", "at-n" (M is N itself) or "bisection" (bisected
-    upward from N).  Component failures, and SOS steps that
-    is_sos could not decide, land in ``errors`` instead of raising.
+    upward from N), and "undecided" when no certificate backs M (is_sos
+    could not decide, or N or M failed).  Component failures, and SOS
+    steps that is_sos could not decide, land in ``errors`` instead of
+    raising.
     """
 
     m: int
@@ -325,7 +327,8 @@ def _report(
         n_guard=guard,
         m_val=m_val,
         m_method=(
-            "closed-form" if n.tag in SOS_EXACT_TAGS
+            "undecided" if cert is None
+            else "closed-form" if n.tag in SOS_EXACT_TAGS
             else "at-n" if m_val == float(n.value) else "bisection"
         ),
         gap=gap,

@@ -19,17 +19,22 @@ constraints replaced by an orthogonal basis of their span, read off
 one small eigendecomposition. Every form of the family is invariant
 under permuting x1, x2, x3, and so is the face, so the face solve
 needs one constraint per S3 orbit of exponent triples, the sum of the
-orbit's constraints, and the G it returns is averaged over the six
-permutations of the monomial basis, which restores every single
-constraint ("Symmetry groups, semidefinite programs, and sums of
-squares", Gatermann and Parrilo, 2004). The averaged G is still checked
-against the full problem. Every such G has the zeros' monomial vectors
-in its kernel, so lambda_min(G) = 0 whatever H is: the face solve stops
-at its first PSD iterate, while a full solve runs to the optimum, whose
-t* is the certificate's margin, on the full, unreduced constraints.
+orbit's constraints, and only the Gram matrices the permutations leave
+unchanged. Those split into blocks over the face's isotypic parts:
+G = B_t H_t B_t' + B_s H_s B_s' + B_1 H_q B_1' + B_2 H_q B_2', on the
+trivial part, the sign part and the copies of the two-dimensional
+standard representation ("Symmetry groups, semidefinite programs, and
+sums of squares", Gatermann and Parrilo, 2004). The unknown H =
+blockdiag(H_t, H_s, H_q) has about two thirds of the face's side, and
+the G it maps to meets every single constraint. That G is still
+checked against the full problem. Every such G has the zeros' monomial
+vectors in its kernel, so lambda_min(G) = 0 whatever H is: the face
+solve stops at its first PSD iterate, while a full solve runs to the
+optimum, whose t* is the certificate's margin, on the full, unreduced
+constraints.
 
 What the Gram problems of one order share, the constraint stack, its
-orbit sums and the basis permutations, is built once per order, on
+orbit sums and the isotypic projectors, is built once per order, on
 first use, as read-only arrays, and checked once; each problem adds
 only its right-hand sides.
 """
@@ -41,7 +46,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,9 +165,16 @@ class _GramStructure(NamedTuple):
     right-hand sides, one matrix per exponent triple of ``monos``.
     ``orbit_sum`` is the 0/1 matrix that sums over each S3 orbit of those
     triples, and ``orbits`` the problem of the summed matrices, again
-    with zero right-hand sides. Row k of ``perms`` is the permutation of
-    the monomial basis that one of the six permutations of x1, x2, x3
-    induces: (P G P')[i, j] = G[p[i], p[j]].
+    with zero right-hand sides. ``projectors`` are the operators
+    (E_t, E_s, E_11, E_21) on the monomial basis that permuting x1, x2,
+    x3 splits it by: onto its trivial and its sign part, onto the first
+    vectors of the copies of the two-dimensional standard representation
+    rho, and from those onto their partners. With P_s the permutation
+    matrix of s on the basis ((P G P')[i, j] = G[p[i], p[j]]),
+    E_t = (1/6) sum_s P_s, E_s = (1/6) sum_s sign(s) P_s and
+    E_ab = (2/6) sum_s rho(s)[a, b] P_s; rho is the same rule on the
+    degree-1 basis, restricted to the plane x1 + x2 + x3 = 0, so that
+    E_21 E_11 = E_21 (the other rule, P_s', breaks that).
     """
 
     basis: MonomialBasis
@@ -170,7 +182,19 @@ class _GramStructure(NamedTuple):
     problem: sdp.SdpProblem
     orbit_sum: np.ndarray
     orbits: sdp.SdpProblem
-    perms: np.ndarray
+    projectors: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _permutation_matrices(monos: Tuple[Tuple[int, int, int], ...]) -> np.ndarray:
+    """One matrix P per permutation of x1, x2, x3 on ``monos``: (P G P')[i, j] = G[p[i], p[j]]."""
+    eye = np.eye(len(monos))
+    return np.array([eye[[monos.index(tuple(e[k] for k in p)) for e in monos]]
+                     for p in itertools.permutations(range(3))])
+
+
+# an orthonormal basis of the plane x1 + x2 + x3 = 0, on which the
+# permutations act by the standard representation of S3
+_PLANE = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
 
 
 # one entry per even order; SdpProblem refuses a side above 64, that is
@@ -192,9 +216,12 @@ def _gram_structure(m: int) -> _GramStructure:
     orbit_sum = np.zeros((len(orbit_of), len(monos_m)))
     orbit_sum[orbit, np.arange(len(monos_m))] = 1.0
     orbit_coeffs = np.tensordot(orbit_sum, coeffs, axes=1)
-    perms = np.array([[basis.index(tuple(e[k] for k in p)) for e in basis.monos]
-                      for p in itertools.permutations(range(3))])
-    for array in (coeffs, orbit_sum, orbit_coeffs, perms):
+    P = _permutation_matrices(basis.monos)
+    rho = _PLANE.T @ _permutation_matrices(_exponent_triples(1)) @ _PLANE
+    sign = np.round(np.linalg.det(rho))
+    projectors = tuple(np.tensordot(w, P, axes=1) for w in (
+        np.ones(6) / 6, sign / 6, rho[:, 0, 0] / 3, rho[:, 1, 0] / 3))
+    for array in (coeffs, orbit_sum, orbit_coeffs) + projectors:
         array.flags.writeable = False
     return _GramStructure(
         basis,
@@ -202,7 +229,7 @@ def _gram_structure(m: int) -> _GramStructure:
         sdp.SdpProblem(n, coeffs, np.zeros(len(monos_m))),
         orbit_sum,
         sdp.SdpProblem(n, orbit_coeffs, np.zeros(len(orbit_of))),
-        perms,
+        projectors,
     )
 
 
@@ -277,30 +304,56 @@ def _face(t: CirculantTensor) -> Optional[np.ndarray]:
     return U[:, int(np.sum(sing > 1e-9 * sing[0])):]
 
 
-def _restrict(problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpProblem:
-    """The Gram problem in H for G = V H V', with independent constraints only.
+_Blocks = Sequence[Tuple[np.ndarray, ...]]
 
-    The restricted constraints V' A_l V, the rows of the L x r^2 stack A,
-    are linearly dependent (the zeros tie them together). The
-    eigenvectors U of the small L x L matrix A A' whose eigenvalues
-    exceed 1e-12 of the largest span the same row space through U' A,
-    whose rows are mutually orthogonal (U' A A' U is diagonal); the
-    right-hand sides are combined alike, U' b. The eigenvalues of A A'
-    are the squared singular values of A, so the cut keeps the
-    directions whose singular value exceeds about 1e-6 of the largest:
-    a face whose rank needs a finer resolution than that is not
+
+def _restrict(problem: sdp.SdpProblem, blocks: _Blocks) -> sdp.SdpProblem:
+    """The Gram problem in H for G = sum_b sum_i B_bi H_b B_bi', with independent constraints only.
+
+    Each block b is a tuple of bases B_bi of one width s_b (0 allowed)
+    that share one unknown H_b. H is blockdiag(H_b) and constraint A_l
+    restricts to blockdiag(sum_i B_bi' A_l B_bi); a single face basis V
+    is the one block (V,). The restricted constraints, the
+    rows of the L x s^2 stack A, are linearly dependent (the zeros tie
+    them together). The eigenvectors U of the small L x L matrix A A'
+    whose eigenvalues exceed 1e-12 of the largest span the same row space
+    through U' A, whose rows are mutually orthogonal (U' A A' U is
+    diagonal); the right-hand sides are combined alike, U' b. The
+    eigenvalues of A A' are the squared singular values of A, so the cut
+    keeps the directions whose singular value exceeds about 1e-6 of the
+    largest: a face whose rank needs a finer resolution than that is not
     separated, its dropped right-hand sides are lost, and the certificate
     check against the full problem then leaves the verdict undecided. On
-    the table's faces the kept eigenvalues are at least 4e-2 of the
-    largest and the dropped ones at most 1e-15 of it, so the rank is
-    never in doubt there.
+    the table's isotypic block faces (see _solve_on_face) the kept
+    eigenvalues are at least 2e-2 of the largest and the dropped ones at
+    most 1e-15 of it, so the rank is never in doubt there.
     """
-    r = V.shape[1]
-    A = (V.T @ problem.coeffs @ V).reshape(-1, r * r)
+    parts = [sum(B.T @ problem.coeffs @ B for B in block) for block in blocks]
+    side = sum(part.shape[1] for part in parts)
+    stacked = np.zeros((len(problem.rhs), side, side))
+    at = 0
+    for part in parts:
+        width = part.shape[1]
+        stacked[:, at:at + width, at:at + width] = part
+        at += width
+    A = stacked.reshape(-1, side * side)
     lam, U = np.linalg.eigh(A @ A.T)
     U = U[:, lam > 1e-12 * lam[-1]]
-    coeffs = (U.T @ A).reshape(-1, r, r)
-    return sdp.SdpProblem(r, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U.T @ problem.rhs)
+    coeffs = (U.T @ A).reshape(-1, side, side)
+    return sdp.SdpProblem(side, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U.T @ problem.rhs)
+
+
+def _lift(H: np.ndarray, blocks: _Blocks) -> np.ndarray:
+    """G = sum_b sum_i B_bi H_b B_bi' from _restrict's unknown H = blockdiag(H_b)."""
+    G = np.zeros((blocks[0][0].shape[0],) * 2)
+    at = 0
+    for block in blocks:
+        width = block[0].shape[1]
+        H_b = H[at:at + width, at:at + width]
+        for B in block:
+            G += B @ H_b @ B.T
+        at += width
+    return G
 
 
 def _orbit_problem(m: int, problem: sdp.SdpProblem) -> sdp.SdpProblem:
@@ -309,24 +362,49 @@ def _orbit_problem(m: int, problem: sdp.SdpProblem) -> sdp.SdpProblem:
     return structure.orbits.with_rhs(structure.orbit_sum @ problem.rhs)
 
 
+def _isotypic_blocks(m: int, V: np.ndarray) -> _Blocks:
+    """The face span(V) split by the S3 action: ((B_t,), (B_s,), (B_1, B_2)).
+
+    B_t and B_s are orthonormal bases of the face's trivial and sign
+    parts, B_1 one of the first vectors of its copies of the standard
+    representation, and B_2 = E_21 B_1 their partners; V spans a subspace
+    the permutations keep (see _face), so V' E V is a projector for each
+    E of the order's (see _GramStructure), and its eigenvectors of
+    eigenvalue 1 give the part. A G that permuting x1, x2, x3 leaves
+    unchanged is B_t H_t B_t' + B_s H_s B_s' + B_1 H_q B_1' + B_2 H_q B_2'
+    on the face, by Schur's lemma, and every such G is left unchanged.
+    """
+    E_t, E_s, E_11, E_21 = _gram_structure(m).projectors
+
+    def part(E: np.ndarray) -> np.ndarray:
+        lam, C = np.linalg.eigh(V.T @ E @ V)
+        return V @ C[:, lam > 0.5]
+
+    B_1 = part(E_11)
+    return ((part(E_t),), (part(E_s),), (B_1, E_21 @ B_1))
+
+
 def _solve_on_face(m: int, problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpSolution:
-    """The face solve on one constraint per S3 orbit, with G averaged over the six permutations.
+    """The face solve on one constraint per S3 orbit, over the face's isotypic blocks.
 
     ``problem`` is the full Gram problem of an S3-invariant form and V a
     face basis whose span the basis permutations keep (see _face). The
-    orbit sums of its constraints, restricted to V, are solved with
-    target 0. G = V H V' meets every orbit sum; its average over the
-    permutations P of the monomial basis, (1/6) sum_P P G P', stays on
-    the face and PSD, and meets each single constraint, since the
-    average of <A_nu, G> over an orbit is the orbit's sum of b over its
-    size, and b is constant on the orbit. The solution's other fields
-    are the face problem's.
+    orbit sums of its constraints, restricted to the blocks of
+    _isotypic_blocks, are solved with target 0, and G is mapped back from
+    the diagonal blocks of H (_lift). That G lies on the face, is PSD when
+    H is, and is left unchanged by permuting x1, x2, x3, so it meets each
+    single constraint: <A_nu, G> is the same across an orbit, hence the
+    orbit's sum of b over its size, and b is constant on the orbit. The
+    solution's other fields are the block problem's. Where the zeros'
+    monomial vectors span the whole basis (the zero form at m = 4) the
+    face is {0}: G = 0 is its one point, and nothing is solved.
     """
-    solution = sdp.solve(_restrict(_orbit_problem(m, problem), V), target=0.0)
-    G = V @ solution.G @ V.T
-    perms = _gram_structure(m).perms
-    G = sum(G[np.ix_(p, p)] for p in perms) / len(perms)
-    return dataclasses.replace(solution, G=G)
+    if V.shape[1] == 0:
+        G = np.zeros((V.shape[0],) * 2)
+        return sdp.SdpSolution(G, 0.0, problem.violation(G), "feasible", 0, 0.0, 0.0, "feasible")
+    blocks = _isotypic_blocks(m, V)
+    solution = sdp.solve(_restrict(_orbit_problem(m, problem), blocks), target=0.0)
+    return dataclasses.replace(solution, G=_lift(solution.G, blocks))
 
 
 def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
@@ -375,13 +453,13 @@ def is_sos(
 
     Where the form has real zeros (at a threshold) the Gram problem has
     no interior, and the SDP is solved on the face those zeros cut out
-    (see _face), with one constraint per S3 orbit and G averaged over the
-    permutations of x1, x2, x3 (see _solve_on_face); solution.t_star is
-    then the face problem's. On the face G = V H V' is singular whatever
-    H is, so a larger lambda_min(H) buys the certificate no margin: that
-    solve gets target 0 and stops at its first iterate with a PSD
-    projection (stop "feasible"), or runs on to the optimum when the face
-    holds none. The full problem keeps every constraint and is solved to
+    (see _face), with one constraint per S3 orbit, on the blocks the
+    permutations of x1, x2, x3 split the face into (see _solve_on_face);
+    solution.t_star is then the block problem's. On the face G = V H V'
+    is singular whatever H is, so a larger lambda_min(H) buys the
+    certificate no margin: that solve gets target 0 and stops at its
+    first iterate with a PSD projection (stop "feasible"), or runs on to
+    the optimum when the face holds none. The full problem keeps every constraint and is solved to
     its optimum, as t* there is the certificate's margin. The certificate
     is still checked against the full problem, so a wrong face can make
     the verdict undecided but never a wrong "yes". A solve that breaks

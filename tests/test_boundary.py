@@ -230,6 +230,7 @@ def test_analyze_reports_solver_failure_instead_of_raising(tmp_path, capsys):
     assert not report.confirmed
     assert (report.n_tag, report.n_guard) == (boundary.TAG_UNDECIDED, boundary.GUARD_SCAN)
     assert math.isnan(report.m_val) and report.failed
+    assert report.m_method == "undecided"
     config = tmp_path / "tight.cfg"
     config.write_text("eigen_tol = 1e-300\n")
     argv = ["analyze", "--m", "6", "--u", "5", "--c", "-1", "--config", str(config)]
@@ -434,11 +435,13 @@ def test_non_minimal_scan_point_leaves_the_report_unconfirmed(monkeypatch):
     assert report.n < true_n - 100.0
     assert not report.confirmed  # the gap [N, M] is wider than 100
     # bisected up from the scan's N, M lands on the true threshold; the
-    # step next to it may be left undecided (at (6, 5, -1) a midpoint
-    # 1.3e-5 below the threshold is), which is named in the errors and
-    # is not a solver failure
+    # step next to it is left undecided (at (6, 5, -1) a midpoint 1.3e-5
+    # below the threshold is), which is named in the errors, is not a
+    # solver failure, and leaves M uncertified
     assert abs(report.m_val - true_n) <= 1e-4
     assert not report.failed
+    assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the bisection midpoint")
+    assert report.m_method == "undecided"
 
 
 def test_m_value_raises_when_sos_is_undecided(monkeypatch):
@@ -480,6 +483,7 @@ def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):
     assert len(report.errors) == 1
     assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the PSD threshold")
     assert not report.failed
+    assert report.m_method == "undecided"
     assert cli.main(["analyze", "--m", "6", "--u", "5", "--c", "-1"]) == cli.EXIT_UNCONFIRMED
     assert "SOS undecided" in capsys.readouterr().out
 
@@ -498,3 +502,4 @@ def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):
     report = boundary.analyze(6, 5, -1, with_certificate=False)
     assert not report.confirmed
     assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the bisection midpoint")
+    assert report.m_method == "undecided"

@@ -62,7 +62,7 @@ def test_perfect_power_gram_problem_is_recognized_as_psd():
     prob = build_gram_problem(t.to_form())
     V = sos._face(t)
     assert V.shape == (prob.dim, 1)
-    sol = sdp.solve(sos._restrict(prob, V))
+    sol = sdp.solve(sos._restrict(prob, [(V,)]))
     assert sol.t_star >= -1e-9
     G = V @ sol.G @ V.T
     w = np.array([math.comb(3, a) * math.comb(3 - a, b)
@@ -198,16 +198,20 @@ def test_stacked_step_lengths_equal_the_one_matrix_formula_bit_for_bit():
     assert sdp._step_lengths(D @ D.T, np.eye(5), np.eye(5), np.eye(5)) == (1.0, 1.0)
 
 
-def _face_problem(m, d, u, c, orbits=False):
-    # the full problem restricted to the face, or with orbits set the
-    # problem is_sos solves there: its S3-orbit sums, restricted
+def _face_problem(m, d, u, c, blocks=False):
+    # the full problem restricted to the face, or with blocks set the
+    # problem is_sos solves there: its S3-orbit sums, restricted to the
+    # face's isotypic blocks
     t = make_tensor(m, d, u, c)
     full = build_gram_problem(t.to_form())
-    return sos._restrict(sos._orbit_problem(m, full) if orbits else full, sos._face(t))
+    V = sos._face(t)
+    if blocks:
+        return sos._restrict(sos._orbit_problem(m, full), sos._isotypic_blocks(m, V))
+    return sos._restrict(full, [(V,)])
 
 
-def _at_threshold(m, u, c, orbits=False):
-    return _face_problem(m, boundary.n_value(m, u, c).value, u, c, orbits)
+def _at_threshold(m, u, c, blocks=False):
+    return _face_problem(m, boundary.n_value(m, u, c).value, u, c, blocks)
 
 
 def _off_diagonal(prob):
@@ -219,15 +223,16 @@ def _off_diagonal(prob):
 def test_every_problem_the_package_builds_has_orthogonal_constraints():
     # the solver's precondition: full Gram problems and their S3-orbit
     # sums, and the face problems at three thresholds and on the rank-one
-    # face w of (x1+x2+x3)^6, restricted from the full problem and from
-    # its orbit sums
+    # face w of (x1+x2+x3)^6, the full problem restricted to the face and
+    # the orbit sums restricted to its isotypic blocks (the problem is_sos
+    # solves)
     for m in range(4, 16, 2):
         full = build_gram_problem(make_tensor(m, 1, 0.5, -1).to_form())
         assert _off_diagonal(full) == 0.0
         assert _off_diagonal(sos._orbit_problem(m, full)) == 0.0
-    for orbits in (False, True):
-        faces = [_at_threshold(6, 5, -1, orbits), _face_problem(6, 1, 1, 1, orbits),
-                 _at_threshold(8, 20, 1, orbits), _at_threshold(14, 400, -1, orbits)]
+    for blocks in (False, True):
+        faces = [_at_threshold(6, 5, -1, blocks), _face_problem(6, 1, 1, 1, blocks),
+                 _at_threshold(8, 20, 1, blocks), _at_threshold(14, 400, -1, blocks)]
         for prob in faces:
             assert _off_diagonal(prob) <= 1e-12
 
@@ -273,7 +278,7 @@ from circulant3 import boundary, sdp, sos, tables
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
 t = make_tensor(14, boundary.n_value(14, 1, 0).value, 1, 0)
-sol = sdp.solve(sos._restrict(build_gram_problem(t.to_form()), sos._face(t)))
+sol = sdp.solve(sos._restrict(build_gram_problem(t.to_form()), [(sos._face(t),)]))
 print(sol.stop, sol.iterations)
 """
 
@@ -300,7 +305,7 @@ def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
     t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
     full = build_gram_problem(t.to_form())
     V = sos._face(t)
-    prob = sos._restrict(full, V)
+    prob = sos._restrict(full, [(V,)])
     sol = sdp.solve(prob, target=0.0)
     assert (sol.status, sol.stop) == ("feasible", "feasible")
     assert sol.iterations <= 9

@@ -349,23 +349,24 @@ def test_a_face_is_solved_on_one_constraint_per_s3_orbit(monkeypatch):
     # at (12, N, 1, 0) the 91 exponent triples of degree 12 fall into 19
     # orbits under permuting x1, x2, x3; the face solve gets at most one
     # constraint per orbit, where restricting the full problem gave it 82,
-    # and G averaged over the permutations is invariant under them (the
-    # unaveraged face solution was off by 8e-13 of max |G|) and passes the
-    # full check at theta
+    # on the face's isotypic blocks of widths 6, 3 and 8 (side 17, where
+    # the face has side 25), and G is invariant under the permutations and
+    # passes the full check at theta
     m, u, c = 12, 1, 0
     t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
-    sizes = []
+    shapes = []
     solve = sdp.solve
 
     def spy(problem, *args, **kwargs):
-        sizes.append(len(problem.rhs))
+        shapes.append((problem.dim, len(problem.rhs)))
         return solve(problem, *args, **kwargs)
 
     monkeypatch.setattr(sdp, "solve", spy)
     ok, cert = sos.is_sos(t)
     assert ok
-    [size] = sizes
-    assert size <= 19
+    [(side, size)] = shapes
+    assert size <= 19 and side == 17
+    assert sos._face(t).shape[1] == 25
     G = cert.G
     for p in _basis_permutations(m // 2):
         assert np.max(np.abs(G[np.ix_(p, p)] - G)) <= 1e-14 * np.max(np.abs(G))
@@ -373,6 +374,112 @@ def test_a_face_is_solved_on_one_constraint_per_s3_orbit(monkeypatch):
     assert len(sos._orbit_problem(m, full).rhs) == 19
     good, viol = sdp.check_certificate(G, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
     assert good, f"violation {viol:.3e}"
+
+
+def test_the_isotypic_projectors_compose_as_the_standard_representation():
+    # E_t + E_s + E_11 + E_22 = I with E_22 = E_21 E_12, each E_aa a
+    # projector, and E_21 E_11 = E_21: rho comes from the same permutation
+    # rule as the monomial basis (the plain 3 x 3 permutation matrices of
+    # the other rule give E_21 E_11 != E_21); E_21 maps the range of E_11
+    # isometrically onto that of E_22
+    for m in range(4, 16, 2):
+        projectors = sos._gram_structure(m).projectors
+        assert not any(E.flags.writeable for E in projectors)
+        E_t, E_s, E_11, E_21 = projectors
+        E_22 = E_21 @ E_21.T
+        n = len(E_t)
+        assert np.max(np.abs(E_t + E_s + E_11 + E_22 - np.eye(n))) <= 1e-14
+        for E in (E_t, E_s, E_11, E_22):
+            assert np.max(np.abs(E @ E - E)) <= 1e-14
+        assert np.max(np.abs(E_21 @ E_11 - E_21)) <= 1e-14
+        assert np.max(np.abs(E_21.T @ E_21 - E_11)) <= 1e-14
+        for p in _basis_permutations(m // 2):
+            assert np.max(np.abs(E_t[p] - E_t)) <= 1e-15
+
+
+def _random_block_gram(rng, blocks):
+    # a random symmetric H = blockdiag(H_b) and G = sos._lift(H)
+    side = sum(block[0].shape[1] for block in blocks)
+    H = rng.standard_normal((side, side))
+    return sos._lift(H + H.T, blocks)
+
+
+@pytest.mark.parametrize("m, u, c", [(6, 5, -1), (8, 20, 1), (12, 1, 0), (14, 3, 1)])
+def test_the_block_gram_matrix_meets_every_single_full_constraint(m, u, c):
+    # the face solve imposes one constraint per S3 orbit; G lifted from
+    # the isotypic blocks is invariant under permuting x1, x2, x3 whatever
+    # the blocks hold, so <A_nu, G> is equal across each orbit, and the
+    # orbit sum fixes every single constraint, as averaging G over the six
+    # permutations used to
+    t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
+    full = sos.build_gram_problem(t.to_form())
+    V = sos._face(t)
+    blocks = sos._isotypic_blocks(m, V)
+    widths = [block[0].shape[1] for block in blocks]
+    assert widths[0] + widths[1] + 2 * widths[2] == V.shape[1]
+    structure = sos._gram_structure(m)
+    G = _random_block_gram(np.random.default_rng(m), blocks)
+    for p in _basis_permutations(m // 2):
+        assert np.max(np.abs(G[np.ix_(p, p)] - G)) <= 1e-13 * np.max(np.abs(G))
+    values = np.einsum("lij,ij->l", structure.problem.coeffs, G)
+    for orbit in structure.orbit_sum.astype(bool):
+        assert np.ptp(values[orbit]) <= 1e-12 * np.max(np.abs(values))
+    # and on the face: G z = 0 for the monomial vectors z of the zeros
+    assert np.max(np.abs(G - V @ (V.T @ G @ V) @ V.T)) <= 1e-12 * np.max(np.abs(G))
+    solution = sos._solve_on_face(m, full, V)
+    assert solution.stop == "feasible"
+    assert full.violation(solution.G) <= 1e-9 * full.scale()
+
+
+def test_a_face_with_only_a_trivial_block_still_solves():
+    # (x1+x2+x3)^6 lives on the single symmetric vector w: its face has a
+    # trivial block of width 1 and empty sign and standard blocks, and the
+    # block problem is one constraint on a 1 x 1 matrix
+    t = make_tensor(6, 1, 1, 1)
+    V = sos._face(t)
+    blocks = sos._isotypic_blocks(6, V)
+    assert [block[0].shape[1] for block in blocks] == [1, 0, 0]
+    full = sos.build_gram_problem(t.to_form())
+    prob = sos._restrict(sos._orbit_problem(6, full), blocks)
+    assert (prob.dim, len(prob.rhs)) == (1, 1)
+    ok, cert = sos.is_sos(t)
+    assert ok
+    w = V[:, 0] * np.linalg.norm(
+        [math.factorial(3) / math.prod(map(math.factorial, e)) for e in cert.basis.monos])
+    assert np.allclose(cert.G, np.outer(w, w), rtol=0.0, atol=1e-12)
+
+
+def test_the_zero_form_of_order_4_is_certified_on_the_face_zero():
+    # at m = 4 the zeros of the zero form span every monomial vector of
+    # degree 2, so the face is {0}; G = 0 is its one point (a ValueError
+    # escaped from the empty face before)
+    t = make_tensor(4, 0, 0, 0)
+    assert sos._face(t).shape == (6, 0)
+    ok, cert = sos.is_sos(t)
+    assert ok and not np.any(cert.G)
+
+
+SWEEP_U = [-400.0, -50.0, -10.0, -5.0, -2.0, -1.0, -0.5, -0.1,
+           0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0]
+
+
+def test_every_point_of_a_threshold_sweep_is_sos_at_n():
+    # is_sos at d = float(N) over m = 4..14, c in {-1, 0, 1} and 16 values
+    # of u (288 points, every branch of N); (14, 3, 1) stalled at
+    # t* = -1.55 on its face while G was averaged over the permutations,
+    # and (4, 0, 0), the zero form, raised on its empty face
+    failures = []
+    for m in range(4, 16, 2):
+        for c in (-1, 0, 1):
+            for u in SWEEP_U:
+                t = make_tensor(m, float(boundary.n_value(m, u, c).value), u, float(c))
+                try:
+                    ok, _ = sos.is_sos(t)
+                except sos.SosUndecided as exc:
+                    ok = str(exc)
+                if ok is not True:
+                    failures.append((m, u, c, ok))
+    assert failures == []
 
 
 def test_each_table_row_scans_its_section_once(monkeypatch):
@@ -445,22 +552,32 @@ def test_the_breakpoint_rows_vanish_on_two_orbits_and_are_certified_on_their_fac
     assert good, f"violation {viol:.3e}"
 
 
-def _svd_restrict(problem, V):
-    # the restriction by a singular value decomposition of the L x r^2
-    # stack: orthonormal rows Wt spanning the row space, and the
-    # coordinates (U' b) / sing in them of the least-norm point
-    r = V.shape[1]
-    A = (V.T @ problem.coeffs @ V).reshape(-1, r * r)
+def _svd_restrict(A, rhs):
+    # the restriction by a singular value decomposition of the stack A:
+    # orthonormal rows Wt spanning the row space, and the coordinates
+    # (U' b) / sing in them of the least-norm point
     U, sing, Wt = np.linalg.svd(A, full_matrices=False)
     k = int(np.sum(sing > 1e-10 * sing[0]))
-    return Wt[:k], (U[:, :k].T @ problem.rhs) / sing[:k]
+    return Wt[:k], (U[:, :k].T @ rhs) / sing[:k]
+
+
+def _adjoint_stack(problem, blocks, side):
+    # row l holds <A_l, G(E_ij)> for every unit matrix E_ij of the side x
+    # side unknown H, with G = sos._lift: the constraints on H as the
+    # adjoint of the map back to G, built without sos._restrict
+    units = np.eye(side * side).reshape(-1, side, side)
+    lifted = np.array([sos._lift(E, blocks) for E in units])
+    return np.einsum("lij,kij->lk", problem.coeffs, lifted)
 
 
 def test_the_restricted_face_problem_is_the_svd_restriction_on_every_table_face():
-    # the table solves at d = N_computed, with u and c as floats; both
-    # restrictions must define one affine set {h : <A_l, h> = b_l}: the
-    # same row space (equal projectors onto it) and the same least-norm
-    # point; the kept eigenvalues of A A' are far from the dropped ones
+    # the table solves at d = N_computed, with u and c as floats, on the
+    # orbit sums restricted to the face's isotypic blocks; that problem and
+    # the SVD restriction of the adjoint of G = sos._lift(H) must define one
+    # affine set {h : <A_l, h> = b_l}: the same row space (equal projectors
+    # onto it) and the same least-norm point; the kept eigenvalues of A A'
+    # are far from the dropped ones (at least 2.9e-2 and at most 1.7e-16 of
+    # the largest)
     golden = Path(__file__).with_name("table_all.csv")
     sides = set()
     with golden.open(encoding="utf-8") as fh:
@@ -468,24 +585,24 @@ def test_the_restricted_face_problem_is_the_svd_restriction_on_every_table_face(
             m = int(row["m"])
             u = float(tables.parse_scalar(row["u"]))
             t = make_tensor(m, float(row["N_computed"]), u, float(row["c"]))
-            full = sos.build_gram_problem(t.to_form())
-            V = sos._face(t)
-            r = V.shape[1]
-            sides.add(r)
-            prob = sos._restrict(full, V)
-            assert prob.dim == r
+            orbits = sos._orbit_problem(m, sos.build_gram_problem(t.to_form()))
+            blocks = sos._isotypic_blocks(m, sos._face(t))
+            prob = sos._restrict(orbits, blocks)
+            side = prob.dim
+            sides.add(side)
+            assert side == sum(block[0].shape[1] for block in blocks)
             rows = prob.coeffs.reshape(len(prob.rhs), -1)
             norms = np.einsum("ij,ij->i", rows, rows)
-            basis, point_coords = _svd_restrict(full, V)
+            A = _adjoint_stack(orbits, blocks, side)
+            basis, point_coords = _svd_restrict(A, orbits.rhs)
             assert rows.shape == basis.shape, (m, row["u"], row["c"])
             unit = rows / np.sqrt(norms)[:, None]
             assert np.max(np.abs(unit.T @ unit - basis.T @ basis)) <= 1e-10
             point = rows.T @ (prob.rhs / norms)
             assert np.max(np.abs(point - basis.T @ point_coords)) <= 1e-10 * max(
                 1.0, float(np.max(np.abs(point))))
-            A = (V.T @ full.coeffs @ V).reshape(-1, r * r)
             lam = np.linalg.eigvalsh(A @ A.T)
             kept = lam > 1e-12 * lam[-1]
             assert lam[kept][0] >= 1e-2 * lam[-1]
             assert np.all(lam[~kept] <= 1e-14 * lam[-1])
-    assert max(sides) == 33
+    assert max(sides) == 22
