@@ -18,7 +18,6 @@ from circulant3.boundary import (
     breakpoint_u0,
     breakpoint_v0,
     n_value,
-    normalize,
 )
 from circulant3.eigen import (
     EigenResult,
@@ -76,7 +75,6 @@ __all__ = [
     "m_value",
     "make_tensor",
     "n_value",
-    "normalize",
     "solve",
     "__version__",
 ]

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from circulant3 import sos
 from circulant3.eigen import DEFAULT_CONFIG, SolverConfig, SolverFailure, _scan_min, is_psd
-from circulant3.tensor import CirculantTensor, Scalar, make_tensor, require_even_order
+from circulant3.tensor import Scalar, make_tensor, require_even_order
 
 # provenance tags naming the rule that produced an N value
 TAG_NONPOS = "closed-form-nonpos"  # u <= 0 and c <= 0: exact linear form
@@ -45,10 +45,6 @@ GUARD_CERTIFICATE = "certificate"  # a Gram certificate verified at d = N
 GUARD_SCAN = "scan"  # the scan's lower bound alone, M bisected up from it
 # how _report names an SOS step that is_sos could not decide
 UNDECIDED_PREFIX = "m_value: SOS undecided"
-
-
-def _is_exact(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
 def _simplify(x: Scalar) -> Scalar:
@@ -114,15 +110,15 @@ def n_value(
     """Smallest d with A(m, d, u, c) PSD, with branch provenance.
 
     Dispatch: (u <= 0, c <= 0) and (u = c > 0) have exact closed forms
-    for any c; otherwise c must already be normalized to {-1, 0, 1}
-    (see normalize).  On the c = +-1 slices the linear closed form is
-    used up to the verified breakpoint and the two-equal-coordinate scan
-    (eigen._scan_min) past it; at c = 0, u > 0 the threshold is u times
-    the cached unit-u value.  Off the closed forms the value is the
-    scan's, a lower bound on N; SolverFailure when its eigenpair fails
-    the residual check.  Exact inputs flow through exact arithmetic on
-    the linear branches.  ValueError when u, c or a closed-form N is not
-    finite as a float.
+    for any c; otherwise c must be in {-1, 0, 1}: divide d, u and c by
+    |c| first, as N scales with (u, c).  On the c = +-1 slices the
+    linear closed form is used up to the verified breakpoint and the
+    two-equal-coordinate scan (eigen._scan_min) past it; at c = 0,
+    u > 0 the threshold is u times the cached unit-u value.  Off the
+    closed forms the value is the scan's, a lower bound on N;
+    SolverFailure when its eigenpair fails the residual check.  Exact
+    inputs flow through exact arithmetic on the linear branches.
+    ValueError when u, c or a closed-form N is not finite as a float.
     """
     require_even_order(m)
     for name, val in (("u", u), ("c", c)):
@@ -142,31 +138,8 @@ def n_value(
         return NValue(-_scan_min(make_tensor(m, 0, u, 1), cfg).lam, TAG_EIGEN_CPOS)
     raise ValueError(
         "c must be in {-1, 0, 1} unless (u <= 0 and c <= 0) or u = c > 0; "
-        "use normalize() first"
+        "divide d, u and c by |c| (the thresholds N and M divide by |c| too)"
     )
-
-
-def normalize(t: CirculantTensor) -> Tuple[Scalar, CirculantTensor]:
-    """Scale so the three-distinct-indices entry lands in {-1, 0, 1}.
-
-    Returns (alpha, canonical) with alpha = |c| (or 1 when c = 0) and
-    canonical = (1/alpha) * t; PSD and SOS verdicts are invariant under
-    the positive scaling, and thresholds scale by alpha.  Exact entries
-    stay exact.
-    """
-    c = t.c
-    if c == 0:
-        return 1, t
-    alpha = abs(c)
-    if _is_exact(c) and _is_exact(t.d) and _is_exact(t.u):
-        frac = Fraction(alpha)
-        d2 = _simplify(Fraction(t.d) / frac)
-        u2 = _simplify(Fraction(t.u) / frac)
-    else:
-        d2 = float(t.d) / float(alpha)
-        u2 = float(t.u) / float(alpha)
-    c2 = 1 if c > 0 else -1
-    return alpha, make_tensor(t.m, d2, u2, c2)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ Subcommands:
 * ``breakpoints``: exact kink abscissas for an order, with verification;
 * ``certify``: write the three-piece certificate bundle for a point.
 
+With ``--format json`` (``certify`` always) a command writes one JSON
+object, keys sorted, indent 2: the resolved run options under
+``config`` beside the command's own keys, ``f`` and ``power`` (eval),
+``report`` (analyze), ``rows`` (table), ``breakpoints`` or ``bundle``.
+``table --format csv`` writes the bare CSV; pretty ``table`` with
+``--out`` writes the CSV to the file and the report to stdout.
+
 Exit codes: 0 success/confirmed; 2 usage or validation error;
 3 unconfirmed result; 4 solver failure; 5 missing fixture.
 """
@@ -49,7 +56,7 @@ class RunConfig(SolverConfig):
     out: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return dataclasses.asdict(self)
 
 
 def _coerce(name: str, raw: str, target_type: object) -> object:
@@ -96,28 +103,33 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _emit(text: str, cfg: RunConfig) -> bool:
-    """Write text to cfg.out, or to stdout without one; False, with the
-    error printed, when cfg.out cannot be written (a usage error)."""
+def _document(cfg: RunConfig, **payload: object) -> str:
+    """The JSON document of a command: its config under "config", beside the payload."""
+    return json.dumps({"config": cfg.to_json_dict(), **payload}, sort_keys=True, indent=2)
+
+
+def _usage(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _emit(text: str, cfg: RunConfig, code: int) -> int:
+    """Write text to cfg.out, or to stdout without one, and return code;
+    a usage error when cfg.out cannot be written."""
     text = text if text.endswith("\n") else text + "\n"
     if not cfg.out:
         sys.stdout.write(text)
-        return True
+        return code
     try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {cfg.out}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    return True
+        return _usage(f"cannot write {cfg.out}: {exc.strerror or exc}")
+    return code
 
 
 def _scalar_repr(v: Scalar) -> object:
-    if isinstance(v, float):
-        return v
-    if isinstance(v, int):
-        return v
-    return str(v)
+    return v if isinstance(v, (int, float)) else str(v)
 
 
 def _check_order(m: int, cfg: RunConfig) -> int:
@@ -133,38 +145,25 @@ def _parse_point(args: argparse.Namespace, cfg: RunConfig) -> tuple:
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
-        m = args.m
-        d = tables.parse_scalar(args.d)
-        u = tables.parse_scalar(args.u)
-        c = tables.parse_scalar(args.c)
+        d, u, c = (tables.parse_scalar(s) for s in (args.d, args.u, args.c))
         x = tuple(tables.parse_scalar(p) for p in args.x.split(","))
         if len(x) != 3:
             raise ValueError("--x must be three comma-separated numbers")
-        t = make_tensor(m, d, u, c)
+        t = make_tensor(args.m, d, u, c)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(str(exc))
     value = t.eval_form(x)
     power = t.apply_power(x)
     try:
         if cfg.format == "json":
-            text = json.dumps(
-                {
-                    "config": cfg.to_json_dict(),
-                    "f": _scalar_repr(value),
-                    "power": [_scalar_repr(p) for p in power],
-                },
-                sort_keys=True,
-                indent=2,
-            )
+            text = _document(cfg, f=_scalar_repr(value), power=[_scalar_repr(p) for p in power])
         else:
             text = f"f(x) = {value}\nA x^(m-1) = ({power[0]}, {power[1]}, {power[2]})"
     except ValueError as exc:
         # an exact integer with more digits than Python converts to text
         # (4,300 by default, sys.set_int_max_str_digits)
-        print(f"error: the exact value cannot be written as text: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK if _emit(text, cfg) else EXIT_USAGE
+        return _usage(f"the exact value cannot be written as text: {exc}")
+    return _emit(text, cfg, EXIT_OK)
 
 
 def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -172,97 +171,74 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         m, u, c = _parse_point(args, cfg)
         report = boundary.analyze(m, u, c, cfg, with_certificate=not args.no_certificate)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(str(exc))
     if cfg.format == "json":
-        doc = {"config": cfg.to_json_dict(), "report": report.to_json_dict()}
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = _document(cfg, report=report.to_json_dict())
     else:
-        status = "CONFIRMED" if report.confirmed else "UNCONFIRMED"
         lines = [
             f"m={report.m} u={args.u} c={args.c}",
             f"N = {report.n!r}  [{report.n_tag}, guarded by {report.n_guard}]",
             f"M = {report.m_val!r}  [{report.m_method}]",
             f"gap = {report.gap!r}",
-            f"status: {status}",
+            f"status: {'CONFIRMED' if report.confirmed else 'UNCONFIRMED'}",
         ]
-        for err in report.errors:
-            lines.append(f"error: {err}")
-        text = "\n".join(lines)
-    if not _emit(text, cfg):
-        return EXIT_USAGE
+        text = "\n".join(lines + [f"error: {err}" for err in report.errors])
     if report.failed:
-        return EXIT_SOLVER
-    return EXIT_OK if report.confirmed else EXIT_UNCONFIRMED
+        return _emit(text, cfg, EXIT_SOLVER)
+    return _emit(text, cfg, EXIT_OK if report.confirmed else EXIT_UNCONFIRMED)
 
 
 def cmd_table(args: argparse.Namespace, cfg: RunConfig) -> int:
-    wanted = list(range(1, 10)) if args.all else [args.table]
     if not args.all and not 1 <= args.table <= 9:
-        print("error: --table must be in 1..9", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--table must be in 1..9")
     try:
-        results = tables.run_tables(wanted, cfg)
+        results = tables.run_tables(list(range(1, 10)) if args.all else [args.table], cfg)
     except FileNotFoundError as exc:
         print(f"error: fixture not found: {exc}", file=sys.stderr)
         return EXIT_FIXTURE
+    n_pass = sum(1 for r in results if r.passed)
+    code = EXIT_OK if n_pass == len(results) else 1
     csv_text = tables.results_to_csv(results)
     if cfg.format == "csv":
-        text = csv_text
-    elif cfg.format == "json":
-        doc = {"config": cfg.to_json_dict(), "rows": [tables.row_fields(r) for r in results]}
-        text = json.dumps(doc, sort_keys=True, indent=2)
-    else:
-        lines = []
-        for r in results:
-            mark = "pass" if r.passed else "FAIL"
-            lines.append(
-                f"[{mark}] table {r.row.table} m={r.row.m} c={r.row.c:+d} "
-                f"u={r.row.u}: M={r.m_computed!r} (expected {r.row.expected_m}), "
-                f"N={r.n_computed!r} (expected {r.row.expected_n})"
-            )
-            if r.error:
-                lines.append(f"       error: {r.error}")
-        n_pass = sum(1 for r in results if r.passed)
-        lines.append(f"{n_pass}/{len(results)} rows pass")
-        if cfg.out:
-            if not _emit(csv_text, cfg):
-                return EXIT_USAGE
-            lines.append(f"csv written to {cfg.out}")
-            sys.stdout.write("\n".join(lines) + "\n")
-        else:
-            _emit("\n".join(lines), cfg)
-        return EXIT_OK if n_pass == len(results) else 1
-    if not _emit(text, cfg):
-        return EXIT_USAGE
-    return EXIT_OK if all(r.passed for r in results) else 1
+        return _emit(csv_text, cfg, code)
+    if cfg.format == "json":
+        return _emit(_document(cfg, rows=[tables.row_fields(r) for r in results]), cfg, code)
+    lines = []
+    for r in results:
+        mark = "pass" if r.passed else "FAIL"
+        lines.append(
+            f"[{mark}] table {r.row.table} m={r.row.m} c={r.row.c:+d} "
+            f"u={r.row.u}: M={r.m_computed!r} (expected {r.row.expected_m}), "
+            f"N={r.n_computed!r} (expected {r.row.expected_n})"
+        )
+        if r.error:
+            lines.append(f"       error: {r.error}")
+    lines.append(f"{n_pass}/{len(results)} rows pass")
+    # pretty with --out: the CSV goes to the file, the report to stdout
+    if cfg.out:
+        if _emit(csv_text, cfg, EXIT_OK) != EXIT_OK:
+            return EXIT_USAGE
+        lines.append(f"csv written to {cfg.out}")
+    print("\n".join(lines))
+    return code
 
 
 def cmd_breakpoints(args: argparse.Namespace, cfg: RunConfig) -> int:
     try:
         m = _check_order(args.m, cfg)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(str(exc))
     bps = [boundary.breakpoint_u0(m, cfg), boundary.breakpoint_v0(m, cfg)]
     if cfg.format == "json":
-        doc = {
-            "config": cfg.to_json_dict(),
-            "breakpoints": [bp.to_json_dict() for bp in bps],
-        }
-        text = json.dumps(doc, sort_keys=True, indent=2)
+        text = _document(cfg, breakpoints=[bp.to_json_dict() for bp in bps])
     else:
-        lines = []
-        for bp in bps:
-            status = "verified" if bp.verified else "NOT verified"
-            lines.append(
-                f"{bp.kind}(m={m}) = {bp.value} = {float(bp.value)!r} "
-                f"[{status}, smallest eigenvalue {bp.lambda_residual:.3e}]"
-            )
-        text = "\n".join(lines)
-    if not _emit(text, cfg):
-        return EXIT_USAGE
-    return EXIT_OK if all(bp.verified for bp in bps) else EXIT_UNCONFIRMED
+        text = "\n".join(
+            f"{bp.kind}(m={m}) = {bp.value} = {float(bp.value)!r} "
+            f"[{'verified' if bp.verified else 'NOT verified'}, "
+            f"smallest eigenvalue {bp.lambda_residual:.3e}]"
+            for bp in bps
+        )
+    return _emit(text, cfg, EXIT_OK if all(bp.verified for bp in bps) else EXIT_UNCONFIRMED)
 
 
 def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -270,15 +246,12 @@ def cmd_certify(args: argparse.Namespace, cfg: RunConfig) -> int:
         m, u, c = _parse_point(args, cfg)
         bundle = sos.certify_pns_free(m, u, c, cfg)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(str(exc))
     except RuntimeError as exc:
         print(f"error: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    doc = {"config": cfg.to_json_dict(), "bundle": bundle.to_json_dict()}
-    if not _emit(json.dumps(doc, sort_keys=True, indent=2), cfg):
-        return EXIT_USAGE
-    return EXIT_OK if bundle.status == "CONFIRMED" else EXIT_UNCONFIRMED
+    code = EXIT_OK if bundle.status == "CONFIRMED" else EXIT_UNCONFIRMED
+    return _emit(_document(cfg, bundle=bundle.to_json_dict()), cfg, code)
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, default: object) -> None:
@@ -306,20 +279,22 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, default=argparse.SUPPRESS)
 
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--m", type=int, required=True)
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--u", required=True)
+    point.add_argument("--c", required=True)
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate the form at a point", parents=[common])
-    p_eval.add_argument("--m", type=int, required=True)
+    p_eval = sub.add_parser("eval", help="evaluate the form at a point",
+                            parents=[common, order, point])
     p_eval.add_argument("--d", required=True)
-    p_eval.add_argument("--u", required=True)
-    p_eval.add_argument("--c", required=True)
     p_eval.add_argument("--x", required=True, help="comma-separated x1,x2,x3")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_an = sub.add_parser("analyze", help="PSD and SOS thresholds at one point", parents=[common])
-    p_an.add_argument("--m", type=int, required=True)
-    p_an.add_argument("--u", required=True)
-    p_an.add_argument("--c", required=True)
+    p_an = sub.add_parser("analyze", help="PSD and SOS thresholds at one point",
+                          parents=[common, order, point])
     p_an.add_argument(
         "--no-certificate", action="store_true",
         help="skip the certificate bundle (thresholds only)",
@@ -332,14 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true", help="all tables")
     p_tab.set_defaults(func=cmd_table)
 
-    p_bp = sub.add_parser("breakpoints", help="exact kink abscissas for an order", parents=[common])
-    p_bp.add_argument("--m", type=int, required=True)
+    p_bp = sub.add_parser("breakpoints", help="exact kink abscissas for an order",
+                          parents=[common, order])
     p_bp.set_defaults(func=cmd_breakpoints)
 
-    p_cert = sub.add_parser("certify", help="write a certificate bundle", parents=[common])
-    p_cert.add_argument("--m", type=int, required=True)
-    p_cert.add_argument("--u", required=True)
-    p_cert.add_argument("--c", required=True)
+    p_cert = sub.add_parser("certify", help="write a certificate bundle",
+                            parents=[common, order, point])
     p_cert.set_defaults(func=cmd_certify)
 
     return parser
@@ -351,11 +324,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = resolve_config(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(str(exc))
     if cfg.format == "csv" and args.command != "table":
-        print(f"error: --format csv is for table only, not {args.command}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"--format csv is for table only, not {args.command}")
     return args.func(args, cfg)
 
 

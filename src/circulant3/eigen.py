@@ -110,7 +110,6 @@ class EigenResult:
     lam: float
     x: Tuple[float, float, float]
     residual: float
-    starts_used: int
     lam_structured: float
     lam_multistart: float
 
@@ -170,7 +169,6 @@ def _eigenpair(
     x_raw: Sequence[float],
     lam_s: float,
     lam_g: float,
-    used: int,
 ) -> EigenResult:
     """The canonical eigenpair at the winning point, checked against the residual tolerance.
 
@@ -189,7 +187,6 @@ def _eigenpair(
         lam=lam,
         x=x,
         residual=residual,
-        starts_used=used,
         lam_structured=lam_s,
         lam_multistart=lam_g,
     )
@@ -207,13 +204,13 @@ def _scan_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenRe
     """The two-equal-coordinate scan alone: an upper bound on the smallest H-eigenvalue.
 
     Same canonical eigenpair and residual check as ``lambda_min``, with
-    no multistart (``lam_multistart`` is nan, ``starts_used`` 0). Its
+    no multistart (``lam_multistart`` is nan). Its
     negation at d = 0 is a lower bound on the PSD threshold, which the
     thresholds pair with the certificate at M, an upper bound.
     """
     require_even_order(t.m)
     lam_s, s1, s2, s3, _ = _scan_two_equal(t.m, float(t.d), float(t.u), float(t.c))
-    return _eigenpair(t, cfg, (s1, s2, s3), lam_s, math.nan, 0)
+    return _eigenpair(t, cfg, (s1, s2, s3), lam_s, math.nan)
 
 
 def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenResult:
@@ -234,7 +231,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
 
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.n_starts, 3))
-    lam_g, g1, g2, g3, _, used = kernels.minimize_batch(
+    lam_g, g1, g2, g3, _ = kernels.minimize_batch(
         m, d, u, c, starts, _MAX_ITERS, _TOL_GRAD
     )
 
@@ -247,7 +244,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
             m, d, u, c, lam_g, lam_s,
         )
         x_raw = (g1, g2, g3)
-    return _eigenpair(t, cfg, x_raw, lam_s, lam_g, used)
+    return _eigenpair(t, cfg, x_raw, lam_s, lam_g)
 
 
 def is_psd(

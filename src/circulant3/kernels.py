@@ -300,7 +300,7 @@ def minimize_batch(m, d, u, c, starts, max_iters, tol):
     by Newton on the eigenpair system; a second Newton round runs where
     the residual still exceeds tol times the start's gradient scale. A
     start of zero or non-finite norm is skipped. Returns (lam, x1, x2,
-    x3, residual, starts_used).
+    x3, residual).
     """
     x0 = np.array(starts, dtype=float).reshape(-1, 3).T
     with np.errstate(all="ignore"):
@@ -314,7 +314,7 @@ def minimize_batch(m, d, u, c, starts, max_iters, tol):
             took = res2 < res[again]
             state[:, again[took]] = state2[:, took]
             res[again[took]] = res2[took]
-    return _best(state, res) + (x0.shape[1],)
+    return _best(state, res)
 
 
 def _polish_section(m, d, u, c, theta, h, iters):

@@ -150,7 +150,6 @@ class SdpSolution:
 
     G: np.ndarray
     t_star: float
-    primal_residual: float
     status: str
     iterations: int
     dual_obj: float
@@ -181,7 +180,6 @@ def _unprojectable(G: np.ndarray, iterations: int) -> SdpSolution:
     return SdpSolution(
         G=G,
         t_star=-math.inf,
-        primal_residual=math.inf,
         status="max-iterations",
         iterations=iterations,
         dual_obj=math.inf,
@@ -396,7 +394,6 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     return SdpSolution(
         G=G,
         t_star=t_star,
-        primal_residual=primal_residual,
         status=status,
         iterations=iterations,
         dual_obj=dual_obj,

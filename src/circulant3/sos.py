@@ -401,7 +401,7 @@ def _solve_on_face(m: int, problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpSol
     """
     if V.shape[1] == 0:
         G = np.zeros((V.shape[0],) * 2)
-        return sdp.SdpSolution(G, 0.0, problem.violation(G), "feasible", 0, 0.0, 0.0, "feasible")
+        return sdp.SdpSolution(G, 0.0, "feasible", 0, 0.0, 0.0, "feasible")
     blocks = _isotypic_blocks(m, V)
     solution = sdp.solve(_restrict(_orbit_problem(m, problem), blocks), target=0.0)
     return dataclasses.replace(solution, G=_lift(solution.G, blocks))

@@ -1,4 +1,4 @@
-"""Threshold dispatch, breakpoints, normalization, and reports."""
+"""Threshold dispatch, breakpoints, homogeneity, and reports."""
 
 import json
 import math
@@ -69,8 +69,8 @@ def test_n_value_dispatch_tags_and_exact_values():
 
 
 def test_n_value_input_validation():
-    with pytest.raises(ValueError):
-        boundary.n_value(6, 1, 2)  # c not normalized
+    with pytest.raises(ValueError, match=r"divide d, u and c by \|c\|"):
+        boundary.n_value(6, 1, 2)  # c outside {-1, 0, 1}
     with pytest.raises(ValueError):
         boundary.n_value(5, 1, 1)
     with pytest.raises(ValueError):
@@ -156,25 +156,13 @@ def test_breakpoint_verification_survives_solver_failure():
     assert not bp.verified
 
 
-def test_normalize_rescales_c_to_unit():
-    alpha, canon = boundary.normalize(make_tensor(6, 7, 3, 2))
-    assert alpha == 2
-    assert (canon.d, canon.u, canon.c) == (Fraction(7, 2), Fraction(3, 2), 1)
-    alpha, canon = boundary.normalize(make_tensor(6, 1, 2, -4))
-    assert alpha == 4
-    assert (canon.d, canon.u, canon.c) == (Fraction(1, 4), Fraction(1, 2), -1)
-    alpha, canon = boundary.normalize(make_tensor(6, 1.0, -3.0, 0.0))
-    assert alpha == 1
-    assert (canon.d, canon.u, canon.c) == (1.0, -3.0, 0.0)
-
-
-def test_normalize_preserves_thresholds_up_to_scale():
-    # the threshold of the raw pair equals alpha times the threshold of
-    # the normalized pair; the raw value comes from the eigensolver route
-    alpha, canon = boundary.normalize(make_tensor(6, 0, 3, 2))
-    canonical_n = float(boundary.n_value(canon.m, canon.u, canon.c).value)
+def test_thresholds_scale_with_the_tensor():
+    # the threshold at (u, c) = (3, 2) is |c| = 2 times the one at
+    # (3/2, 1), the pair divided by |c|; the raw value comes from the
+    # eigensolver route
+    canonical_n = float(boundary.n_value(6, Fraction(3, 2), 1).value)
     raw_n = -lambda_min(make_tensor(6, 0, 3, 2)).lam
-    assert abs(raw_n - float(alpha) * canonical_n) <= 1e-6 * max(1.0, raw_n)
+    assert abs(raw_n - 2 * canonical_n) <= 1e-6 * max(1.0, raw_n)
 
 
 def test_analyze_confirms_exact_branch_with_bundle():

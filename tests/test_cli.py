@@ -165,8 +165,11 @@ ROW_SHAPE = dict.fromkeys(
          {"config": CONFIG_SHAPE, "breakpoints": [BREAKPOINT_SHAPE]}),
         (["table", "--table", "2", "--format", "json"],
          {"config": CONFIG_SHAPE, "rows": [ROW_SHAPE]}),
+        (["eval", "--m", "6", "--d", "1", "--u", "0", "--c", "0", "--x", "1,2,3",
+          "--format", "json"],
+         {"config": CONFIG_SHAPE, "f": None, "power": [None]}),
     ],
-    ids=["analyze", "certify", "breakpoints", "table"],
+    ids=["analyze", "certify", "breakpoints", "table", "eval"],
 )
 def test_json_outputs_keep_their_key_sets(argv, expected, capsys):
     assert cli.main(argv) == 0
@@ -186,6 +189,18 @@ def test_table_csv_schema_and_all_pass(tmp_path, capsys):
 
 GOLDEN_TABLE = Path(__file__).with_name("table_all.csv")
 GOLDEN_TABLE_MD5 = "ddb9737319f2cac98a3475b0692055b4"
+
+
+def test_pretty_table_with_out_writes_the_csv_and_reports_on_stdout(tmp_path, capsys):
+    out = tmp_path / "t1.csv"
+    assert cli.main(["table", "--table", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0] == tables.CSV_HEADER
+    assert len(lines) > 1 and all(line.endswith(",true") for line in lines[1:])
+    assert captured.out.endswith(f"rows pass\ncsv written to {out}\n")
+    assert captured.out.startswith("[pass] table 1 ")
+    assert captured.err == ""
 
 
 def test_table_all_reproduces_the_golden_csv(tmp_path, capsys):
@@ -339,8 +354,11 @@ def test_eval_of_an_exact_value_too_long_for_text_is_a_usage_error(fmt, capsys):
 
 
 def test_certify_unnormalized_c_is_usage_error(capsys):
+    # the message states the scaling itself, not a library call
     assert cli.main(["certify", "--m", "6", "--u", "2", "--c", "3"]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "divide d, u and c by |c|" in err
+    assert "normalize" not in err
 
 
 def test_config_file_sets_defaults_and_rejects_unknown_keys(tmp_path, capsys):
@@ -360,6 +378,24 @@ def test_config_file_sets_defaults_and_rejects_unknown_keys(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "absent.cfg"),
                      "breakpoints", "--m", "6"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed 7", "{path}:1: expected 'key = value', got 'seed 7'"),
+        ("format = xml", "{path}: format must be one of ('pretty', 'json', 'csv')"),
+        ("seed = abc", "config key 'seed': invalid literal for int() with base 10: 'abc'"),
+    ],
+    ids=["no-equals", "format", "seed"],
+)
+def test_malformed_config_lines_are_usage_errors(line, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["--config", str(cfg), "breakpoints", "--m", "6"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: " + message.format(path=cfg) + "\n"
+    assert captured.out == ""
 
 
 def test_jobs_is_no_longer_a_flag_or_a_config_key(tmp_path, capsys):

@@ -72,7 +72,6 @@ def test_minimizer_is_canonical_unit_vector():
     t = make_tensor(6, 0, -1, 0)
     assert abs(t.eval_form(x) - res.lam) <= 1e-9 * max(1.0, abs(res.lam))
     assert res.residual <= DEFAULT_CONFIG.eigen_tol * 63.0
-    assert res.starts_used == DEFAULT_CONFIG.n_starts
     assert math.isfinite(res.lam_structured)
     assert math.isfinite(res.lam_multistart)
 

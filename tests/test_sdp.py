@@ -43,7 +43,7 @@ def test_two_by_two_problem_with_negative_optimum():
     sol = sdp.solve(prob)
     assert abs(sol.t_star - (-1.0)) <= 1e-8
     assert abs(sol.t_star - (-1.0)) <= max(sol.precision, 1e-12)
-    assert sol.primal_residual <= 1e-9
+    assert prob.violation(sol.G) <= 1e-9
 
 
 def test_free_entries_are_used_to_raise_the_minimum_eigenvalue():

@@ -92,6 +92,31 @@ def test_theta_does_not_widen_with_the_solver_precision(monkeypatch):
     assert not ok
 
 
+@pytest.mark.parametrize("m, d, u, c, face", [
+    (6, 26, Fraction(225, 16), -1, False),
+    (6, 242, -1, -1, True),
+], ids=["full", "face"])
+def test_a_certificate_that_fails_the_independent_check_is_undecided(
+    m, d, u, c, face, monkeypatch
+):
+    # a solver whose G misses a constraint by far more than theta, on the
+    # full route and on a threshold face: the independent check must turn
+    # the "yes" the solver's t* suggests into "undecided"
+    t = make_tensor(m, d, u, c)
+    assert (sos._face(t) is not None) == face
+    solve = sdp.solve
+
+    def off_by_one_entry(problem, *args, **kwargs):
+        sol = solve(problem, *args, **kwargs)
+        G = sol.G.copy()
+        G[0, 0] += 1e-3 * problem.scale()
+        return dataclasses.replace(sol, G=G)
+
+    monkeypatch.setattr(sos.sdp, "solve", off_by_one_entry)
+    with pytest.raises(sos.SosUndecided, match="certificate failed independent verification"):
+        sos.is_sos(t)
+
+
 def test_is_sos_rejects_odd_or_small_order():
     with pytest.raises(ValueError):
         sos.is_sos(make_tensor(3, 1, 0, 0))
