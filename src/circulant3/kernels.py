@@ -7,21 +7,29 @@ the seven linear forms x1, x2, x3, x1+x2, x1+x3, x2+x3, x1+x2+x3.
 
 The pointwise kernels (eval_form, apply_power, power_jacobian) take
 plain numbers; exact inputs (int, Fraction) give exact outputs. The two
-searches behind ``eigen.lambda_min`` are batched in numpy:
+searches behind ``eigen.lambda_min`` batch what has many points and
+loop over what has few:
 
 * minimize_batch runs the projected descent and its eigenpair Newton
-  polish for all starts at once, with one backtracking step size per
-  start;
-* section_minima evaluates the two-equal-coordinate grid in one pass
-  and polishes every grid minimum with the same Newton; scan_two_equal
-  keeps the smallest of them. scan_two_equal and the zero scan of
-  ``sos`` read the minima through cached_section_minima, a small cache,
-  so N's scan at d = 0 and the zero scan of the same section run it once.
+  polish (_newton) for all starts (64 by default) at once in numpy,
+  with one backtracking step size per start. A loop of the scalar
+  Newton over the starts measured 6.2-6.3 -> 10.3-10.8 ms per
+  ``lambda_min`` call (2-vCPU x86-64 host, numpy 2.4), so the
+  multistart stays batched;
+* section_minima evaluates the two-equal-coordinate grid in one numpy
+  pass over the order's cached power sums, then polishes each of its
+  few grid minima alone on Python floats (_newton_point), where
+  numpy's per-call cost outweighed the work of one to three columns;
+  scan_two_equal keeps the smallest of them. scan_two_equal and the
+  zero scan of ``sos`` read the minima through cached_section_minima, a
+  small cache, so N's scan at d = 0 and the zero scan of the same
+  section run it once.
 
 Batched powers go through ``np.float_power``, which calls the C
 library's pow for each element like Python's ``**`` does, and every
 other operation is applied in the order the scalar formulas use, so a
-batched column carries the same bits as the scalar loop from its start.
+batched column and the scalar Newton carry the same bits from the same
+start.
 """
 
 from __future__ import annotations
@@ -352,36 +360,152 @@ def _polish_section(m, d, u, c, theta, h, iters):
     return theta
 
 
-def section_minima(m, d, u, c, n_grid, polish_iters):
-    """Every local minimum of the form on x = (cos t, cos t, sin t), t in [0, pi).
+@functools.lru_cache(maxsize=8)
+def _section_grid(m, n_grid):
+    """The section grid's power sums (P, Q - 2P, S - Q + P) and its m-norm^m, read-only.
 
-    Every vector with at least two equal coordinates is a permutation of
-    +-(s, s, t), so for the fully symmetric form this section covers the
-    whole two-equal-coordinate family. The grid is evaluated in one
-    batch; its local minima are polished by Newton on the section
-    quotient, then together by Newton on the full eigenpair system.
-    Returns (state, residual): the columns of the (4, k) state are the
-    polished points x1, x2, x3 on the unit m-norm sphere with their
-    eigenvalues, one per grid minimum (k = 0 when the grid has none).
+    They depend on the order and the grid only, so every scan of the
+    order reads one copy; a scan's values are then the three products
+    and sums of ``_form`` over these arrays, with the same bits.
     """
-    h = math.pi / n_grid
-    t = np.arange(n_grid) * h
+    t = np.arange(n_grid) * (math.pi / n_grid)
     ct, st = np.cos(t), np.sin(t)
     with np.errstate(all="ignore"):
         # powers of the distinct linear forms at (ct, ct, st); the even
         # power of ct equals that of |ct|
         pw = np.float_power(np.array([ct, st, ct + ct, ct + st, ct + ct + st]), m)
-        form = _form(d, u, c, pw[0] + pw[0] + pw[1], pw[2] + pw[3] + pw[3], pw[4])
-        vals = form / (pw[0] * 2.0 + pw[1])
-    minima = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-    thetas = [_polish_section(m, d, u, c, i * h, h, polish_iters) for i in np.flatnonzero(minima).tolist()]
-    if not thetas:
-        return np.empty((4, 0)), np.empty(0)
-    th = np.array(thetas)
-    x = np.array([np.cos(th), np.cos(th), np.sin(th)])
+        p = pw[0] + pw[0] + pw[1]
+        q = pw[2] + pw[3] + pw[3]
+        grid = (p, q - 2 * p, pw[4] - q + p, pw[0] * 2.0 + pw[1])
+    for a in grid:
+        a.flags.writeable = False
+    return grid
+
+
+def _max_abs(*v):
+    """The largest |v_i|, nan when any v_i is nan, as numpy's max gives."""
+    if any(a != a for a in v):
+        return math.nan
+    return max(abs(a) for a in v)
+
+
+def _solve4_point(rows):
+    """_solve4 for one system, its four augmented rows given as lists; None if singular.
+
+    The same pivot choice, row swaps and operations in the same order as
+    the batched elimination, but a zero or non-finite pivot returns None
+    before anything is divided by it (Python floats raise where numpy
+    gives inf).
+    """
+    for col in range(3):
+        cand = [abs(rows[r][col]) for r in range(col, 4)]
+        big = max(cand)
+        # a nan candidate that max passes over turns its row, and so the
+        # last pivot, into nan; numpy's argmax would have picked it
+        if not 0.0 < big < math.inf:
+            return None
+        piv = col + cand.index(big)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        for row in rows[col + 1:]:
+            fac = row[col] / prow[col]
+            for k in range(col + 1, 5):
+                row[k] = row[k] - fac * prow[k]
+    if rows[3][3] == 0.0 or not math.isfinite(rows[3][3]):
+        return None
+    y = [0.0] * 4
+    for col in range(3, -1, -1):
+        s = rows[col][4]
+        for k in range(col + 1, 4):
+            s = s - rows[col][k] * y[k]
+        y[col] = s / rows[col][col]
+    return y
+
+
+def _newton_point(m, d, u, c, x1, x2, x3, lam, iters):
+    """_newton for one point on Python floats; returns (lam, x1, x2, x3, residual).
+
+    Each iterate runs the float operations of a batched column in the
+    same order, under the same rules for keeping the best iterate,
+    stopping and blowing up, so it returns the same bits.
+    """
+    e1, e2 = m - 1, m - 2
+    w1 = m - 1.0
+    best, best_res = (x1, x2, x3, lam), math.inf
+    seen = []
+    for _ in range(iters):
+        g1, g2, g3 = apply_power(m, d, u, c, x1, x2, x3)
+        p1, p2, p3 = x1**e1, x2**e1, x3**e1
+        sphere = (abs(x1) ** m + abs(x2) ** m + abs(x3) ** m - 1.0) / m
+        f = (g1 - lam * p1, g2 - lam * p2, g3 - lam * p3, sphere)
+        res = _max_abs(*f)
+        if res < best_res:
+            best, best_res = (x1, x2, x3, lam), res
+        if res == 0.0:
+            break
+        j11, j22, j33, j12, j13, j23 = power_jacobian(m, d, u, c, x1, x2, x3)
+        lw = lam * w1
+        step = _solve4_point([
+            [j11 - lw * x1**e2, j12, j13, -p1, -f[0]],
+            [j12, j22 - lw * x2**e2, j23, -p2, -f[1]],
+            [j13, j23, j33 - lw * x3**e2, -p3, -f[2]],
+            [p1, p2, p3, 0.0, -f[3]],
+        ])
+        if step is None:
+            break
+        longest = max(abs(step[0]), abs(step[1]), abs(step[2]))
+        if longest > 0.5:
+            step = [v * (0.5 / longest) for v in step]
+        new = (x1 + step[0], x2 + step[1], x3 + step[2], lam + step[3])
+        if not all(math.isfinite(v) for v in new):
+            return best[3], *best[:3], best_res
+        seen.append((x1, x2, x3, lam))
+        if new in seen:
+            break
+        x1, x2, x3, lam = new
+    x1, x2, x3, _ = best
+    nrm = (abs(x1) ** m + abs(x2) ** m + abs(x3) ** m) ** (1.0 / m)
+    if nrm > 0.0 and math.isfinite(nrm):
+        x1, x2, x3 = x1 / nrm, x2 / nrm, x3 / nrm
+    lam = eval_form(m, d, u, c, x1, x2, x3)
+    g1, g2, g3 = apply_power(m, d, u, c, x1, x2, x3)
+    return lam, x1, x2, x3, _max_abs(g1 - lam * x1**e1, g2 - lam * x2**e1, g3 - lam * x3**e1)
+
+
+def section_minima(m, d, u, c, n_grid, polish_iters):
+    """Every local minimum of the form on x = (cos t, cos t, sin t), t in [0, pi).
+
+    Every vector with at least two equal coordinates is a permutation of
+    +-(s, s, t), so for the fully symmetric form this section covers the
+    whole two-equal-coordinate family. The grid values are one batch
+    over the order's cached power sums (``_section_grid``). Each grid
+    minimum is polished alone on Python floats, by Newton on the section
+    quotient and then by Newton on the full eigenpair system
+    (_newton_point, the bits of a batched _newton column): a scan has one
+    to a few minima (105 over the 61 table sections), too few for numpy's
+    per-call cost to pay off. A constant section, such as the zero
+    form's, makes every grid point a minimum, and there the loop is
+    slower than a batch (12 -> 36 ms at m = 6 on the host named above).
+    Returns (state, residual): the columns of the (4, k) state are the
+    polished points x1, x2, x3 on the unit m-norm sphere with their
+    eigenvalues, one per grid minimum (k = 0 when the grid has none).
+    """
+    h = math.pi / n_grid
+    p, q2, s2, denom = _section_grid(m, n_grid)
     with np.errstate(all="ignore"):
-        x = x / _norm(x, m)
-        return _newton(m, d, u, c, np.vstack([x, _eval_batch(m, d, u, c, x)]), 20)
+        vals = (d * p + u * q2 + c * s2) / denom
+    minima = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
+    cols = []
+    for i in np.flatnonzero(minima).tolist():
+        theta = _polish_section(m, d, u, c, i * h, h, polish_iters)
+        ct, st = math.cos(theta), math.sin(theta)
+        nrm = (abs(ct) ** m + abs(ct) ** m + abs(st) ** m) ** (1.0 / m)
+        x1, x3 = ct / nrm, st / nrm
+        cols.append(_newton_point(m, d, u, c, x1, x1, x3, eval_form(m, d, u, c, x1, x1, x3), 20))
+    if not cols:
+        return np.empty((4, 0)), np.empty(0)
+    out = np.array(cols).T
+    return out[[1, 2, 3, 0]], out[4].copy()
 
 
 @functools.lru_cache(maxsize=8)

@@ -237,14 +237,17 @@ def ref_minimize_batch(m, d, u, c, starts, max_iters, tol):
     return best
 
 
-def ref_scan_two_equal(m, d, u, c, n_grid, polish_iters):
-    """Grid scan of x = (cos t, cos t, sin t), section Newton, then ref_kkt_newton."""
+def ref_section_minima(m, d, u, c, n_grid, polish_iters):
+    """Grid scan of x = (cos t, cos t, sin t), section Newton, then ref_kkt_newton.
+
+    Returns one (lam, x1, x2, x3, res) per grid minimum, in grid order.
+    """
     h = math.pi / n_grid
     vals = []
     for i in range(n_grid):
         ct, st = math.cos(i * h), math.sin(i * h)
         vals.append(ref_eval(m, d, u, c, ct, ct, st) / (abs(ct) ** m * 2.0 + abs(st) ** m))
-    best = (math.inf, 0.0, 0.0, 0.0, math.inf)
+    out = []
     for i in range(n_grid):
         if not (vals[i] <= vals[i - 1] and vals[i] <= vals[(i + 1) % n_grid]):
             continue
@@ -276,7 +279,14 @@ def ref_scan_two_equal(m, d, u, c, n_grid, polish_iters):
         ct, st = math.cos(theta), math.sin(theta)
         n = ref_norm(m, ct, ct, st)
         x1, x3 = ct / n, st / n
-        cand = ref_kkt_newton(m, d, u, c, x1, x1, x3, ref_eval(m, d, u, c, x1, x1, x3), 20)
+        out.append(ref_kkt_newton(m, d, u, c, x1, x1, x3, ref_eval(m, d, u, c, x1, x1, x3), 20))
+    return out
+
+
+def ref_scan_two_equal(m, d, u, c, n_grid, polish_iters):
+    """The smallest of ref_section_minima, ties to the smaller residual, then the earlier minimum."""
+    best = (math.inf, 0.0, 0.0, 0.0, math.inf)
+    for cand in ref_section_minima(m, d, u, c, n_grid, polish_iters):
         if cand[0] < best[0] or (cand[0] == best[0] and cand[4] < best[4]):
             best = cand
     return best

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import circulant3
-from circulant3 import kernels
+from circulant3 import eigen, kernels, tables
 
 from helpers import (
     brute_force_apply,
@@ -12,6 +12,7 @@ from helpers import (
     ref_kkt_newton,
     ref_minimize_batch,
     ref_scan_two_equal,
+    ref_section_minima,
 )
 
 # (m, d, u, c) cases for the batched-versus-scalar comparisons
@@ -25,6 +26,19 @@ REF_CASES = [
     (8, 30.0, -2.0, 1.0),
     (14, 0.0, 400.0, -1.0),
     (14, 0.0, -3.0, 1.0),
+]
+
+# sections whose every minimum is checked against the scalar reference:
+# at (4, 1, 0, 0) every grid point is a minimum and the axis points have
+# singular Newton systems; the zero forms; the two-orbit breakpoints at
+# m = 6 and 8; and a u whose products overflow
+SECTION_CASES = [
+    (4, 1.0, 0.0, 0.0),
+    (4, 0.0, 0.0, 0.0),
+    (6, 0.0, 0.0, 0.0),
+    (6, 0.0, -70 / 11, 1.0),
+    (8, 0.0, -686 / 43, 1.0),
+    (14, 0.0, 1e300, 1.0),
 ]
 
 
@@ -107,6 +121,27 @@ def test_solve4_reports_singular_systems():
     assert got[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
+def test_scalar_solve4_matches_the_batched_one_and_never_divides_by_a_bad_pivot():
+    # random systems, then ones whose pivot candidates are zero, inf or
+    # nan: the scalar solve is None exactly where the batched one reports
+    # a singular system, and gives its bits everywhere else
+    rng = np.random.default_rng(11)
+    aug = rng.uniform(-1.0, 1.0, size=(4, 5, 40))
+    aug[:, 0, 20:25] = 0.0
+    aug[2, 1, 25:30] = np.inf
+    aug[3, 2, 30:35] = np.nan
+    aug[1, 3, 35:] = np.nan
+    with np.errstate(all="ignore"):
+        want, ok = kernels._solve4(aug.copy())
+    for k in range(aug.shape[2]):
+        got = kernels._solve4_point(aug[:, :, k].tolist())
+        if ok[k]:
+            assert got == want[:, k].tolist()
+        else:
+            assert got is None
+    assert not ok[20:].any()
+
+
 def test_minimize_from_finds_known_minimum():
     # at (m, d, u, c) = (4, 0, -1, 0) the minimum over the unit m-norm
     # sphere is -(2^4 - 2) = -14, attained along the all-ones direction
@@ -157,6 +192,27 @@ def test_batched_kernels_match_scalar_reference(m, d, u, c):
     for k in range(len(x)):
         ref = ref_kkt_newton(m, d, u, c, *x[k].tolist(), 0.5, 30)
         assert (lam[k], *xs[k], res[k]) == ref
+        assert kernels._newton_point(m, d, u, c, *x[k].tolist(), 0.5, 30) == ref
+
+
+def test_scalar_newton_returns_the_bits_of_each_batched_column():
+    # far starts and eigenvalue guesses, so that steps are clamped;
+    # values of u whose products overflow, down to nan residuals; and a
+    # huge guess whose step leaves the float range: the section polish's
+    # scalar Newton must return what the multistart's batched Newton
+    # returns for that column
+    rng = np.random.default_rng(3)
+    for m in (4, 6, 8, 14):
+        for u in (*rng.uniform(-20.0, 20.0, size=4).tolist(), 1e300, 1e307, 1e308):
+            d, c = rng.uniform(-20.0, 20.0, size=2).tolist()
+            lam = [*rng.uniform(-50.0, 50.0, size=7).tolist(), 1e300]
+            state = np.vstack([2.0 * rng.standard_normal((3, 8)), lam])
+            with np.errstate(all="ignore"):
+                batched, res = kernels._newton(m, d, u, c, state, 30)
+            for k in range(state.shape[1]):
+                got = kernels._newton_point(m, d, u, c, *state[:, k].tolist(), 30)
+                want = (batched[3, k], *batched[:3, k], res[k])
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_singular_newton_start_stops_alone(monkeypatch):
@@ -189,3 +245,45 @@ def test_singular_newton_start_stops_alone(monkeypatch):
     starts = np.random.default_rng(1).standard_normal((4, 3))
     got = kernels.minimize_batch(m, d, u, c, starts, 600, 1e-11)
     assert got == ref_minimize_batch(m, d, u, c, starts[1:].tolist(), 600, 1e-11)
+
+
+def _assert_section_minima_match_reference(m, d, u, c):
+    budget = (eigen._GRID_POINTS, eigen._SCAN_POLISH_ITERS)
+    state, res = kernels.section_minima(m, d, u, c, *budget)
+    got = [(state[3, k], *state[:3, k], res[k]) for k in range(state.shape[1])]
+    assert got == ref_section_minima(m, d, u, c, *budget)
+
+
+def test_every_section_minimum_of_the_fixture_matches_the_scalar_reference():
+    # every polished minimum, not only the smallest, at the production
+    # budget on the section each table row scans (d = 0)
+    for row in tables.load_fixture():
+        _assert_section_minima_match_reference(row.m, 0.0, float(row.u_value), float(row.c))
+
+
+@pytest.mark.parametrize("m, d, u, c", SECTION_CASES)
+def test_every_section_minimum_matches_the_scalar_reference(m, d, u, c):
+    _assert_section_minima_match_reference(m, d, u, c)
+
+
+def test_section_grid_is_built_once_per_order_and_read_only(monkeypatch):
+    kernels._section_grid.cache_clear()
+    calls = []
+    power = np.float_power
+
+    def counting_power(*args, **kwargs):
+        calls.append(args[1])
+        return power(*args, **kwargs)
+
+    monkeypatch.setattr(np, "float_power", counting_power)
+    with np.errstate(all="ignore"):
+        kernels.section_minima(6, 0.0, 5.0, -1.0, 301, 40)
+        kernels.section_minima(6, 2.0, -1.0, 1.0, 301, 40)
+    assert calls == [6]
+    info = kernels._section_grid.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # bounded like the cache of the minima themselves
+    assert info.maxsize == kernels.cached_section_minima.cache_info().maxsize
+    for a in kernels._section_grid(6, 301):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
