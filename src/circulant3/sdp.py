@@ -29,8 +29,9 @@ read off the projected matrix. The solver expects a problem with an
 interior: a Gram problem whose form has real zeros is first restricted
 to the face those zeros cut out (see ``sos``). A caller that only needs
 a feasible matrix with t at least some value passes that value as
-``solve``'s ``target``: the loop then ends at the first iterate whose
-projection reaches it ("feasible") instead of running to the optimum.
+``solve``'s ``target``: the loop then ends at the first iterate or
+Mehrotra predictor point whose projection reaches it ("feasible")
+instead of running to the optimum.
 Everything is deterministic: fixed starting point, fixed iteration
 schedule, no randomization.
 """
@@ -135,15 +136,16 @@ class SdpSolution:
     units (``precision`` is the duality gap plus the dual residuals).
 
     ``status`` grades the returned matrix; ``stop`` says why the loop
-    ended: "converged" (the stopping rule was met), "feasible" (the
-    projected iterate reached the caller's ``target``), "stall" (8
-    iterations without a 1% gain in the worst residual), "budget" (the
+    ended: "converged" (the stopping rule was met), "feasible" (a
+    projected iterate or predictor point reached the caller's
+    ``target``), "stall" (8 iterations without a 1% gain in the worst
+    residual), "budget" (the
     iteration budget ran out) or "breakdown" (a failed factorization, a
     non-finite Schur matrix or step, or a blow-up of the iterate).
     ``status`` is "optimal", "feasible" or "max-iterations"; a run that
     stops on a stall or the budget can still grade "optimal" once its best
     iterate is projected. A run that stops "feasible" grades "feasible",
-    never "optimal": its G is the checked iterate, t_star = lambda_min(G)
+    never "optimal": its G is the checked point, t_star = lambda_min(G)
     >= target, and the optimum may lie well above it, inside the wider
     enclosure of an unconverged dual.
     """
@@ -157,17 +159,15 @@ class SdpSolution:
     stop: str
 
 
-def _step_lengths(
-    dX: np.ndarray, dZ: np.ndarray, Lx: np.ndarray, Lz: np.ndarray
-) -> Tuple[float, float]:
+def _step_lengths(dX: np.ndarray, dZ: np.ndarray, chol: np.ndarray) -> Tuple[float, float]:
     """Largest steps alpha <= 1 keeping X + alpha*dX and Z + alpha*dZ positive definite.
 
-    ``Lx`` and ``Lz`` are Cholesky factors of X and Z. Each step reads
-    the smallest eigenvalue beta of Y = L^-1 dS L^-T; both Y come from
-    one stacked solve per side and one stacked ``eigvalsh``, which give
-    the same numbers as two separate one-matrix passes.
+    ``chol`` stacks the Cholesky factors of X and Z, as one stacked
+    ``cholesky`` of [X, Z] returns them. Each step reads the smallest
+    eigenvalue beta of Y = L^-1 dS L^-T; both Y come from one stacked
+    solve per side and one stacked ``eigvalsh``, which give the same
+    numbers as two separate one-matrix passes.
     """
-    chol = np.stack([Lx, Lz])
     Y = np.linalg.solve(chol, np.stack([dX, dZ]))
     Y = np.swapaxes(np.linalg.solve(chol, np.swapaxes(Y, 1, 2)), 1, 2)
     beta = np.linalg.eigvalsh(0.5 * (Y + np.swapaxes(Y, 1, 2)))[:, 0]
@@ -198,12 +198,17 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     endings apart.
 
     ``target``, in the problem's own units, is the value of t at which
-    the caller's question is answered. In each iteration whose t has
-    reached it (after the stopping rule, before the stall counter), the
-    iterate is projected onto the constraints as the final matrix is, and
+    the caller's question is answered. Each iteration has two candidate
+    points: its iterate (checked after the stopping rule, before the
+    stall counter) and its predictor point X + ap dX_a, t + ap dt_a
+    (checked before the corrector). A candidate whose t has reached the
+    target is projected onto the constraints as the final matrix is, and
     one ``eigvalsh`` reads its lambda_min; if that is at least ``target``
     the loop ends with stop and status "feasible" and returns that
-    matrix. The default, +inf, never checks and runs to the optimum.
+    matrix, with the y, mu and dual residuals of the same point (y + ad
+    dy_a at a predictor point). A predictor point that falls short leaves
+    its iteration as it was, so a problem with no such point runs as with
+    no target. The default, +inf, never checks and runs to the optimum.
 
     Each iteration is a handful of dense products on the (L, N, N) stack
     A of constraint matrices: the Schur complement M_kl = <A_k, W A_l W>
@@ -211,24 +216,25 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     ``A_flat.T @ y``, so no contraction path is searched per iteration.
     The primal and dual step lengths of the predictor, and again of the
     corrector, come from one stacked solve and eigenvalue pass
-    (``_step_lengths``). X and Z are factored by plain Cholesky, with no
-    diagonal jitter: an iterate that is no longer positive definite is a
-    breakdown, and the best iterate so far is projected and graded. A
-    projection that is not finite (data near the float range) ends the run
-    at once as a breakdown with t_star -inf and precision +inf, an
-    enclosure that decides nothing.
+    (``_step_lengths``). X and Z are factored by one stacked Cholesky,
+    with no diagonal jitter: an iterate that is no longer positive
+    definite is a breakdown, and the best iterate so far is projected and
+    graded. A projection that is not finite (data near the float range)
+    ends the run at once as a breakdown with t_star -inf and precision
+    +inf, an enclosure that decides nothing.
     """
     N = problem.dim
     L = problem.coeffs.shape[0]
     A = problem.coeffs
     A_flat = A.reshape(L, -1)
     c = np.einsum("lii->l", A)
+    eye_n, eye_l = np.eye(N), np.eye(L)
 
     scale = problem.scale()
     b = problem.rhs / scale
 
-    X = np.eye(N)
-    Z = np.eye(N)
+    # iterates are rebound, never changed in place: they share eye_n, best keeps references
+    X = Z = eye_n
     y = np.zeros(L)
     t = 0.0
 
@@ -237,16 +243,27 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
 
     norms = np.einsum("ij,ij->i", A_flat, A_flat)
 
-    def gram(X: np.ndarray, t: float) -> np.ndarray:
+    def gram(X: np.ndarray, t: float) -> Tuple[np.ndarray, float]:
         # The interior-point iterate is feasible only up to its residuals:
         # project G = scale * (X + t I) onto the affine constraint set
         # (least-norm correction, a division as A A' is diagonal), so the
         # matrix is feasible to machine precision and its lambda_min is a
-        # value the problem actually attains, never an interior-point estimate
-        G = scale * (X + t * np.eye(N))
+        # value the problem actually attains, never an interior-point
+        # estimate. Returns G and lambda_min(G), nan when G is not finite
+        G = scale * (X + t * eye_n)
         G = 0.5 * (G + G.T)
         G = G + adjoint((problem.rhs - A_flat @ G.ravel()) / norms)
-        return 0.5 * (G + G.T)
+        G = 0.5 * (G + G.T)
+        return G, float(np.linalg.eigvalsh(G)[0]) if np.all(np.isfinite(G)) else math.nan
+
+    def residuals(X, Z, y, t):
+        # rp, Rd, rg, mu and the dual residual max|Rd| at one point
+        rp, Rd = b - A_flat @ X.ravel() - c * t, adjoint(y) - Z
+        return rp, Rd, 1.0 - float(c @ y), float(np.sum(X * Z)) / N, float(np.max(np.abs(Rd)))
+
+    def step(S: np.ndarray, alpha: float, dS: np.ndarray) -> np.ndarray:
+        S = S + alpha * dS
+        return 0.5 * (S + S.T)
 
     best = None
     best_err = math.inf
@@ -256,12 +273,8 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
-        rp = b - A_flat @ X.ravel() - c * t
-        Rd = adjoint(y) - Z
-        rg = 1.0 - float(c @ y)
-        mu = float(np.sum(X * Z)) / N
+        rp, Rd, rg, mu, dfeas = residuals(X, Z, y, t)
         feas = float(np.max(np.abs(rp)))
-        dfeas = float(np.max(np.abs(Rd)))
         err = max(mu, feas, dfeas, abs(rg))
 
         if err < best_err - 1e-18:
@@ -270,7 +283,7 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             else:
                 stall += 1
             best_err = err
-            best = (X.copy(), y.copy(), t, mu, rg, dfeas)
+            best = (X, y, t, mu, rg, dfeas)
         else:
             stall += 1
 
@@ -279,11 +292,8 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             stop = "converged"
             break
         if target < math.inf and scale * t >= target:
-            G = gram(X, t)
-            if not np.all(np.isfinite(G)):
-                return _unprojectable(G, iterations)
-            t_star = float(np.linalg.eigvalsh(G)[0])
-            if t_star >= target:
+            G, t_star = gram(X, t)
+            if not t_star < target:  # reached, or nan: not projectable
                 status = stop = "feasible"
                 break
         if stall >= 8:
@@ -291,8 +301,8 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             break
 
         try:
-            Lx = np.linalg.cholesky(X)
-            Lz = np.linalg.cholesky(Z)
+            chol = np.linalg.cholesky(np.stack([X, Z]))
+            Lx, Lz = chol
             S = Lx.T @ Z @ Lx
             S = 0.5 * (S + S.T)
             evals, U = np.linalg.eigh(S)
@@ -300,22 +310,23 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             root = Lx @ (U / np.sqrt(evals))
             W = root @ (U.T @ Lx.T)
             W = 0.5 * (W + W.T)
-            Zinv_half = np.linalg.solve(Lz, np.eye(N))
+            Zinv_half = np.linalg.solve(Lz, eye_n)
             Zinv = Zinv_half.T @ Zinv_half
 
             with np.errstate(over="ignore", invalid="ignore"):
                 M = A_flat @ ((W @ A) @ W).reshape(L, -1).T
                 M = 0.5 * (M + M.T)
+                WRdW = W @ Rd @ W
             if not np.all(np.isfinite(M)):
                 stop = "breakdown"
                 break
             # a floor on M's spectrum; a floor much above 1e-14 of its largest
             # diagonal entry biases the Newton steps enough for the primal
             # residual to grow as mu falls, and the loop stalls early
-            M += (1e-14 * max(1.0, float(np.max(np.diag(M))))) * np.eye(L)
+            M += (1e-14 * max(1.0, float(np.max(np.diag(M))))) * eye_l
 
             def newton(Rc: np.ndarray) -> Tuple[np.ndarray, float, np.ndarray, np.ndarray]:
-                T1 = Rc - W @ Rd @ W
+                T1 = Rc - WRdW
                 h = A_flat @ T1.ravel() - rp
                 sol = np.linalg.solve(M, np.column_stack([h, c]))
                 Minv_h = sol[:, 0]
@@ -331,7 +342,17 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             with np.errstate(over="ignore", invalid="ignore"):
                 # predictor (sigma = 0) fixes the centering parameter
                 dy_a, dt_a, dZ_a, dX_a = newton(-X)
-                ap, ad = _step_lengths(dX_a, dZ_a, Lx, Lz)
+                ap, ad = _step_lengths(dX_a, dZ_a, chol)
+                if target < math.inf and scale * (t + ap * dt_a) >= target:
+                    # the predictor point is a candidate too; one that falls
+                    # short leaves this iteration as it would be without it
+                    X_a, t_a = step(X, ap, dX_a), t + ap * dt_a
+                    G, t_star = gram(X_a, t_a)
+                    if not t_star < target:
+                        X, Z, y, t = X_a, step(Z, ad, dZ_a), y + ad * dy_a, t_a
+                        _, _, rg, mu, dfeas = residuals(X, Z, y, t)
+                        status = stop = "feasible"
+                        break
                 mu_aff = float(np.sum((X + ap * dX_a) * (Z + ad * dZ_a))) / N
                 sigma = (
                     min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 0.0
@@ -349,29 +370,28 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
             ):
                 stop = "breakdown"
                 break
-            ap, ad = _step_lengths(dX, dZ, Lx, Lz)
+            ap, ad = _step_lengths(dX, dZ, chol)
         except np.linalg.LinAlgError:
             stop = "breakdown"
             break
 
-        X = 0.5 * ((X + ap * dX) + (X + ap * dX).T)
-        Z = 0.5 * ((Z + ad * dZ) + (Z + ad * dZ).T)
+        X = step(X, ap, dX)
+        Z = step(Z, ad, dZ)
         y = y + ad * dy
         t = t + ap * dt
         if not (math.isfinite(t) and float(np.max(np.abs(X))) < 1e60 and float(np.max(np.abs(Z))) < 1e60):
             stop = "breakdown"
             break
 
-    # a run that met the stopping rule or the target returns its last
-    # iterate, any other its best; the first iteration, with its finite
-    # mu = 1, always sets best
+    # a run that met the stopping rule or the target returns the point it
+    # stopped at, any other its best iterate; the first iteration, with its
+    # finite mu = 1, always sets best
     final = (X, y, t, mu, rg, dfeas) if stop in ("converged", "feasible") else best
     Xf, yf, tf, mu_f, rg_f, dfeas_f = final
     if stop != "feasible":  # a feasible stop returns the matrix it checked
-        G = gram(Xf, tf)
-        if not np.all(np.isfinite(G)):
-            return _unprojectable(G, iterations)
-        t_star = float(np.linalg.eigvalsh(G)[0])
+        G, t_star = gram(Xf, tf)
+    if math.isnan(t_star):
+        return _unprojectable(G, iterations)
     obj_scale = max(1.0, float(np.linalg.norm(G)))
 
     dual_obj = scale * float(b @ yf)

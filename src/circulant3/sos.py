@@ -390,9 +390,10 @@ def _solve_on_face(m: int, problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpSol
     ``problem`` is the full Gram problem of an S3-invariant form and V a
     face basis whose span the basis permutations keep (see _face). The
     orbit sums of its constraints, restricted to the blocks of
-    _isotypic_blocks, are solved with target 0, and G is mapped back from
-    the diagonal blocks of H (_lift). That G lies on the face, is PSD when
-    H is, and is left unchanged by permuting x1, x2, x3, so it meets each
+    _isotypic_blocks, are solved with target 0, which stops at the first
+    iterate or predictor point with a PSD projection, and G is mapped
+    back from the diagonal blocks of H (_lift). That G lies on the face,
+    is PSD when H is, and is left unchanged by permuting x1, x2, x3, so it meets each
     single constraint: <A_nu, G> is the same across an orbit, hence the
     orbit's sum of b over its size, and b is constant on the orbit. The
     solution's other fields are the block problem's. Where the zeros'
@@ -458,8 +459,9 @@ def is_sos(
     solution.t_star is then the block problem's. On the face G = V H V'
     is singular whatever H is, so a larger lambda_min(H) buys the
     certificate no margin: that solve gets target 0 and stops at its
-    first iterate with a PSD projection (stop "feasible"), or runs on to
-    the optimum when the face holds none. The full problem keeps every constraint and is solved to
+    first iterate or predictor point with a PSD projection (stop
+    "feasible"), or runs on to the optimum when the face holds none. The
+    full problem keeps every constraint and is solved to
     its optimum, as t* there is the certificate's margin. The certificate
     is still checked against the full problem, so a wrong face can make
     the verdict undecided but never a wrong "yes". A solve that breaks

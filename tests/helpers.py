@@ -13,6 +13,8 @@ import itertools
 import math
 from typing import Sequence, Tuple
 
+import numpy as np
+
 
 def entry_for_index(d, u, c, idx: Sequence[int]):
     """Entry value from the number of distinct values in the index tuple."""
@@ -149,6 +151,12 @@ def ref_solve4(a, b):
     return x
 
 
+def ref_max_abs(values):
+    """The largest |v|, nan when any v is nan; Python's max would pass over a nan."""
+    values = [abs(v) for v in values]
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def ref_kkt_newton(m, d, u, c, x1, x2, x3, lam, iters):
     """Newton on A x^{m-1} = lam x^[m-1], |x|_m = 1; returns (lam, x1, x2, x3, res)."""
     e1, e2 = m - 1, m - 2
@@ -158,7 +166,7 @@ def ref_kkt_newton(m, d, u, c, x1, x2, x3, lam, iters):
         p1, p2, p3 = x1**e1, x2**e1, x3**e1
         s = abs(x1) ** m + abs(x2) ** m + abs(x3) ** m
         f = [g1 - lam * p1, g2 - lam * p2, g3 - lam * p3, (s - 1.0) / m]
-        res = max(abs(v) for v in f)
+        res = ref_max_abs(f)
         if res < bres:
             bl, b1, b2, b3, bres = lam, x1, x2, x3, res
         if res == 0.0:
@@ -183,7 +191,7 @@ def ref_kkt_newton(m, d, u, c, x1, x2, x3, lam, iters):
         b1, b2, b3 = b1 / n, b2 / n, b3 / n
     lam = ref_eval(m, d, u, c, b1, b2, b3)
     g = ref_apply(m, d, u, c, b1, b2, b3)
-    res = max(abs(gi - lam * bi**e1) for gi, bi in zip(g, (b1, b2, b3)))
+    res = ref_max_abs(gi - lam * bi**e1 for gi, bi in zip(g, (b1, b2, b3)))
     return lam, b1, b2, b3, res
 
 
@@ -290,3 +298,121 @@ def ref_scan_two_equal(m, d, u, c, n_grid, polish_iters):
         if cand[0] < best[0] or (cand[0] == best[0] and cand[4] < best[4]):
             best = cand
     return best
+
+
+def ref_ipm_solve(problem, max_iter=150):
+    """The untargeted interior-point loop of ``sdp.solve``, one plain operation at a time.
+
+    Each iteration factors X and Z by two ``cholesky`` calls, forms W Rd W
+    in each Newton solve and each step length from its own pair of
+    triangular solves, and keeps copies of the best iterate; ``sdp.solve``
+    shares these between calls. The arithmetic is the same, so the two
+    agree bit for bit. Returns (G, t_star, status, iterations, dual_obj,
+    precision, stop); t_star is -inf on a projection that is not finite.
+    """
+    N, A = problem.dim, problem.coeffs
+    L = A.shape[0]
+    A_flat = A.reshape(L, -1)
+    c = np.einsum("lii->l", A)
+    scale = max(1.0, float(np.max(np.abs(problem.rhs))))
+    b = problem.rhs / scale
+    norms = np.einsum("ij,ij->i", A_flat, A_flat)
+    X, Z, y, t = np.eye(N), np.eye(N), np.zeros(L), 0.0
+
+    def adjoint(v):
+        return (A_flat.T @ v).reshape(N, N)
+
+    def step_length(dS, Ls):
+        Yt = np.linalg.solve(Ls, dS)
+        Yt = np.linalg.solve(Ls, Yt.T).T
+        beta = np.linalg.eigvalsh(0.5 * (Yt + Yt.T))[0]
+        return 1.0 if beta >= -1e-16 else min(1.0, 0.98 / (-beta))
+
+    best, best_err, stall, status, stop = None, math.inf, 0, "max-iterations", "budget"
+    for iterations in range(1, max_iter + 1):
+        rp = b - A_flat @ X.ravel() - c * t
+        Rd = adjoint(y) - Z
+        rg = 1.0 - float(c @ y)
+        mu = float(np.sum(X * Z)) / N
+        feas = float(np.max(np.abs(rp)))
+        dfeas = float(np.max(np.abs(Rd)))
+        err = max(mu, feas, dfeas, abs(rg))
+        if err < best_err - 1e-18:
+            stall = 0 if err < 0.99 * best_err else stall + 1
+            best_err = err
+            best = (X.copy(), y.copy(), t, mu, rg, dfeas)
+        else:
+            stall += 1
+        if mu <= 1e-11 and feas <= 1e-9 and dfeas <= 1e-9 and abs(rg) <= 1e-10:
+            status, stop = "optimal", "converged"
+            break
+        if stall >= 8:
+            stop = "stall"
+            break
+        try:
+            Lx = np.linalg.cholesky(X)
+            Lz = np.linalg.cholesky(Z)
+            S = Lx.T @ Z @ Lx
+            evals, U = np.linalg.eigh(0.5 * (S + S.T))
+            evals = np.maximum(evals, 1e-300)
+            W = (Lx @ (U / np.sqrt(evals))) @ (U.T @ Lx.T)
+            W = 0.5 * (W + W.T)
+            Zinv_half = np.linalg.solve(Lz, np.eye(N))
+            Zinv = Zinv_half.T @ Zinv_half
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = A_flat @ ((W @ A) @ W).reshape(L, -1).T
+                M = 0.5 * (M + M.T)
+            if not np.all(np.isfinite(M)):
+                stop = "breakdown"
+                break
+            M += (1e-14 * max(1.0, float(np.max(np.diag(M))))) * np.eye(L)
+
+            def newton(Rc):
+                h = A_flat @ (Rc - W @ Rd @ W).ravel() - rp
+                sol = np.linalg.solve(M, np.column_stack([h, c]))
+                dt = (rg - float(c @ sol[:, 0])) / float(c @ sol[:, 1])
+                dy = sol[:, 0] + sol[:, 1] * dt
+                dZ = adjoint(dy) + Rd
+                dX = Rc - W @ dZ @ W
+                return dy, dt, dZ, 0.5 * (dX + dX.T)
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                dy_a, dt_a, dZ_a, dX_a = newton(-X)
+                ap, ad = step_length(dX_a, Lx), step_length(dZ_a, Lz)
+                mu_aff = float(np.sum((X + ap * dX_a) * (Z + ad * dZ_a))) / N
+                sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3)) if mu > 0 else 0.0
+                second = dX_a @ dZ_a @ Zinv
+                dy, dt, dZ, dX = newton(sigma * mu * Zinv - X - 0.5 * (second + second.T))
+            if not (math.isfinite(dt) and np.all(np.isfinite(dX))
+                    and np.all(np.isfinite(dZ)) and np.all(np.isfinite(dy))):
+                stop = "breakdown"
+                break
+            ap, ad = step_length(dX, Lx), step_length(dZ, Lz)
+        except np.linalg.LinAlgError:
+            stop = "breakdown"
+            break
+        X = 0.5 * ((X + ap * dX) + (X + ap * dX).T)
+        Z = 0.5 * ((Z + ad * dZ) + (Z + ad * dZ).T)
+        y = y + ad * dy
+        t = t + ap * dt
+        if not (math.isfinite(t) and float(np.max(np.abs(X))) < 1e60
+                and float(np.max(np.abs(Z))) < 1e60):
+            stop = "breakdown"
+            break
+
+    Xf, yf, tf, mu_f, rg_f, dfeas_f = (X, y, t, mu, rg, dfeas) if stop == "converged" else best
+    G = scale * (Xf + tf * np.eye(N))
+    G = 0.5 * (G + G.T)
+    G = G + adjoint((problem.rhs - A_flat @ G.ravel()) / norms)
+    G = 0.5 * (G + G.T)
+    if not np.all(np.isfinite(G)):
+        return G, -math.inf, "max-iterations", iterations, math.inf, math.inf, "breakdown"
+    t_star = float(np.linalg.eigvalsh(G)[0])
+    dual_obj = scale * float(b @ yf)
+    dual_noise = (scale * (N * dfeas_f + abs(rg_f) * max(1.0, abs(tf)))
+                  if math.isfinite(dfeas_f) else math.inf)
+    precision = max(dual_obj - t_star, 0.0) + dual_noise + 1e-13 * max(1.0, float(np.linalg.norm(G)))
+    residual = float(np.max(np.abs(problem.rhs - A_flat @ G.ravel())))
+    if (mu_f <= 1e-11 and dfeas_f <= 1e-9 and abs(rg_f) <= 1e-10 and residual <= 1e-9 * scale):
+        status = "optimal"
+    return G, t_star, status, iterations, dual_obj, precision, stop

@@ -31,7 +31,8 @@ REF_CASES = [
 # sections whose every minimum is checked against the scalar reference:
 # at (4, 1, 0, 0) every grid point is a minimum and the axis points have
 # singular Newton systems; the zero forms; the two-orbit breakpoints at
-# m = 6 and 8; and a u whose products overflow
+# m = 6 and 8; and two u whose products overflow, the second to nan
+# residuals at some minima
 SECTION_CASES = [
     (4, 1.0, 0.0, 0.0),
     (4, 0.0, 0.0, 0.0),
@@ -39,6 +40,7 @@ SECTION_CASES = [
     (6, 0.0, -70 / 11, 1.0),
     (8, 0.0, -686 / 43, 1.0),
     (14, 0.0, 1e300, 1.0),
+    (8, 0.0, -1e307, 1.0),
 ]
 
 
@@ -251,7 +253,9 @@ def _assert_section_minima_match_reference(m, d, u, c):
     budget = (eigen._GRID_POINTS, eigen._SCAN_POLISH_ITERS)
     state, res = kernels.section_minima(m, d, u, c, *budget)
     got = [(state[3, k], *state[:3, k], res[k]) for k in range(state.shape[1])]
-    assert got == ref_section_minima(m, d, u, c, *budget)
+    ref = ref_section_minima(m, d, u, c, *budget)
+    # equal as floats, a nan residual matching a nan
+    assert np.array_equal(np.reshape(got, (-1, 5)), np.reshape(ref, (-1, 5)), equal_nan=True)
 
 
 def test_every_section_minimum_of_the_fixture_matches_the_scalar_reference():

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import circulant3
-from circulant3 import boundary, sdp, sos
+from circulant3 import boundary, sdp, sos, tables
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
+
+from helpers import ref_ipm_solve
 
 
 def _problem(dim, constraints):
@@ -191,11 +193,11 @@ def test_stacked_step_lengths_equal_the_one_matrix_formula_bit_for_bit():
             Lz = np.linalg.cholesky(C @ C.T + 1e-3 * np.eye(n))
             dX, dZ = rng.standard_normal((2, n, n))
             dX, dZ = dX + dX.T, dZ + dZ.T
-            assert sdp._step_lengths(dX, dZ, Lx, Lz) == (
+            assert sdp._step_lengths(dX, dZ, np.stack([Lx, Lz])) == (
                 _one_step_length(dX, Lx), _one_step_length(dZ, Lz))
     # a PSD direction never leaves the cone: the full step is taken
     D = rng.standard_normal((5, 5))
-    assert sdp._step_lengths(D @ D.T, np.eye(5), np.eye(5), np.eye(5)) == (1.0, 1.0)
+    assert sdp._step_lengths(D @ D.T, np.eye(5), np.stack([np.eye(5)] * 2)) == (1.0, 1.0)
 
 
 def _face_problem(m, d, u, c, blocks=False):
@@ -287,7 +289,8 @@ def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
     # on the face of table row (14, 1, 0) at N every Gram matrix V H V' has
     # the zeros' monomial vectors in its kernel, so raising lambda_min(H)
     # buys the certificate no margin; run to the optimum the loop stalls,
-    # with target 0 it ends on the first iterate whose projection is PSD.
+    # with target 0 it ends on the first iterate or predictor point whose
+    # projection is PSD.
     # Where the stall falls moves with the BLAS thread count (31 iterations
     # at 1 thread, 42 at 2), so the untargeted run is pinned in a child
     # process held to one thread
@@ -314,6 +317,71 @@ def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
     assert sol.t_star == float(np.linalg.eigvalsh(sol.G)[0])
     ok, viol = sdp.check_certificate(V @ sol.G @ V.T, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
     assert ok, f"violation {viol:.3e}"
+
+
+def test_the_block_face_of_row_14_1_0_stops_at_a_predictor_point(monkeypatch):
+    # the face problem is_sos solves for table row (14, 1, 0) at N: its
+    # ninth predictor point projects PSD, so the run stops there, before
+    # that iteration's corrector; step lengths are taken twice per
+    # iteration and once more for that predictor, 17 times in all
+    lengths = []
+    step_lengths = sdp._step_lengths
+    monkeypatch.setattr(sdp, "_step_lengths", lambda *a: lengths.append(1) or step_lengths(*a))
+    m, u, c = 14, 1, 0
+    t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
+    full = build_gram_problem(t.to_form())
+    blocks = sos._isotypic_blocks(m, sos._face(t))
+    sol = sdp.solve(sos._restrict(sos._orbit_problem(m, full), blocks), target=0.0)
+    assert (sol.status, sol.stop, sol.iterations, len(lengths)) == ("feasible", "feasible", 9, 17)
+    assert sol.t_star == float(np.linalg.eigvalsh(sol.G)[0]) >= 0.0
+    ok, viol = sdp.check_certificate(
+        sos._lift(sol.G, blocks), full, tol=sos.DEFAULT_SOS_TOL * full.scale())
+    assert ok, f"violation {viol:.3e}"
+
+
+def test_every_table_face_solve_stops_feasible_within_its_iteration_bound(monkeypatch):
+    # the 61 rows of `table --all` each take one face solve at N, and each
+    # stops at its first projected iterate or predictor point that is PSD:
+    # 207 iterations at 1 BLAS thread, 274 when only the iterates were
+    # candidates. Which candidate passes first moves with rounding, as the
+    # threshold sweep's verdicts may, so at any other thread count the
+    # bound is looser
+    solves = []
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: solves.append(solve(*a, **k)) or solves[-1])
+    for row in tables.load_fixture():
+        tables.compute_row(row)
+    assert len(solves) == 61
+    assert {sol.stop for sol in solves} == {"feasible"}
+    bound = 210 if os.environ.get("OPENBLAS_NUM_THREADS") == "1" else 240
+    assert sum(sol.iterations for sol in solves) <= bound
+
+
+def test_untargeted_solves_match_the_reference_loop_bit_for_bit(monkeypatch):
+    # the 154 decisions of the benchmark's sos-decide workload each take one
+    # full solve with no target; the loop shares factorizations and
+    # products the reference forms one at a time, and must not move a bit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    solves = []
+    solve = sdp.solve
+
+    def spy(*args, **kwargs):
+        solves.append((args, kwargs, solve(*args, **kwargs)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(sdp, "solve", spy)
+    for q in workloads.sos_queries(1):
+        try:
+            sos.is_sos(make_tensor(q["m"], Fraction(q["d"]), Fraction(q["u"]), q["c"]))
+        except sos.SosUndecided:
+            pass
+    assert len(solves) == 154 and all(len(a) == 1 and k == {} for a, k, _ in solves)
+    for (prob,), _, sol in solves:
+        ref = ref_ipm_solve(prob)
+        assert sol.G.tobytes() == ref[0].tobytes()
+        assert (sol.t_star, sol.status, sol.iterations, sol.dual_obj, sol.precision, sol.stop) == ref[1:]
 
 
 def test_a_face_without_a_psd_point_runs_as_without_a_target(monkeypatch):
