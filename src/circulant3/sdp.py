@@ -72,7 +72,8 @@ class SdpProblem:
 
     ``coeffs`` stacks the L symmetric constraint matrices as an
     (L, N, N) array; ``rhs`` holds the right-hand sides b_l. The matrices
-    must be nonzero and mutually orthogonal, |<A_k, A_l>| <= 1e-12 max_l
+    must be finite, symmetric entry by entry, |A - A'| <= 1e-12 max(1,
+    max|A|), nonzero and mutually orthogonal, |<A_k, A_l>| <= 1e-12 max_l
     ||A_l||^2 for k != l, else ValueError. ``with_rhs`` makes the same
     problem with other right-hand sides and checks only those.
     """
@@ -90,10 +91,11 @@ class SdpProblem:
         rhs = _checked_rhs(coeffs, self.rhs)
         if coeffs.shape[0] < 1:
             raise ValueError("constraint list must be nonempty")
-        if not np.allclose(coeffs, np.swapaxes(coeffs, 1, 2), atol=1e-12):
-            raise ValueError("constraint matrices must be symmetric")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("constraint data must be finite")
+        asym = np.max(np.abs(coeffs - np.swapaxes(coeffs, 1, 2)))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(coeffs)))):
+            raise ValueError("constraint matrices must be symmetric")
         gram = np.tensordot(coeffs, coeffs, axes=([1, 2], [1, 2]))
         norms = np.diag(gram)
         off = np.max(np.abs(gram - np.diag(norms)))
@@ -141,7 +143,8 @@ class SdpSolution:
     ``target``), "stall" (8 iterations without a 1% gain in the worst
     residual), "budget" (the
     iteration budget ran out) or "breakdown" (a failed factorization, a
-    non-finite Schur matrix or step, or a blow-up of the iterate).
+    non-finite Schur matrix or step, c' M^-1 c not finite and positive as
+    when every tr(A_l) is 0, or a blow-up of the iterate).
     ``status`` is "optimal", "feasible" or "max-iterations"; a run that
     stops on a stall or the budget can still grade "optimal" once its best
     iterate is projected. A run that stops "feasible" grades "feasible",
@@ -332,6 +335,8 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
                 Minv_h = sol[:, 0]
                 Minv_c = sol[:, 1]
                 denom = float(c @ Minv_c)
+                if not (math.isfinite(denom) and denom > 0.0):  # M is PD: c is 0 or underflows
+                    raise np.linalg.LinAlgError("c' M^-1 c is not positive")
                 dt = (rg - float(c @ Minv_h)) / denom
                 dy = Minv_h + Minv_c * dt
                 dZ = adjoint(dy) + Rd

@@ -9,34 +9,29 @@ and rejections, and an explicit "undecided" outcome instead of silent
 failure), computes the minimal diagonal value making a tensor SOS, and
 packages per-point certification bundles.
 
-At the PSD threshold the form has real zeros, every Gram matrix has
-their monomial vectors in its kernel, and the Gram problem has no
-interior. There the problem is solved on that face of the PSD cone
-("partial facial reduction", Permenter and Parrilo): G = V H V' with V
-spanning the complement of the monomial vectors of every zero the
-two-equal-coordinate scan finds, and the dependent restricted
-constraints replaced by an orthogonal basis of their span, read off
-one small eigendecomposition. Every form of the family is invariant
-under permuting x1, x2, x3, and so is the face, so the face solve
-needs one constraint per S3 orbit of exponent triples, the sum of the
-orbit's constraints, and only the Gram matrices the permutations leave
-unchanged. Those split into blocks over the face's isotypic parts:
-G = B_t H_t B_t' + B_s H_s B_s' + B_1 H_q B_1' + B_2 H_q B_2', on the
-trivial part, the sign part and the copies of the two-dimensional
-standard representation ("Symmetry groups, semidefinite programs, and
-sums of squares", Gatermann and Parrilo, 2004). The unknown H =
-blockdiag(H_t, H_s, H_q) has about two thirds of the face's side, and
-the G it maps to meets every single constraint. That G is still
-checked against the full problem. Every such G has the zeros' monomial
-vectors in its kernel, so lambda_min(G) = 0 whatever H is: the face
-solve stops at its first PSD iterate, while a full solve runs to the
-optimum, whose t* is the certificate's margin, on the full, unreduced
-constraints.
+Every form of the family is invariant under permuting x1, x2, x3, so
+the Gram matrix is sought among those the permutations leave
+unchanged: G = Q_t H_t Q_t' + Q_s H_s Q_s' + Q_1 H_q Q_1' + Q_2 H_q Q_2'
+on the isotypic components of the monomial basis, the trivial, the
+sign and the copies of the two-dimensional standard representation
+with their partners ("Symmetry groups, semidefinite programs, and sums
+of squares", Gatermann and Parrilo, 2004). Such a G meets every
+constraint once it meets their sum over each S3 orbit of exponent
+triples. At the PSD threshold the form has real zeros, every PSD Gram
+matrix has their monomial vectors in its kernel, and the problem has
+no interior; it is solved on that face of the PSD cone ("partial
+facial reduction", Permenter and Parrilo), held as its coordinates in
+the components, with the dependent restricted constraints replaced by
+an orthogonal basis of their span. The G mapped back from H =
+blockdiag(H_t, H_s, H_q) is checked against the full problem. On the
+face lambda_min(G) = 0 whatever H is, so the face solve stops at its
+first PSD iterate, while a full solve, on the full constraints, runs to
+the optimum, whose t* is the certificate's margin.
 
 What the Gram problems of one order share, the constraint stack, its
-orbit sums and the isotypic projectors, is built once per order, on
-first use, as read-only arrays, and checked once; each problem adds
-only its right-hand sides.
+orbit sums, the components and the orbit constraints restricted to
+them, is built once per order, on first use, as read-only arrays;
+each problem adds only its right-hand sides, each face its coordinates.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -164,25 +159,27 @@ class _GramStructure(NamedTuple):
     ``problem`` is the constraint stack of build_gram_problem with zero
     right-hand sides, one matrix per exponent triple of ``monos``.
     ``orbit_sum`` is the 0/1 matrix that sums over each S3 orbit of those
-    triples, and ``orbits`` the problem of the summed matrices, again
-    with zero right-hand sides. ``projectors`` are the operators
-    (E_t, E_s, E_11, E_21) on the monomial basis that permuting x1, x2,
-    x3 splits it by: onto its trivial and its sign part, onto the first
-    vectors of the copies of the two-dimensional standard representation
-    rho, and from those onto their partners. With P_s the permutation
-    matrix of s on the basis ((P G P')[i, j] = G[p[i], p[j]]),
-    E_t = (1/6) sum_s P_s, E_s = (1/6) sum_s sign(s) P_s and
-    E_ab = (2/6) sum_s rho(s)[a, b] P_s; rho is the same rule on the
-    degree-1 basis, restricted to the plane x1 + x2 + x3 = 0, so that
-    E_21 E_11 = E_21 (the other rule, P_s', breaks that).
+    triples. ``isotypic`` holds (Q_t, Q_s, Q_1, Q_2), the columns of one
+    orthogonal matrix: orthonormal bases of the trivial and the sign
+    component of the monomial basis under permuting x1, x2, x3, of the
+    first vectors of its copies of the standard representation rho, and
+    their partners Q_2 = E_21 Q_1. With P_s the permutation matrix of s
+    on the basis ((P G P')[i, j] = G[p[i], p[j]]), Q_t, Q_s and Q_1 span
+    the ranges of E_t = (1/6) sum_s P_s, E_s = (1/6) sum_s sign(s) P_s and
+    E_11, where E_ab = (2/6) sum_s rho(s)[a, b] P_s; rho is the same rule
+    on the degree-1 basis, restricted to the plane x1 + x2 + x3 = 0, so
+    that E_21 E_11 = E_21 (the other rule, P_s', breaks that).
+    ``orbit_blocks`` holds the orbit sums A_o of the constraints restricted
+    to each component: Q_t' A_o Q_t, Q_s' A_o Q_s and Q_1' A_o Q_1 +
+    Q_2' A_o Q_2.
     """
 
     basis: MonomialBasis
     monos: Tuple[Tuple[int, int, int], ...]
     problem: sdp.SdpProblem
     orbit_sum: np.ndarray
-    orbits: sdp.SdpProblem
-    projectors: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    isotypic: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    orbit_blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _permutation_matrices(monos: Tuple[Tuple[int, int, int], ...]) -> np.ndarray:
@@ -219,17 +216,22 @@ def _gram_structure(m: int) -> _GramStructure:
     P = _permutation_matrices(basis.monos)
     rho = _PLANE.T @ _permutation_matrices(_exponent_triples(1)) @ _PLANE
     sign = np.round(np.linalg.det(rho))
-    projectors = tuple(np.tensordot(w, P, axes=1) for w in (
+    E_t, E_s, E_11, E_21 = (np.tensordot(w, P, axes=1) for w in (
         np.ones(6) / 6, sign / 6, rho[:, 0, 0] / 3, rho[:, 1, 0] / 3))
-    for array in (coeffs, orbit_sum, orbit_coeffs) + projectors:
+    # each E is a symmetric projector: its eigenvectors of eigenvalue 1
+    Q_t, Q_s, Q_1 = (Q[:, lam > 0.5] for lam, Q in map(np.linalg.eigh, (E_t, E_s, E_11)))
+    Q_2 = E_21 @ Q_1
+    C_t, C_s, C_1, C_2 = (Q.T @ orbit_coeffs @ Q for Q in (Q_t, Q_s, Q_1, Q_2))
+    isotypic, orbit_blocks = (Q_t, Q_s, Q_1, Q_2), (C_t, C_s, C_1 + C_2)
+    for array in (coeffs, orbit_sum) + isotypic + orbit_blocks:
         array.flags.writeable = False
     return _GramStructure(
         basis,
         monos_m,
         sdp.SdpProblem(n, coeffs, np.zeros(len(monos_m))),
         orbit_sum,
-        sdp.SdpProblem(n, orbit_coeffs, np.zeros(len(orbit_of))),
-        projectors,
+        isotypic,
+        orbit_blocks,
     )
 
 
@@ -274,138 +276,114 @@ def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
     return [tuple(x) for x in state[:3, np.abs(state[3] + d) <= tol].T.tolist()]
 
 
-def _face(t: CirculantTensor) -> Optional[np.ndarray]:
-    """Orthonormal basis V of the face every PSD Gram matrix of the form lies on.
+_Face = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    A real zero x of the form forces z(x)' G z(x) = 0, so G z(x) = 0 for
-    every PSD Gram matrix G: G = V H V' with V spanning the complement of
-    the z-vectors of the zeros and their coordinate permutations. On
-    u = c = d > 0 the form is u (x1+x2+x3)^m, whose zeros fill a plane;
-    there V is the single vector w of multinomial coefficients of
-    (x1+x2+x3)^(m/2), and u w w' is the exact Gram matrix. None when the
-    form has no zero. V spans a subspace that the permutations of the
-    monomial basis map onto itself: the zeros come with all their
-    permutations, and w is symmetric.
+
+def _face(t: CirculantTensor) -> Optional[_Face]:
+    """The face every PSD Gram matrix of the form lies on, as its coordinates (K_t, K_s, K_1).
+
+    A real zero x of the form forces G z(x) = 0 for every PSD Gram matrix
+    G, so G lies on the complement of the rows of Z, the z-vectors of the
+    zeros and their coordinate permutations. Z' Z commutes with the
+    permutations, so by Schur's lemma that complement is spanned by
+    [Q_t K_t, Q_s K_s, Q_1 K_1, Q_2 K_1] (see _GramStructure), with K_c
+    an orthonormal basis of the null space of Z Q_c; a singular value of
+    Z Q_c counts as zero below 1e-9 of the largest of them, Z's largest.
+    On u = c = d > 0 the form is u (x1+x2+x3)^m, whose zeros fill a
+    plane; there the face is the single symmetric vector w of multinomial
+    coefficients of (x1+x2+x3)^(m/2), K_t = Q_t' w / |w|, and u w w' is
+    the exact Gram matrix. None when the form has no zero.
     """
-    basis = _gram_structure(t.m).basis
+    structure = _gram_structure(t.m)
+    basis, (Q_t, Q_s, Q_1, _) = structure.basis, structure.isotypic
     if float(t.d) == float(t.u) == float(t.c) > 0:
         w = np.array([math.factorial(basis.k) / math.prod(map(math.factorial, e))
                       for e in basis.monos])
-        return (w / np.linalg.norm(w))[:, None]
+        return ((Q_t.T @ w / np.linalg.norm(w))[:, None],
+                np.zeros((Q_s.shape[1], 0)), np.zeros((Q_1.shape[1], 0)))
     zeros = _zeros(t)
     if not zeros:
         return None
     Z = np.array([[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in basis.monos]
                   for x in zeros for p in itertools.permutations(x)])
-    # only U is read: once Z has a row per basis monomial the reduced SVD
-    # holds all of U, and the full one would build a square Vt of Z's
+    # only U is read: once Z has a row per component coordinate the reduced
+    # SVD holds all of U, and the full one would build a square Vt of Z's
     # row count (12,006 rows where every section point is a zero)
-    U, sing, _ = np.linalg.svd(Z.T, full_matrices=len(Z) < len(basis))
-    return U[:, int(np.sum(sing > 1e-9 * sing[0])):]
+    svds = [np.linalg.svd(Q.T @ Z.T, full_matrices=len(Z) < Q.shape[1])[:2]
+            for Q in (Q_t, Q_s, Q_1)]
+    top = max(sing[0] for _, sing in svds if len(sing))
+    return tuple(U[:, int(np.sum(sing > 1e-9 * top)):] for U, sing in svds)
 
 
-_Blocks = Sequence[Tuple[np.ndarray, ...]]
+def _blocks(face: _Face) -> Tuple[slice, slice, slice]:
+    """The rows and columns of H_t, H_s and H_q in H = blockdiag(H_t, H_s, H_q)."""
+    t, s, q = (K.shape[1] for K in face)
+    return slice(0, t), slice(t, t + s), slice(t + s, t + s + q)
 
 
-def _restrict(problem: sdp.SdpProblem, blocks: _Blocks) -> sdp.SdpProblem:
-    """The Gram problem in H for G = sum_b sum_i B_bi H_b B_bi', with independent constraints only.
+def _restrict(m: int, problem: sdp.SdpProblem, face: _Face) -> sdp.SdpProblem:
+    """The face problem in H = blockdiag(H_t, H_s, H_q), one constraint per S3 orbit, independent only.
 
-    Each block b is a tuple of bases B_bi of one width s_b (0 allowed)
-    that share one unknown H_b. H is blockdiag(H_b) and constraint A_l
-    restricts to blockdiag(sum_i B_bi' A_l B_bi); a single face basis V
-    is the one block (V,). The restricted constraints, the
-    rows of the L x s^2 stack A, are linearly dependent (the zeros tie
-    them together). The eigenvectors U of the small L x L matrix A A'
-    whose eigenvalues exceed 1e-12 of the largest span the same row space
-    through U' A, whose rows are mutually orthogonal (U' A A' U is
-    diagonal); the right-hand sides are combined alike, U' b. The
-    eigenvalues of A A' are the squared singular values of A, so the cut
-    keeps the directions whose singular value exceeds about 1e-6 of the
-    largest: a face whose rank needs a finer resolution than that is not
-    separated, its dropped right-hand sides are lost, and the certificate
-    check against the full problem then leaves the verdict undecided. On
-    the table's isotypic block faces (see _solve_on_face) the kept
-    eigenvalues are at least 2e-2 of the largest and the dropped ones at
-    most 1e-15 of it, so the rank is never in doubt there.
+    ``problem`` is the full Gram problem and ``face`` comes from _face.
+    With C_c the order's orbit blocks (see _GramStructure), an orbit sum
+    restricts to blockdiag(K_c' C_c K_c), with the sum of the orbit's
+    right-hand sides. The restricted constraints, the rows of the L x s^2
+    stack A, are linearly dependent (the zeros tie them together). The
+    eigenvectors U of the small L x L matrix A A' whose eigenvalues exceed
+    1e-12 of the largest span the same row space through U' A, whose rows
+    are mutually orthogonal (U' A A' U is diagonal); the right-hand sides
+    are combined alike, U' b. The eigenvalues of A A' are the squared singular values
+    of A, so the cut keeps the directions whose singular value exceeds
+    about 1e-6 of the largest: a face whose rank needs a finer resolution
+    than that is not separated, its dropped right-hand sides are lost,
+    and the certificate check against the full problem then leaves the
+    verdict undecided. On the table's faces the kept eigenvalues are at
+    least 2e-2 of the largest and the dropped ones at most 1e-15 of it,
+    so the rank is never in doubt there.
     """
-    parts = [sum(B.T @ problem.coeffs @ B for B in block) for block in blocks]
-    side = sum(part.shape[1] for part in parts)
-    stacked = np.zeros((len(problem.rhs), side, side))
-    at = 0
-    for part in parts:
-        width = part.shape[1]
-        stacked[:, at:at + width, at:at + width] = part
-        at += width
+    structure = _gram_structure(m)
+    side = sum(K.shape[1] for K in face)
+    stacked = np.zeros((len(structure.orbit_sum), side, side))
+    for block, K, C in zip(_blocks(face), face, structure.orbit_blocks):
+        stacked[:, block, block] = K.T @ C @ K
     A = stacked.reshape(-1, side * side)
     lam, U = np.linalg.eigh(A @ A.T)
     U = U[:, lam > 1e-12 * lam[-1]]
     coeffs = (U.T @ A).reshape(-1, side, side)
-    return sdp.SdpProblem(side, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), U.T @ problem.rhs)
+    rhs = U.T @ (structure.orbit_sum @ problem.rhs)
+    return sdp.SdpProblem(side, 0.5 * (coeffs + np.swapaxes(coeffs, 1, 2)), rhs)
 
 
-def _lift(H: np.ndarray, blocks: _Blocks) -> np.ndarray:
-    """G = sum_b sum_i B_bi H_b B_bi' from _restrict's unknown H = blockdiag(H_b)."""
-    G = np.zeros((blocks[0][0].shape[0],) * 2)
-    at = 0
-    for block in blocks:
-        width = block[0].shape[1]
-        H_b = H[at:at + width, at:at + width]
-        for B in block:
-            G += B @ H_b @ B.T
-        at += width
-    return G
+def _lift(m: int, H: np.ndarray, face: _Face) -> np.ndarray:
+    """G = sum_c B_c H_c B_c' + B_2 H_q B_2' from _restrict's H, with B_c = Q_c K_c and B_2 = Q_2 K_1."""
+    Q_t, Q_s, Q_1, Q_2 = _gram_structure(m).isotypic
+    K_t, K_s, K_1 = face
+    t, s, q = _blocks(face)
+    return sum(B @ H[b, b] @ B.T for B, b in (
+        (Q_t @ K_t, t), (Q_s @ K_s, s), (Q_1 @ K_1, q), (Q_2 @ K_1, q)))
 
 
-def _orbit_problem(m: int, problem: sdp.SdpProblem) -> sdp.SdpProblem:
-    """One constraint per S3 orbit of exponent triples: the orbit's sum of the full problem's."""
-    structure = _gram_structure(m)
-    return structure.orbits.with_rhs(structure.orbit_sum @ problem.rhs)
-
-
-def _isotypic_blocks(m: int, V: np.ndarray) -> _Blocks:
-    """The face span(V) split by the S3 action: ((B_t,), (B_s,), (B_1, B_2)).
-
-    B_t and B_s are orthonormal bases of the face's trivial and sign
-    parts, B_1 one of the first vectors of its copies of the standard
-    representation, and B_2 = E_21 B_1 their partners; V spans a subspace
-    the permutations keep (see _face), so V' E V is a projector for each
-    E of the order's (see _GramStructure), and its eigenvectors of
-    eigenvalue 1 give the part. A G that permuting x1, x2, x3 leaves
-    unchanged is B_t H_t B_t' + B_s H_s B_s' + B_1 H_q B_1' + B_2 H_q B_2'
-    on the face, by Schur's lemma, and every such G is left unchanged.
-    """
-    E_t, E_s, E_11, E_21 = _gram_structure(m).projectors
-
-    def part(E: np.ndarray) -> np.ndarray:
-        lam, C = np.linalg.eigh(V.T @ E @ V)
-        return V @ C[:, lam > 0.5]
-
-    B_1 = part(E_11)
-    return ((part(E_t),), (part(E_s),), (B_1, E_21 @ B_1))
-
-
-def _solve_on_face(m: int, problem: sdp.SdpProblem, V: np.ndarray) -> sdp.SdpSolution:
+def _solve_on_face(m: int, problem: sdp.SdpProblem, face: _Face) -> sdp.SdpSolution:
     """The face solve on one constraint per S3 orbit, over the face's isotypic blocks.
 
-    ``problem`` is the full Gram problem of an S3-invariant form and V a
-    face basis whose span the basis permutations keep (see _face). The
-    orbit sums of its constraints, restricted to the blocks of
-    _isotypic_blocks, are solved with target 0, which stops at the first
-    iterate or predictor point with a PSD projection, and G is mapped
-    back from the diagonal blocks of H (_lift). That G lies on the face,
-    is PSD when H is, and is left unchanged by permuting x1, x2, x3, so it meets each
+    ``problem`` is the full Gram problem of an S3-invariant form and
+    ``face`` its coordinates from _face. The orbit sums of its
+    constraints, restricted to the face (_restrict), are solved with
+    target 0, which stops at the first iterate or predictor point with a
+    PSD projection, and G is mapped back from the diagonal blocks of H
+    (_lift). That G lies on the face, is PSD when H is, and is left
+    unchanged by permuting x1, x2, x3 (Schur's lemma), so it meets each
     single constraint: <A_nu, G> is the same across an orbit, hence the
     orbit's sum of b over its size, and b is constant on the orbit. The
     solution's other fields are the block problem's. Where the zeros'
     monomial vectors span the whole basis (the zero form at m = 4) the
     face is {0}: G = 0 is its one point, and nothing is solved.
     """
-    if V.shape[1] == 0:
-        G = np.zeros((V.shape[0],) * 2)
+    if not any(K.shape[1] for K in face):
+        G = np.zeros((problem.dim,) * 2)
         return sdp.SdpSolution(G, 0.0, "feasible", 0, 0.0, 0.0, "feasible")
-    blocks = _isotypic_blocks(m, V)
-    solution = sdp.solve(_restrict(_orbit_problem(m, problem), blocks), target=0.0)
-    return dataclasses.replace(solution, G=_lift(solution.G, blocks))
+    solution = sdp.solve(_restrict(m, problem, face), target=0.0)
+    return dataclasses.replace(solution, G=_lift(m, solution.G, face))
 
 
 def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
@@ -454,10 +432,10 @@ def is_sos(
 
     Where the form has real zeros (at a threshold) the Gram problem has
     no interior, and the SDP is solved on the face those zeros cut out
-    (see _face), with one constraint per S3 orbit, on the blocks the
-    permutations of x1, x2, x3 split the face into (see _solve_on_face);
-    solution.t_star is then the block problem's. On the face G = V H V'
-    is singular whatever H is, so a larger lambda_min(H) buys the
+    (see _face), with one constraint per S3 orbit, on the face's
+    coordinates in the order's isotypic components (see _solve_on_face);
+    solution.t_star is then the block problem's. On the face G is
+    singular whatever H is, so a larger lambda_min(H) buys the
     certificate no margin: that solve gets target 0 and stops at its
     first iterate or predictor point with a PSD projection (stop
     "feasible"), or runs on to the optimum when the face holds none. The
@@ -474,11 +452,11 @@ def is_sos(
     form = t.to_form()
     _require_float_coefficients(t, form)
     problem = build_gram_problem(form)
-    V = _face(t)
-    if V is None:
+    face = _face(t)
+    if face is None:
         solution = sdp.solve(problem)
     else:
-        solution = _solve_on_face(t.m, problem, V)
+        solution = _solve_on_face(t.m, problem, face)
     scale = problem.scale()
     theta = tol * scale
     if solution.t_star >= -theta:

@@ -59,14 +59,15 @@ def test_free_entries_are_used_to_raise_the_minimum_eigenvalue():
 def test_perfect_power_gram_problem_is_recognized_as_psd():
     # the form (x1+x2+x3)^6 vanishes on a whole plane, so its Gram problem
     # has no interior; on the face spanned by the vector w of multinomial
-    # coefficients of (x1+x2+x3)^3 its rank-one Gram matrix w w' is exact
+    # coefficients of (x1+x2+x3)^3, a single trivial coordinate, its
+    # rank-one Gram matrix w w' is exact
     t = make_tensor(6, 1, 1, 1)
     prob = build_gram_problem(t.to_form())
-    V = sos._face(t)
-    assert V.shape == (prob.dim, 1)
-    sol = sdp.solve(sos._restrict(prob, [(V,)]))
+    face = sos._face(t)
+    assert [K.shape[1] for K in face] == [1, 0, 0]
+    sol = sdp.solve(sos._restrict(6, prob, face))
     assert sol.t_star >= -1e-9
-    G = V @ sol.G @ V.T
+    G = sos._lift(6, sol.G, face)
     w = np.array([math.comb(3, a) * math.comb(3 - a, b)
                   for a, b, _ in sos.MonomialBasis.for_half_degree(3).monos])
     assert np.allclose(G, np.outer(w, w), rtol=0.0, atol=1e-12)
@@ -138,6 +139,9 @@ def test_deterministic_across_repeat_solves():
 def test_problem_validation():
     with pytest.raises(ValueError):
         _problem(2, [([[0.0, 1.0], [0.5, 0.0]], 1.0)])  # asymmetric
+    with pytest.raises(ValueError, match="symmetric"):
+        # within numpy's default relative tolerance of 1e-5, not 1e-12
+        _problem(2, [([[0.0, 1.0], [1.0 + 5e-6, 0.0]], 1.0)])
     with pytest.raises(ValueError):
         sdp.SdpProblem(2, np.zeros((1, 2, 2)), np.zeros(2))  # rhs length
     with pytest.raises(ValueError):
@@ -146,6 +150,15 @@ def test_problem_validation():
         _problem(1, [([[np.inf]], 1.0)])
     with pytest.raises(ValueError):
         sdp.SdpProblem(1, np.zeros((0, 1, 1)), np.zeros(0))  # empty
+
+
+def test_constraints_with_zero_trace_end_the_run_as_a_breakdown():
+    # with every tr(A_l) zero, or so small that c' M^-1 c underflows, the
+    # Newton system cannot fix the step in t; the division by c' M^-1 c
+    # raised ZeroDivisionError
+    for corner in (0.0, 1e-300):
+        sol = sdp.solve(sdp.SdpProblem(2, [[[corner, 1.0], [1.0, 0.0]]], [1.0]))
+        assert (sol.status, sol.stop) == ("max-iterations", "breakdown")
 
 
 def test_check_certificate_rejects_bad_candidates():
@@ -200,20 +213,16 @@ def test_stacked_step_lengths_equal_the_one_matrix_formula_bit_for_bit():
     assert sdp._step_lengths(D @ D.T, np.eye(5), np.stack([np.eye(5)] * 2)) == (1.0, 1.0)
 
 
-def _face_problem(m, d, u, c, blocks=False):
-    # the full problem restricted to the face, or with blocks set the
-    # problem is_sos solves there: its S3-orbit sums, restricted to the
-    # face's isotypic blocks
+def _face_problem(m, d, u, c):
+    # the problem is_sos solves on the face: the S3-orbit sums of the
+    # constraints, restricted to the face's coordinates in the order's
+    # isotypic components
     t = make_tensor(m, d, u, c)
-    full = build_gram_problem(t.to_form())
-    V = sos._face(t)
-    if blocks:
-        return sos._restrict(sos._orbit_problem(m, full), sos._isotypic_blocks(m, V))
-    return sos._restrict(full, [(V,)])
+    return sos._restrict(m, build_gram_problem(t.to_form()), sos._face(t))
 
 
-def _at_threshold(m, u, c, blocks=False):
-    return _face_problem(m, boundary.n_value(m, u, c).value, u, c, blocks)
+def _at_threshold(m, u, c):
+    return _face_problem(m, boundary.n_value(m, u, c).value, u, c)
 
 
 def _off_diagonal(prob):
@@ -223,20 +232,16 @@ def _off_diagonal(prob):
 
 
 def test_every_problem_the_package_builds_has_orthogonal_constraints():
-    # the solver's precondition: full Gram problems and their S3-orbit
-    # sums, and the face problems at three thresholds and on the rank-one
-    # face w of (x1+x2+x3)^6, the full problem restricted to the face and
-    # the orbit sums restricted to its isotypic blocks (the problem is_sos
-    # solves)
+    # the solver's precondition: full Gram problems, and the face problems
+    # is_sos solves at three thresholds and on the rank-one face w of
+    # (x1+x2+x3)^6
     for m in range(4, 16, 2):
         full = build_gram_problem(make_tensor(m, 1, 0.5, -1).to_form())
         assert _off_diagonal(full) == 0.0
-        assert _off_diagonal(sos._orbit_problem(m, full)) == 0.0
-    for blocks in (False, True):
-        faces = [_at_threshold(6, 5, -1, blocks), _face_problem(6, 1, 1, 1, blocks),
-                 _at_threshold(8, 20, 1, blocks), _at_threshold(14, 400, -1, blocks)]
-        for prob in faces:
-            assert _off_diagonal(prob) <= 1e-12
+    faces = [_at_threshold(6, 5, -1), _face_problem(6, 1, 1, 1),
+             _at_threshold(8, 20, 1), _at_threshold(14, 400, -1)]
+    for prob in faces:
+        assert _off_diagonal(prob) <= 1e-12
 
 
 def test_with_rhs_shares_the_checked_matrices_and_checks_the_new_rhs():
@@ -250,17 +255,16 @@ def test_with_rhs_shares_the_checked_matrices_and_checks_the_new_rhs():
 
 
 def test_stop_records_why_the_loop_ended(monkeypatch):
-    # two table rows at their thresholds: the face problem of
-    # (8, 483/32, 483/64, -1) meets the stopping rule, and that of
-    # (6, 45/8, 45/16, -1) ends on the stall counter well inside the budget,
-    # as does that of row (2, 6, 5, -1)
+    # three table rows at their thresholds, run to the optimum: the face
+    # problems of (8, 483/32, 483/64, -1) and (6, 45/8, 45/16, -1) meet the
+    # stopping rule, and that of row (2, 6, 5, -1) ends on the stall
+    # counter well inside the budget
     sol = sdp.solve(_face_problem(8, Fraction(483, 32), Fraction(483, 64), -1))
     assert (sol.status, sol.stop) == ("optimal", "converged")
     sol = sdp.solve(_face_problem(6, Fraction(45, 8), Fraction(45, 16), -1))
-    assert (sol.status, sol.stop) == ("max-iterations", "stall")
-    assert sol.iterations < sdp._MAX_ITER
+    assert (sol.status, sol.stop) == ("optimal", "converged")
     sol = sdp.solve(_at_threshold(6, 5, -1))
-    assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "stall", 18)
+    assert (sol.status, sol.stop, sol.iterations) == ("max-iterations", "stall", 27)
     # the full problem of an m = 8 point 3% below N on the linear c = 1
     # branch breaks down (after 15 iterations at 1 and at 2 BLAS threads)
     prob = build_gram_problem(make_tensor(8, Fraction(643789, 160), Fraction(-383, 16), 1).to_form())
@@ -280,20 +284,19 @@ from circulant3 import boundary, sdp, sos, tables
 from circulant3.sos import build_gram_problem
 from circulant3.tensor import make_tensor
 t = make_tensor(14, boundary.n_value(14, 1, 0).value, 1, 0)
-sol = sdp.solve(sos._restrict(build_gram_problem(t.to_form()), [(sos._face(t),)]))
+sol = sdp.solve(sos._restrict(14, build_gram_problem(t.to_form()), sos._face(t)))
 print(sol.stop, sol.iterations)
 """
 
 
 def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
-    # on the face of table row (14, 1, 0) at N every Gram matrix V H V' has
-    # the zeros' monomial vectors in its kernel, so raising lambda_min(H)
-    # buys the certificate no margin; run to the optimum the loop stalls,
-    # with target 0 it ends on the first iterate or predictor point whose
-    # projection is PSD.
-    # Where the stall falls moves with the BLAS thread count (31 iterations
-    # at 1 thread, 42 at 2), so the untargeted run is pinned in a child
-    # process held to one thread
+    # on the face of table row (14, 1, 0) at N every Gram matrix lifted
+    # from H has the zeros' monomial vectors in its kernel, so raising
+    # lambda_min(H) buys the certificate no margin; run to the optimum the
+    # loop stalls, with target 0 it ends on the first iterate or predictor
+    # point whose projection is PSD.
+    # Where the stall falls can move with the BLAS thread count, so the
+    # untargeted run is pinned in a child process held to one thread
     src = str(Path(circulant3.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
@@ -303,19 +306,19 @@ def test_a_face_solve_with_a_target_stops_at_its_first_psd_iterate():
              "MKL_NUM_THREADS": "1", "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["stall", "31"]
+    assert out.stdout.split() == ["stall", "37"]
     m, u, c = 14, 1, 0
     t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
     full = build_gram_problem(t.to_form())
-    V = sos._face(t)
-    prob = sos._restrict(full, [(V,)])
-    sol = sdp.solve(prob, target=0.0)
+    face = sos._face(t)
+    sol = sdp.solve(sos._restrict(m, full, face), target=0.0)
     assert (sol.status, sol.stop) == ("feasible", "feasible")
     assert sol.iterations <= 9
     # the returned matrix is the one that was checked
     assert sol.t_star >= 0.0
     assert sol.t_star == float(np.linalg.eigvalsh(sol.G)[0])
-    ok, viol = sdp.check_certificate(V @ sol.G @ V.T, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
+    ok, viol = sdp.check_certificate(
+        sos._lift(m, sol.G, face), full, tol=sos.DEFAULT_SOS_TOL * full.scale())
     assert ok, f"violation {viol:.3e}"
 
 
@@ -330,12 +333,12 @@ def test_the_block_face_of_row_14_1_0_stops_at_a_predictor_point(monkeypatch):
     m, u, c = 14, 1, 0
     t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
     full = build_gram_problem(t.to_form())
-    blocks = sos._isotypic_blocks(m, sos._face(t))
-    sol = sdp.solve(sos._restrict(sos._orbit_problem(m, full), blocks), target=0.0)
+    face = sos._face(t)
+    sol = sdp.solve(sos._restrict(m, full, face), target=0.0)
     assert (sol.status, sol.stop, sol.iterations, len(lengths)) == ("feasible", "feasible", 9, 17)
     assert sol.t_star == float(np.linalg.eigvalsh(sol.G)[0]) >= 0.0
     ok, viol = sdp.check_certificate(
-        sos._lift(sol.G, blocks), full, tol=sos.DEFAULT_SOS_TOL * full.scale())
+        sos._lift(m, sol.G, face), full, tol=sos.DEFAULT_SOS_TOL * full.scale())
     assert ok, f"violation {viol:.3e}"
 
 
@@ -387,10 +390,10 @@ def test_untargeted_solves_match_the_reference_loop_bit_for_bit(monkeypatch):
 def test_a_face_without_a_psd_point_runs_as_without_a_target(monkeypatch):
     # at the breakpoint rows the form vanishes on two orbits, of (1, 1, 1)
     # and of (-2, -2, 1); the face cut by (1, 1, 1) alone holds no PSD
-    # point (t*/scale -1.3e-10 and -3.7e-8), so target 0 is never met and
+    # point (t*/scale -9.4e-11 and -1.6e-9), so target 0 is never met and
     # the run is the untargeted one
     monkeypatch.setattr(sos, "_zeros", lambda t: [(1.0, 1.0, 1.0)])
-    for m, u, iterations in ((6, Fraction(-70, 11), 17), (8, Fraction(-686, 43), 50)):
+    for m, u, iterations in ((6, Fraction(-70, 11), 18), (8, Fraction(-686, 43), 25)):
         prob = _at_threshold(m, u, 1)
         plain, targeted = sdp.solve(prob), sdp.solve(prob, target=0.0)
         assert (plain.stop, plain.iterations) == ("stall", iterations)

@@ -391,42 +391,123 @@ def test_a_face_is_solved_on_one_constraint_per_s3_orbit(monkeypatch):
     assert ok
     [(side, size)] = shapes
     assert size <= 19 and side == 17
-    assert sos._face(t).shape[1] == 25
+    assert _face_dim(sos._face(t)) == 25
     G = cert.G
     for p in _basis_permutations(m // 2):
         assert np.max(np.abs(G[np.ix_(p, p)] - G)) <= 1e-14 * np.max(np.abs(G))
     full = sos.build_gram_problem(t.to_form())
-    assert len(sos._orbit_problem(m, full).rhs) == 19
+    assert len(sos._gram_structure(m).orbit_sum) == 19
     good, viol = sdp.check_certificate(G, full, tol=sos.DEFAULT_SOS_TOL * full.scale())
     assert good, f"violation {viol:.3e}"
 
 
-def test_the_isotypic_projectors_compose_as_the_standard_representation():
-    # E_t + E_s + E_11 + E_22 = I with E_22 = E_21 E_12, each E_aa a
-    # projector, and E_21 E_11 = E_21: rho comes from the same permutation
-    # rule as the monomial basis (the plain 3 x 3 permutation matrices of
-    # the other rule give E_21 E_11 != E_21); E_21 maps the range of E_11
-    # isometrically onto that of E_22
+def _face_dim(face):
+    # the face's side: the standard coordinates K_1 count twice, once for
+    # Q_1 and once for their partners Q_2
+    K_t, K_s, K_1 = face
+    return K_t.shape[1] + K_s.shape[1] + 2 * K_1.shape[1]
+
+
+def _face_span(m, face):
+    # [Q_t K_t, Q_s K_s, Q_1 K_1, Q_2 K_1]
+    Q_t, Q_s, Q_1, Q_2 = sos._gram_structure(m).isotypic
+    K_t, K_s, K_1 = face
+    return np.hstack([Q_t @ K_t, Q_s @ K_s, Q_1 @ K_1, Q_2 @ K_1])
+
+
+# the plane x1 + x2 + x3 = 0 in the basis the package restricts the
+# degree-1 permutations to: (1, -1, 0)/sqrt(2) and (1, 1, -2)/sqrt(6)
+_PLANE = np.array([[1.0, 1.0], [-1.0, 1.0], [0.0, -2.0]]) / np.sqrt([2.0, 6.0])
+
+
+def test_each_order_splits_its_basis_and_orbit_constraints_into_isotypic_components():
+    # [Q_t Q_s Q_1 Q_2] is square and orthogonal; Q_t, Q_s and Q_1 span
+    # the ranges of E_t, E_s and E_11, built here from the permutation
+    # matrices, and Q_2 = E_21 Q_1; the orbit blocks are the orbit sums of
+    # the constraints restricted to each component; all of it read-only
     for m in range(4, 16, 2):
-        projectors = sos._gram_structure(m).projectors
-        assert not any(E.flags.writeable for E in projectors)
-        E_t, E_s, E_11, E_21 = projectors
-        E_22 = E_21 @ E_21.T
-        n = len(E_t)
-        assert np.max(np.abs(E_t + E_s + E_11 + E_22 - np.eye(n))) <= 1e-14
-        for E in (E_t, E_s, E_11, E_22):
-            assert np.max(np.abs(E @ E - E)) <= 1e-14
-        assert np.max(np.abs(E_21 @ E_11 - E_21)) <= 1e-14
-        assert np.max(np.abs(E_21.T @ E_21 - E_11)) <= 1e-14
-        for p in _basis_permutations(m // 2):
-            assert np.max(np.abs(E_t[p] - E_t)) <= 1e-15
+        structure = sos._gram_structure(m)
+        Q_t, Q_s, Q_1, Q_2 = structure.isotypic
+        n = len(structure.basis)
+        Q = np.hstack(structure.isotypic)
+        assert Q.shape == (n, n)
+        assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-13
+        P = np.array([np.eye(n)[p] for p in _basis_permutations(m // 2)])
+        rho = np.array([_PLANE.T @ np.eye(3)[p] @ _PLANE for p in _basis_permutations(1)])
+        sign = np.round(np.linalg.det(rho))
+        E_t, E_s, E_11, E_21 = (np.einsum("s,sij->ij", w, P) for w in (
+            np.full(6, 1 / 6), sign / 6, rho[:, 0, 0] / 3, rho[:, 1, 0] / 3))
+        for E, Q_c in ((E_t, Q_t), (E_s, Q_s), (E_11, Q_1)):
+            assert Q_c.shape[1] == round(np.trace(E))
+            assert np.max(np.abs(E @ Q_c - Q_c), initial=0.0) <= 1e-13
+        assert np.max(np.abs(Q_2 - E_21 @ Q_1)) <= 1e-13
+        orbits = {}
+        for row, mu in enumerate(structure.monos):
+            orbits.setdefault(tuple(sorted(mu)), []).append(row)
+        A = np.array([structure.problem.coeffs[rows].sum(axis=0) for rows in orbits.values()])
+        C_t, C_s, C_q = structure.orbit_blocks
+        assert np.max(np.abs(C_t - Q_t.T @ A @ Q_t)) <= 1e-12
+        assert np.max(np.abs(C_s - Q_s.T @ A @ Q_s), initial=0.0) <= 1e-12
+        assert np.max(np.abs(C_q - Q_1.T @ A @ Q_1 - Q_2.T @ A @ Q_2)) <= 1e-12
+        arrays = (structure.orbit_sum,) + structure.isotypic + structure.orbit_blocks
+        assert not any(array.flags.writeable for array in arrays)
 
 
-def _random_block_gram(rng, blocks):
-    # a random symmetric H = blockdiag(H_b) and G = sos._lift(H)
-    side = sum(block[0].shape[1] for block in blocks)
+def _monomial_vectors(k, zeros):
+    # z(p) for every permutation p of every zero, one row each
+    monos = sos.MonomialBasis.for_half_degree(k).monos
+    return np.array([[p[0] ** a * p[1] ** b * p[2] ** g for a, b, g in monos]
+                     for x in zeros for p in itertools.permutations(x)])
+
+
+def _table_faces():
+    # (m, u, c, tensor) at d = N_computed of every table row
+    golden = Path(__file__).with_name("table_all.csv")
+    with golden.open(encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            m, u, c = int(row["m"]), float(tables.parse_scalar(row["u"])), float(row["c"])
+            yield m, row["u"], row["c"], make_tensor(m, float(row["N_computed"]), u, c)
+
+
+def test_the_face_coordinates_span_the_complement_of_the_zeros_monomial_vectors():
+    # on every table face and at the breakpoint rows at float(N), the
+    # component coordinates span the complement of the zeros' monomial
+    # vectors, taken here by one SVD of all of them with the same cut,
+    # 1e-9 of the largest singular value; the face sides are those of the
+    # plain face basis the per-face SVD gave (987 over the table)
+    breakpoints = [(m, str(u), "1", make_tensor(m, float(boundary.n_value(m, u, 1).value),
+                                                float(u), 1.0)) for m, u in BREAKPOINT_ROWS]
+    dims = {}
+    for m, u, c, t in [*_table_faces(), *breakpoints]:
+        face = sos._face(t)
+        B = _face_span(m, face)
+        assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-12
+        Z = _monomial_vectors(m // 2, sos._zeros(t))
+        U, sing, _ = np.linalg.svd(Z.T)
+        V = U[:, int(np.sum(sing > 1e-9 * sing[0])):]
+        assert B.shape == V.shape, (m, u, c)
+        assert np.max(np.abs(B @ B.T - V @ V.T)) <= 1e-10, (m, u, c)
+        dims.setdefault((m, u, c), []).append(_face_dim(face))
+    assert sum(sides[0] for sides in dims.values()) == 987
+    assert dims[12, "1", "0"] == [25] and dims[14, "1", "0"] == [33]
+    assert dims[6, "-70/11", "1"] == [6, 6] and dims[8, "-686/43", "1"] == [11, 11]
+    # the zeros of (x1+x2+x3)^6 fill a plane, and its face is the single
+    # vector w of multinomial coefficients of (x1+x2+x3)^3
+    face = sos._face(make_tensor(6, 1, 1, 1))
+    w = np.array([math.comb(3, a) * math.comb(3 - a, b)
+                  for a, b, _ in sos.MonomialBasis.for_half_degree(3).monos])
+    w = w / np.linalg.norm(w)
+    B = _face_span(6, face)
+    assert B.shape == (10, 1) and _face_dim(face) == 1
+    assert np.max(np.abs(B @ B.T - np.outer(w, w))) <= 1e-10
+
+
+def _random_block_gram(rng, m, face):
+    # a random symmetric H = blockdiag(H_t, H_s, H_q) and G = sos._lift(H)
+    K_t, K_s, K_1 = face
+    side = K_t.shape[1] + K_s.shape[1] + K_1.shape[1]
     H = rng.standard_normal((side, side))
-    return sos._lift(H + H.T, blocks)
+    return sos._lift(m, H + H.T, face)
 
 
 @pytest.mark.parametrize("m, u, c", [(6, 5, -1), (8, 20, 1), (12, 1, 0), (14, 3, 1)])
@@ -438,20 +519,18 @@ def test_the_block_gram_matrix_meets_every_single_full_constraint(m, u, c):
     # permutations used to
     t = make_tensor(m, boundary.n_value(m, u, c).value, u, c)
     full = sos.build_gram_problem(t.to_form())
-    V = sos._face(t)
-    blocks = sos._isotypic_blocks(m, V)
-    widths = [block[0].shape[1] for block in blocks]
-    assert widths[0] + widths[1] + 2 * widths[2] == V.shape[1]
+    face = sos._face(t)
     structure = sos._gram_structure(m)
-    G = _random_block_gram(np.random.default_rng(m), blocks)
+    G = _random_block_gram(np.random.default_rng(m), m, face)
     for p in _basis_permutations(m // 2):
         assert np.max(np.abs(G[np.ix_(p, p)] - G)) <= 1e-13 * np.max(np.abs(G))
     values = np.einsum("lij,ij->l", structure.problem.coeffs, G)
     for orbit in structure.orbit_sum.astype(bool):
         assert np.ptp(values[orbit]) <= 1e-12 * np.max(np.abs(values))
     # and on the face: G z = 0 for the monomial vectors z of the zeros
+    V = _face_span(m, face)
     assert np.max(np.abs(G - V @ (V.T @ G @ V) @ V.T)) <= 1e-12 * np.max(np.abs(G))
-    solution = sos._solve_on_face(m, full, V)
+    solution = sos._solve_on_face(m, full, face)
     assert solution.stop == "feasible"
     assert full.violation(solution.G) <= 1e-9 * full.scale()
 
@@ -461,15 +540,14 @@ def test_a_face_with_only_a_trivial_block_still_solves():
     # trivial block of width 1 and empty sign and standard blocks, and the
     # block problem is one constraint on a 1 x 1 matrix
     t = make_tensor(6, 1, 1, 1)
-    V = sos._face(t)
-    blocks = sos._isotypic_blocks(6, V)
-    assert [block[0].shape[1] for block in blocks] == [1, 0, 0]
+    face = sos._face(t)
+    assert [K.shape[1] for K in face] == [1, 0, 0]
     full = sos.build_gram_problem(t.to_form())
-    prob = sos._restrict(sos._orbit_problem(6, full), blocks)
+    prob = sos._restrict(6, full, face)
     assert (prob.dim, len(prob.rhs)) == (1, 1)
     ok, cert = sos.is_sos(t)
     assert ok
-    w = V[:, 0] * np.linalg.norm(
+    w = _face_span(6, face)[:, 0] * np.linalg.norm(
         [math.factorial(3) / math.prod(map(math.factorial, e)) for e in cert.basis.monos])
     assert np.allclose(cert.G, np.outer(w, w), rtol=0.0, atol=1e-12)
 
@@ -479,7 +557,7 @@ def test_the_zero_form_of_order_4_is_certified_on_the_face_zero():
     # degree 2, so the face is {0}; G = 0 is its one point (a ValueError
     # escaped from the empty face before)
     t = make_tensor(4, 0, 0, 0)
-    assert sos._face(t).shape == (6, 0)
+    assert _face_span(4, sos._face(t)).shape == (6, 0)
     ok, cert = sos.is_sos(t)
     assert ok and not np.any(cert.G)
 
@@ -586,19 +664,20 @@ def _svd_restrict(A, rhs):
     return Wt[:k], (U[:, :k].T @ rhs) / sing[:k]
 
 
-def _adjoint_stack(problem, blocks, side):
+def _adjoint_stack(coeffs, m, face, side):
     # row l holds <A_l, G(E_ij)> for every unit matrix E_ij of the side x
     # side unknown H, with G = sos._lift: the constraints on H as the
     # adjoint of the map back to G, built without sos._restrict
     units = np.eye(side * side).reshape(-1, side, side)
-    lifted = np.array([sos._lift(E, blocks) for E in units])
-    return np.einsum("lij,kij->lk", problem.coeffs, lifted)
+    lifted = np.array([sos._lift(m, E, face) for E in units])
+    return np.einsum("lij,kij->lk", coeffs, lifted)
 
 
 def test_the_restricted_face_problem_is_the_svd_restriction_on_every_table_face():
     # the table solves at d = N_computed, with u and c as floats, on the
-    # orbit sums restricted to the face's isotypic blocks; that problem and
-    # the SVD restriction of the adjoint of G = sos._lift(H) must define one
+    # orbit sums restricted to the face's coordinates in the isotypic
+    # components; that problem and the SVD restriction of the adjoint of
+    # the orbit sums, taken here, through G = sos._lift(H) must define one
     # affine set {h : <A_l, h> = b_l}: the same row space (equal projectors
     # onto it) and the same least-norm point; the kept eigenvalues of A A'
     # are far from the dropped ones (at least 2.9e-2 and at most 1.7e-16 of
@@ -610,16 +689,18 @@ def test_the_restricted_face_problem_is_the_svd_restriction_on_every_table_face(
             m = int(row["m"])
             u = float(tables.parse_scalar(row["u"]))
             t = make_tensor(m, float(row["N_computed"]), u, float(row["c"]))
-            orbits = sos._orbit_problem(m, sos.build_gram_problem(t.to_form()))
-            blocks = sos._isotypic_blocks(m, sos._face(t))
-            prob = sos._restrict(orbits, blocks)
+            structure = sos._gram_structure(m)
+            full = sos.build_gram_problem(t.to_form())
+            face = sos._face(t)
+            prob = sos._restrict(m, full, face)
             side = prob.dim
             sides.add(side)
-            assert side == sum(block[0].shape[1] for block in blocks)
+            assert side == sum(K.shape[1] for K in face)
             rows = prob.coeffs.reshape(len(prob.rhs), -1)
             norms = np.einsum("ij,ij->i", rows, rows)
-            A = _adjoint_stack(orbits, blocks, side)
-            basis, point_coords = _svd_restrict(A, orbits.rhs)
+            orbit_coeffs = np.tensordot(structure.orbit_sum, structure.problem.coeffs, axes=1)
+            A = _adjoint_stack(orbit_coeffs, m, face, side)
+            basis, point_coords = _svd_restrict(A, structure.orbit_sum @ full.rhs)
             assert rows.shape == basis.shape, (m, row["u"], row["c"])
             unit = rows / np.sqrt(norms)[:, None]
             assert np.max(np.abs(unit.T @ unit - basis.T @ basis)) <= 1e-10
