@@ -55,6 +55,10 @@ _GRID_POINTS = 2001  # grid of the two-equal-coordinate scan
 _SCAN_POLISH_ITERS = 40  # Newton polish iterations for the grid minima
 _MAX_ITERS = 600  # projected-descent iterations per multistart point
 _TOL_GRAD = 1e-11  # relative residual above which a start gets a second Newton round
+# the most multistart points a config may ask for, 64 times the default:
+# the starts are one (n_starts, 3) array, so an unbounded count is an
+# unbounded allocation
+_MAX_STARTS = 4096
 # a smallest H-eigenvalue at least -_PSD_TOL reads as PSD
 _PSD_TOL = 1e-7
 
@@ -69,12 +73,13 @@ def _require_positive(name: str, value: float) -> None:
 class SolverConfig:
     """Caller settings of the threshold pipeline, checked on construction.
 
-    ``n_starts`` and ``seed`` drive the multistart, ``eigen_tol`` is the
-    eigenpair residual tolerance (relative to the tensor's scale),
-    ``sos_tol`` the SOS decision tolerance of ``sos.is_sos`` and
-    ``tol_d`` the bisection step on d. Frozen and hashable: ``boundary``
-    caches the c = 0 reference value on (m, config), so a query at
-    c = 0 honours the caller's settings like any other.
+    ``n_starts`` (1 to ``_MAX_STARTS``, 4,096) and ``seed`` drive the
+    multistart, ``eigen_tol`` is the eigenpair residual tolerance
+    (relative to the tensor's scale), ``sos_tol`` the SOS decision
+    tolerance of ``sos.is_sos`` and ``tol_d`` the bisection step on d.
+    Frozen and hashable: ``boundary`` caches the c = 0 reference value
+    on (m, config), so a query at c = 0 honours the caller's settings
+    like any other.
     """
 
     n_starts: int = 64
@@ -86,6 +91,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
+        if self.n_starts > _MAX_STARTS:
+            raise ValueError(f"n_starts must be <= {_MAX_STARTS}, got {self.n_starts}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("eigen_tol", "sos_tol", "tol_d"):

@@ -7,19 +7,19 @@ the seven linear forms x1, x2, x3, x1+x2, x1+x3, x2+x3, x1+x2+x3.
 
 The pointwise kernels (eval_form, apply_power, power_jacobian) take
 plain numbers; exact inputs (int, Fraction) give exact outputs. The two
-searches behind ``eigen.lambda_min`` batch what has many points and
-loop over what has few:
+searches behind ``eigen.lambda_min`` run what has many points as one
+numpy batch, and both polish each point they end on alone, on Python
+floats, with one eigenpair Newton (_newton_point and its 4x4
+elimination _solve4_point):
 
-* minimize_batch runs the projected descent and its eigenpair Newton
-  polish (_newton) for all starts (64 by default) at once in numpy,
-  with one backtracking step size per start. A loop of the scalar
-  Newton over the starts measured 6.2-6.3 -> 10.3-10.8 ms per
-  ``lambda_min`` call (2-vCPU x86-64 host, numpy 2.4), so the
-  multistart stays batched;
+* minimize_batch runs the projected descent for all starts (64 by
+  default) at once, with one backtracking step size per start, then
+  polishes each descended start by _newton_point. That loop over the
+  starts typically takes 3-6 ms of a 7-10 ms ``lambda_min`` call on a
+  2-vCPU x86-64 host (BENCH_newton.json);
 * section_minima evaluates the two-equal-coordinate grid in one numpy
   pass over the order's cached power sums, then polishes each of its
-  few grid minima alone on Python floats (_newton_point), where
-  numpy's per-call cost outweighed the work of one to three columns;
+  few grid minima by Newton on the section quotient and _newton_point;
   scan_two_equal keeps the smallest of them. scan_two_equal and the
   zero scan of ``sos`` read the minima through cached_section_minima, a
   small cache, so N's scan at d = 0 and the zero scan of the same
@@ -28,8 +28,7 @@ loop over what has few:
 Batched powers go through ``np.float_power``, which calls the C
 library's pow for each element like Python's ``**`` does, and every
 other operation is applied in the order the scalar formulas use, so a
-batched column and the scalar Newton carry the same bits from the same
-start.
+batched column carries the bits of the same formulas run on one point.
 """
 
 from __future__ import annotations
@@ -45,13 +44,6 @@ BACKEND = "numpy"
 # component i of A x^{m-1} takes the pair powers at rows _LEFT[i], _RIGHT[i]
 _LEFT = np.array([3, 3, 4])
 _RIGHT = np.array([4, 5, 5])
-# positions of the off-diagonal Jacobian entries j12, j13, j23
-_UPPER = (np.array([0, 0, 1]), np.array([1, 2, 2]))
-_LOWER = (_UPPER[1], _UPPER[0])
-_DIAG3 = np.arange(3)
-_DIAG4 = np.arange(4)
-# candidate pivot rows below the diagonal, by elimination column
-_SWAP_ROWS = [np.arange(1, 4 - col)[:, None] for col in range(3)]
 # backtracking step sizes tried together per pass: eta, eta / 2, eta / 4
 _TRIES = 3
 
@@ -143,98 +135,6 @@ def _gradient(d, u, c, pw):
     return _component(d, u, c, pw[:3], pw[_LEFT], pw[_RIGHT], pw[6])
 
 
-def _solve4(aug):
-    """Solve the 4x4 systems held as augmented (4, 5, n) matrices, in place.
-
-    Gaussian elimination with partial pivoting, the same operations in
-    the same order for every system. Returns the (4, n) solutions and a
-    mask that is False where a pivot is zero or not finite.
-    """
-    for col in range(3):
-        piv = np.abs(aug[col:, col]).argmax(axis=0)
-        swap = piv == _SWAP_ROWS[col]
-        prow = aug[col].copy()
-        for k in range(3 - col):
-            np.copyto(prow, aug[col + 1 + k], where=swap[k])
-        aug[col + 1:] = np.where(swap[:, None], aug[col], aug[col + 1:])
-        aug[col] = prow
-        fac = aug[col + 1:, col] / prow[col]
-        aug[col + 1:, col:] -= fac[:, None] * prow[col:]
-    pivots = aug[_DIAG4, _DIAG4]
-    ok = (np.isfinite(pivots) & (pivots != 0.0)).all(axis=0)
-    y = np.empty((4, aug.shape[2]))
-    for col in range(3, -1, -1):
-        s = aug[col, 4]
-        for k in range(col + 1, 4):
-            s = s - aug[col, k] * y[k]
-        y[col] = s / pivots[col]
-    return y, ok
-
-
-def _newton(m, d, u, c, state, iters):
-    """Newton on A x^{m-1} = lam x^[m-1], |x|_m = 1 for every column.
-
-    ``state`` holds the rows x1, x2, x3, lam. Each column keeps the
-    iterate with the smallest residual. A column stops when its
-    residual is exactly zero, its linear system is singular, or it
-    revisits an earlier iterate (every later residual would repeat one
-    already seen). A column whose step leaves the finite range returns
-    its best raw iterate; the others return it renormalized, with the
-    eigenvalue and residual recomputed. Returns (state, residual).
-    """
-    n = state.shape[1]
-    e1 = m - 1
-    w1 = m - 1.0
-    best = state.copy()
-    best_res = np.full(n, math.inf)
-    live = np.ones(n, dtype=bool)
-    blown = np.zeros(n, dtype=bool)
-    seen = np.empty((iters, 4, n))
-    aug = np.zeros((4, 5, n))
-    f = np.empty((4, n))
-    for it in range(iters):
-        x, lam = state[:3], state[3]
-        z = _linear_forms(x)
-        pw = np.float_power(z, e1)
-        p = pw[:3]
-        f[:3] = _gradient(d, u, c, pw) - lam * p
-        f[3] = (_power_sum(x, m) - 1.0) / m
-        res = np.abs(f).max(axis=0)
-        better = live & (res < best_res)
-        best = np.where(better, state, best)
-        best_res = np.where(better, res, best_res)
-        live &= res != 0.0
-        if not live.any():
-            break
-        pj = np.float_power(z, m - 2)
-        diag = w1 * _component(d, u, c, pj[:3], pj[_LEFT], pj[_RIGHT], pj[6])
-        aug[_DIAG3, _DIAG3] = diag - lam * w1 * pj[:3]
-        aug[_UPPER] = aug[_LOWER] = w1 * _off_diagonal(u, c, pj[3:6], pj[6])
-        aug[:3, 3] = -p
-        aug[3, :3] = p
-        aug[3, 3] = 0.0
-        aug[:, 4] = -f
-        step, ok = _solve4(aug)
-        live &= ok
-        longest = np.abs(step[:3]).max(axis=0)
-        step *= np.where(longest > 0.5, 0.5 / longest, 1.0)
-        new = state + step
-        finite = np.isfinite(new).all(axis=0)
-        blown |= live & ~finite
-        seen[it] = state
-        live &= finite & ~(seen[: it + 1] == new).all(axis=1).any(axis=0)
-        state = np.where(live, new, state)
-        if not live.any():
-            break
-    x = best[:3]
-    nrm = _norm(x, m)
-    x = np.where((nrm > 0.0) & np.isfinite(nrm), x / nrm, x)
-    lam = _eval_batch(m, d, u, c, x)
-    pw = np.float_power(_linear_forms(x), e1)
-    res = np.abs(_gradient(d, u, c, pw) - lam * pw[:3]).max(axis=0)
-    return np.where(blown, best, np.vstack([x, lam])), np.where(blown, best_res, res)
-
-
 def _descend(m, d, u, c, x, max_iters):
     """Projected descent on f(x)/|x|_m^m from the unit columns of x.
 
@@ -300,29 +200,44 @@ def _best(state, res):
     return best
 
 
+def _columns(points):
+    """The (4, k) state and k residuals of k (lam, x1, x2, x3, residual) tuples.
+
+    The state's rows are x1, x2, x3, lam, as ``_best`` reads them.
+    """
+    if not points:
+        return np.empty((4, 0)), np.empty(0)
+    out = np.array(points).T
+    return out[[1, 2, 3, 0]], out[4].copy()
+
+
 def minimize_batch(m, d, u, c, starts, max_iters, tol):
     """Projected descent plus Newton polish from every start; keep the best.
 
     ``starts`` is an (n, 3) array. Each start is scaled to the unit
-    |.|_m sphere, descends on the quotient f(x)/|x|_m^m and is polished
-    by Newton on the eigenpair system; a second Newton round runs where
-    the residual still exceeds tol times the start's gradient scale. A
-    start of zero or non-finite norm is skipped. Returns (lam, x1, x2,
-    x3, residual).
+    |.|_m sphere, and all of them descend together on the quotient
+    f(x)/|x|_m^m. Each descended start is then polished alone by Newton
+    on the eigenpair system (_newton_point); a second Newton round runs
+    where the residual still exceeds tol times the start's gradient
+    scale, and is kept where it lowers the residual. A start of zero or
+    non-finite norm is skipped. Returns (lam, x1, x2, x3, residual),
+    (inf, 0, 0, 0, inf) when no start is usable.
     """
     x0 = np.array(starts, dtype=float).reshape(-1, 3).T
     with np.errstate(all="ignore"):
         nrm = _norm(x0, m)
         usable = (nrm != 0.0) & np.isfinite(nrm)
         x, scale = _descend(m, d, u, c, x0[:, usable] / nrm[usable], max_iters)
-        state, res = _newton(m, d, u, c, np.vstack([x, _eval_batch(m, d, u, c, x)]), 30)
-        again = np.flatnonzero(res > tol * scale)
-        if again.size:
-            state2, res2 = _newton(m, d, u, c, state[:, again], 30)
-            took = res2 < res[again]
-            state[:, again[took]] = state2[:, took]
-            res[again[took]] = res2[took]
-    return _best(state, res)
+        lam = _eval_batch(m, d, u, c, x)
+    points = []
+    for x1, x2, x3, lam0, bound in zip(*x.tolist(), lam.tolist(), (tol * scale).tolist()):
+        point = _newton_point(m, d, u, c, x1, x2, x3, lam0, 30)
+        if point[4] > bound:
+            again = _newton_point(m, d, u, c, *point[1:4], point[0], 30)
+            if again[4] < point[4]:
+                point = again
+        points.append(point)
+    return _best(*_columns(points))
 
 
 def _polish_section(m, d, u, c, theta, h, iters):
@@ -390,18 +305,18 @@ def _max_abs(*v):
 
 
 def _solve4_point(rows):
-    """_solve4 for one system, its four augmented rows given as lists; None if singular.
+    """Solve one 4x4 system, its four augmented rows given as lists; None if singular.
 
-    The same pivot choice, row swaps and operations in the same order as
-    the batched elimination, but a zero or non-finite pivot returns None
-    before anything is divided by it (Python floats raise where numpy
-    gives inf).
+    Gaussian elimination with partial pivoting (the first of equal
+    candidates), in place. A zero or non-finite pivot returns None
+    before anything is divided by it, since Python floats raise on a
+    division by zero.
     """
     for col in range(3):
         cand = [abs(rows[r][col]) for r in range(col, 4)]
         big = max(cand)
         # a nan candidate that max passes over turns its row, and so the
-        # last pivot, into nan; numpy's argmax would have picked it
+        # last pivot, into nan, which the check after the loop rejects
         if not 0.0 < big < math.inf:
             return None
         piv = col + cand.index(big)
@@ -423,11 +338,16 @@ def _solve4_point(rows):
 
 
 def _newton_point(m, d, u, c, x1, x2, x3, lam, iters):
-    """_newton for one point on Python floats; returns (lam, x1, x2, x3, residual).
+    """Newton on A x^{m-1} = lam x^[m-1], |x|_m = 1 from one point, on Python floats.
 
-    Each iterate runs the float operations of a batched column in the
-    same order, under the same rules for keeping the best iterate,
-    stopping and blowing up, so it returns the same bits.
+    A step that would move a coordinate of x by more than 0.5 is scaled
+    down to 0.5, and the iterate with the smallest residual is kept.
+    Newton stops when the residual is exactly zero, its linear system is
+    singular, or it revisits an earlier iterate (every later residual
+    would repeat one already seen). A step that leaves the finite range
+    returns the best raw iterate; otherwise the best is renormalized,
+    with the eigenvalue and residual recomputed. Returns (lam, x1, x2,
+    x3, residual).
     """
     e1, e2 = m - 1, m - 2
     w1 = m - 1.0
@@ -481,11 +401,10 @@ def section_minima(m, d, u, c, n_grid, polish_iters):
     over the order's cached power sums (``_section_grid``). Each grid
     minimum is polished alone on Python floats, by Newton on the section
     quotient and then by Newton on the full eigenpair system
-    (_newton_point, the bits of a batched _newton column): a scan has one
-    to a few minima (105 over the 61 table sections), too few for numpy's
-    per-call cost to pay off. A constant section, such as the zero
-    form's, makes every grid point a minimum, and there the loop is
-    slower than a batch (12 -> 36 ms at m = 6 on the host named above).
+    (_newton_point): a scan has one to a few minima (105 over the 61
+    table sections). A constant section, such as the zero form's, makes
+    every grid point a minimum, and all 2,001 are polished one by one:
+    about 31 ms at m = 6 on that host (BENCH_newton.json).
     Returns (state, residual): the columns of the (4, k) state are the
     polished points x1, x2, x3 on the unit m-norm sphere with their
     eigenvalues, one per grid minimum (k = 0 when the grid has none).
@@ -502,10 +421,7 @@ def section_minima(m, d, u, c, n_grid, polish_iters):
         nrm = (abs(ct) ** m + abs(ct) ** m + abs(st) ** m) ** (1.0 / m)
         x1, x3 = ct / nrm, st / nrm
         cols.append(_newton_point(m, d, u, c, x1, x1, x3, eval_form(m, d, u, c, x1, x1, x3), 20))
-    if not cols:
-        return np.empty((4, 0)), np.empty(0)
-    out = np.array(cols).T
-    return out[[1, 2, 3, 0]], out[4].copy()
+    return _columns(cols)
 
 
 @functools.lru_cache(maxsize=8)

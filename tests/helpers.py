@@ -79,12 +79,12 @@ def orbit_distance(m: int, x: Sequence[float], target: Sequence[float]) -> float
     return best
 
 
-# -- scalar reference for the batched eigenvalue kernels ----------------------
+# -- scalar reference for the eigenvalue kernels ------------------------------
 #
-# The one-point-at-a-time loops the batched kernels in circulant3.kernels
-# vectorize: projected descent with backtracking, Newton on the eigenpair
-# system with a partial-pivoting 4x4 solve, and the two-equal-coordinate
-# scan. They carry their own copies of the grouped-power formulas.
+# The one-point-at-a-time loops behind the searches in circulant3.kernels:
+# projected descent with backtracking, Newton on the eigenpair system with
+# a partial-pivoting 4x4 solve, and the two-equal-coordinate scan. They
+# carry their own copies of the grouped-power formulas.
 
 
 def ref_eval(m, d, u, c, x1, x2, x3):

@@ -453,6 +453,7 @@ def test_nonpositive_or_non_finite_settings_are_usage_errors(tmp_path, capsys):
                           ("eigen_tol = 0", "eigen_tol must be finite and > 0"),
                           ("eigen_tol = inf", "eigen_tol must be finite and > 0"),
                           ("n_starts = 0", "n_starts must be >= 1"),
+                          ("n_starts = 1000000000", "n_starts must be <= 4096"),
                           ("seed = -1", "seed must be >= 0")):
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")

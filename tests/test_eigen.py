@@ -143,6 +143,13 @@ def test_scan_multistart_tie_is_relative_to_the_tensor_scale(caplog):
 def test_solver_config_rejects_invalid_settings():
     with pytest.raises(ValueError, match="n_starts must be >= 1"):
         SolverConfig(n_starts=0)
+    # the starts are one (n_starts, 3) array: a count from a config file
+    # is capped before anything is allocated
+    SolverConfig(n_starts=eigen._MAX_STARTS)
+    with pytest.raises(ValueError, match="n_starts must be <= 4096"):
+        SolverConfig(n_starts=eigen._MAX_STARTS + 1)
+    with pytest.raises(ValueError, match="n_starts must be <= 4096"):
+        SolverConfig(n_starts=1_000_000_000)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
     # a nan or infinite eigen_tol switched the eigenpair residual check off

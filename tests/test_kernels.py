@@ -1,5 +1,7 @@
 """Pointwise kernels against brute force, batched kernels against the scalar reference."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,17 +44,6 @@ SECTION_CASES = [
     (14, 0.0, 1e300, 1.0),
     (8, 0.0, -1e307, 1.0),
 ]
-
-
-def _newton(m, d, u, c, x, lam, iters):
-    """kernels._newton on the rows of the (n, 3) array ``x`` with n eigenvalue guesses.
-
-    Returns (lam, x, residual) as arrays of shapes (n,), (n, 3) and (n,).
-    """
-    state = np.vstack([np.asarray(x, dtype=float).T, np.asarray(lam, dtype=float)[None]])
-    with np.errstate(all="ignore"):
-        state, res = kernels._newton(m, d, u, c, state, iters)
-    return state[3], state[:3].T, res
 
 
 def _random_cases(seed, n=30):
@@ -107,41 +98,27 @@ def test_solve4_agrees_with_dense_solver():
     a = rng.uniform(-1.0, 1.0, size=(20, 4, 4)) + 4.0 * np.eye(4)
     b = rng.uniform(-1.0, 1.0, size=(20, 4))
     expected = np.linalg.solve(a, b[..., None])[..., 0]
-    aug = np.concatenate([a, b[..., None]], axis=2).transpose(1, 2, 0).copy()
-    got, ok = kernels._solve4(aug)
-    assert ok.all()
-    assert np.max(np.abs(got.T - expected)) <= 1e-10
+    aug = np.concatenate([a, b[..., None]], axis=2)
+    for k in range(len(aug)):
+        got = kernels._solve4_point(aug[k].tolist())
+        assert np.max(np.abs(np.subtract(got, expected[k]))) <= 1e-10
 
 
 def test_solve4_reports_singular_systems():
-    aug = np.zeros((4, 5, 2))
-    aug[:, :4, 0] = np.eye(4)
-    aug[0, 4, :] = 1.0
-    with np.errstate(all="ignore"):
-        got, ok = kernels._solve4(aug)
-    assert ok.tolist() == [True, False]
-    assert got[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0]
-
-
-def test_scalar_solve4_matches_the_batched_one_and_never_divides_by_a_bad_pivot():
-    # random systems, then ones whose pivot candidates are zero, inf or
-    # nan: the scalar solve is None exactly where the batched one reports
-    # a singular system, and gives its bits everywhere else
+    identity = np.hstack([np.eye(4), [[1.0], [0.0], [0.0], [0.0]]])
+    assert kernels._solve4_point(identity.tolist()) == [1.0, 0.0, 0.0, 0.0]
+    assert kernels._solve4_point(np.zeros((4, 5)).tolist()) is None
+    # systems whose pivot candidates are zero, inf or nan: None before
+    # anything is divided by a bad pivot (Python floats raise where
+    # numpy gives inf)
     rng = np.random.default_rng(11)
-    aug = rng.uniform(-1.0, 1.0, size=(4, 5, 40))
-    aug[:, 0, 20:25] = 0.0
-    aug[2, 1, 25:30] = np.inf
-    aug[3, 2, 30:35] = np.nan
-    aug[1, 3, 35:] = np.nan
-    with np.errstate(all="ignore"):
-        want, ok = kernels._solve4(aug.copy())
+    aug = rng.uniform(-1.0, 1.0, size=(4, 5, 20))
+    aug[:, 0, :5] = 0.0
+    aug[2, 1, 5:10] = np.inf
+    aug[3, 2, 10:15] = np.nan
+    aug[1, 3, 15:] = np.nan
     for k in range(aug.shape[2]):
-        got = kernels._solve4_point(aug[:, :, k].tolist())
-        if ok[k]:
-            assert got == want[:, k].tolist()
-        else:
-            assert got is None
-    assert not ok[20:].any()
+        assert kernels._solve4_point(aug[:, :, k].tolist()) is None
 
 
 def test_minimize_from_finds_known_minimum():
@@ -160,14 +137,13 @@ def test_kkt_newton_polishes_an_eigenpair():
     # start slightly off the known minimizer of (6, 62, -1, 0) at the
     # all-ones direction, where the smallest eigenvalue is exactly 0
     s = 3.0 ** (-1.0 / 6.0)
-    lam, x, res = _newton(
-        6, 62.0, -1.0, 0.0, np.array([[s + 0.01, s - 0.02, s]]), np.array([0.5]), 40
-    )
-    assert lam.shape == (1,) and x.shape == (1, 3) and res.shape == (1,)
-    assert abs(lam[0]) <= 1e-8
-    assert res[0] <= 1e-9
-    norm = sum(abs(v) ** 6 for v in x[0])
+    start = (6, 62.0, -1.0, 0.0, s + 0.01, s - 0.02, s, 0.5, 40)
+    lam, *x, res = got = kernels._newton_point(*start)
+    assert abs(lam) <= 1e-8
+    assert res <= 1e-9
+    norm = sum(abs(v) ** 6 for v in x)
     assert abs(norm - 1.0) <= 1e-9
+    assert got == ref_kkt_newton(*start)
 
 
 def test_scan_two_equal_covers_structured_minima():
@@ -180,8 +156,9 @@ def test_scan_two_equal_covers_structured_minima():
 
 @pytest.mark.parametrize("m, d, u, c", REF_CASES)
 def test_batched_kernels_match_scalar_reference(m, d, u, c):
-    # each batched column runs the float64 operations of the scalar loop
-    # in the same order, with the C library's pow, so the results are equal
+    # each column of the batched descent and grid runs the float64
+    # operations of the scalar loop in the same order, with the C
+    # library's pow, so the results are equal
     starts = np.random.default_rng(m).standard_normal((6, 3))
     got = kernels.minimize_batch(m, d, u, c, starts, 600, 1e-11)
     assert got == ref_minimize_batch(m, d, u, c, starts.tolist(), 600, 1e-11)
@@ -190,63 +167,71 @@ def test_batched_kernels_match_scalar_reference(m, d, u, c):
     assert got == ref_scan_two_equal(m, d, u, c, 501, 40)
 
     x = starts / np.sum(np.abs(starts) ** m, axis=1, keepdims=True) ** (1.0 / m)
-    lam, xs, res = _newton(m, d, u, c, x, np.full(len(x), 0.5), 30)
-    for k in range(len(x)):
-        ref = ref_kkt_newton(m, d, u, c, *x[k].tolist(), 0.5, 30)
-        assert (lam[k], *xs[k], res[k]) == ref
-        assert kernels._newton_point(m, d, u, c, *x[k].tolist(), 0.5, 30) == ref
+    for point in x.tolist():
+        got = kernels._newton_point(m, d, u, c, *point, 0.5, 30)
+        assert got == ref_kkt_newton(m, d, u, c, *point, 0.5, 30)
 
 
-def test_scalar_newton_returns_the_bits_of_each_batched_column():
+def test_scalar_newton_matches_the_reference_on_far_starts_and_overflow():
     # far starts and eigenvalue guesses, so that steps are clamped;
     # values of u whose products overflow, down to nan residuals; and a
-    # huge guess whose step leaves the float range: the section polish's
-    # scalar Newton must return what the multistart's batched Newton
-    # returns for that column
+    # huge guess whose step leaves the float range
     rng = np.random.default_rng(3)
     for m in (4, 6, 8, 14):
         for u in (*rng.uniform(-20.0, 20.0, size=4).tolist(), 1e300, 1e307, 1e308):
             d, c = rng.uniform(-20.0, 20.0, size=2).tolist()
             lam = [*rng.uniform(-50.0, 50.0, size=7).tolist(), 1e300]
             state = np.vstack([2.0 * rng.standard_normal((3, 8)), lam])
-            with np.errstate(all="ignore"):
-                batched, res = kernels._newton(m, d, u, c, state, 30)
-            for k in range(state.shape[1]):
-                got = kernels._newton_point(m, d, u, c, *state[:, k].tolist(), 30)
-                want = (batched[3, k], *batched[:3, k], res[k])
+            for x1, x2, x3, lam0 in state.T.tolist():
+                got = kernels._newton_point(m, d, u, c, x1, x2, x3, lam0, 30)
+                want = ref_kkt_newton(m, d, u, c, x1, x2, x3, lam0, 30)
                 assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_singular_newton_start_stops_alone(monkeypatch):
     # for the pure-diagonal form x1^4 + x2^4 + x3^4 the Newton system at a
-    # coordinate axis has two zero rows; that column must stop without
-    # raising while the other columns run exactly as they would alone
+    # coordinate axis has two zero rows; Newton must stop there without
+    # raising, and the other starts polish as the reference does
     m, d, u, c = 4, 1.0, 0.0, 0.0
-    x = np.array([[0.8, 0.6, 0.5], [1.0, 0.0, 0.0], [0.3, -0.9, 0.7]])
-    lam0 = np.array([0.2, 0.5, 3.0])
-    lam, xs, res = _newton(m, d, u, c, x, lam0, 30)
-    assert xs[1].tolist() == [1.0, 0.0, 0.0]
-    assert lam[1] == 1.0 and res[1] == 0.0
+    x = [[0.8, 0.6, 0.5], [1.0, 0.0, 0.0], [0.3, -0.9, 0.7]]
+    lam0 = [0.2, 0.5, 3.0]
+    assert kernels._newton_point(m, d, u, c, *x[1], lam0[1], 30) == (1.0, 1.0, 0.0, 0.0, 0.0)
     for k in (0, 2):
-        alone = _newton(m, d, u, c, x[k:k + 1], lam0[k:k + 1], 30)
-        assert lam[k] == alone[0][0] and res[k] == alone[2][0]
-        assert xs[k].tolist() == alone[1][0].tolist()
+        got = kernels._newton_point(m, d, u, c, *x[k], lam0[k], 30)
+        assert got == ref_kkt_newton(m, d, u, c, *x[k], lam0[k], 30)
 
     # in the multistart, a start whose every Newton system is singular
     # keeps its unpolished descent point; the batch still returns the
     # best of the other starts
-    solve = kernels._solve4
+    solve, newton = kernels._solve4_point, kernels._newton_point
+    stuck = []  # the points the first start's Newton rounds return
 
-    def first_column_singular(aug):
-        y, ok = solve(aug)
-        ok[0] = False
-        return y, ok
+    def first_start_singular(m, d, u, c, x1, x2, x3, lam, iters):
+        # the first call is the first start's first round, and a second
+        # round starts from the point the first one returned
+        first = not stuck or (x1, x2, x3) == stuck[-1]
+        monkeypatch.setattr(kernels, "_solve4_point", (lambda rows: None) if first else solve)
+        point = newton(m, d, u, c, x1, x2, x3, lam, iters)
+        if first:
+            stuck.append(point[1:4])
+        return point
 
-    monkeypatch.setattr(kernels, "_solve4", first_column_singular)
+    monkeypatch.setattr(kernels, "_newton_point", first_start_singular)
     m, d, u, c = 6, 0.0, 5.0, -1.0
     starts = np.random.default_rng(1).standard_normal((4, 3))
     got = kernels.minimize_batch(m, d, u, c, starts, 600, 1e-11)
+    assert stuck
     assert got == ref_minimize_batch(m, d, u, c, starts[1:].tolist(), 600, 1e-11)
+
+
+def test_starts_of_zero_or_non_finite_norm_are_skipped():
+    m, d, u, c = 6, 0.0, 5.0, -1.0
+    bad = [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [0.5, np.inf, 0.0]]
+    assert kernels.minimize_batch(m, d, u, c, np.array(bad), 600, 1e-11) == (
+        math.inf, 0.0, 0.0, 0.0, math.inf)
+    good = [0.3, -0.9, 0.7]
+    got = kernels.minimize_batch(m, d, u, c, np.array(bad + [good]), 600, 1e-11)
+    assert got == ref_minimize_batch(m, d, u, c, [good], 600, 1e-11)
 
 
 def _assert_section_minima_match_reference(m, d, u, c):
