@@ -15,6 +15,7 @@ from helpers import (
     ref_minimize_batch,
     ref_scan_two_equal,
     ref_section_minima,
+    ref_solve4,
 )
 
 # (m, d, u, c) cases for the batched-versus-scalar comparisons
@@ -108,17 +109,26 @@ def test_solve4_reports_singular_systems():
     identity = np.hstack([np.eye(4), [[1.0], [0.0], [0.0], [0.0]]])
     assert kernels._solve4_point(identity.tolist()) == [1.0, 0.0, 0.0, 0.0]
     assert kernels._solve4_point(np.zeros((4, 5)).tolist()) is None
-    # systems whose pivot candidates are zero, inf or nan: None before
-    # anything is divided by a bad pivot (Python floats raise where
-    # numpy gives inf)
+
+
+def test_scalar_solve4_matches_the_batched_one_and_never_divides_by_a_bad_pivot():
+    # random systems, then ones whose pivot candidates are zero, inf or
+    # nan: the solve gives the bits of the reference elimination on the
+    # first and None on the others, before anything is divided by a bad
+    # pivot (Python floats raise where numpy gives inf)
     rng = np.random.default_rng(11)
-    aug = rng.uniform(-1.0, 1.0, size=(4, 5, 20))
-    aug[:, 0, :5] = 0.0
-    aug[2, 1, 5:10] = np.inf
-    aug[3, 2, 10:15] = np.nan
-    aug[1, 3, 15:] = np.nan
+    aug = rng.uniform(-1.0, 1.0, size=(4, 5, 40))
+    aug[:, 0, 20:25] = 0.0
+    aug[2, 1, 25:30] = np.inf
+    aug[3, 2, 30:35] = np.nan
+    aug[1, 3, 35:] = np.nan
     for k in range(aug.shape[2]):
-        assert kernels._solve4_point(aug[:, :, k].tolist()) is None
+        got = kernels._solve4_point(aug[:, :, k].tolist())
+        want = ref_solve4(aug[:, :4, k].ravel().tolist(), aug[:, 4, k].tolist())
+        if k < 20:
+            assert want is not None and got == want
+        else:
+            assert got is None and want is None
 
 
 def test_minimize_from_finds_known_minimum():
