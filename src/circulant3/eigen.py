@@ -26,10 +26,10 @@ cache in ``kernels``: ``sos`` finds the zeros of the form at d = N
 among the minima at d = 0, the ones N was read from, so a threshold
 scans its section once.
 
-The search budget (scan grid, Newton polish and descent iterations,
-second-round Newton tolerance) is one set of module constants, the same
-at every order: on 184 points at m = 14 and m = 16, doubling the grid
-and the descent iterations left every eigenvalue bit-identical.
+The search budget is the same at every order: the scan's sits in
+``kernels`` beside the cache of its minima, the multistart's here. On
+184 points at m = 14 and m = 16, doubling the grid and the descent
+iterations left every eigenvalue bit-identical.
 SolverConfig holds every setting a caller can change: the number of
 multistart points, their seed, the eigenpair residual tolerance, and the
 SOS decision tolerance and bisection step of the SOS threshold. It
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -50,9 +51,7 @@ from circulant3.tensor import CirculantTensor, dd_bound, require_even_order
 
 logger = logging.getLogger(__name__)
 
-# the search budget of every lambda_min call, whatever the order
-_GRID_POINTS = 2001  # grid of the two-equal-coordinate scan
-_SCAN_POLISH_ITERS = 40  # Newton polish iterations for the grid minima
+# the multistart's budget, whatever the order
 _MAX_ITERS = 600  # projected-descent iterations per multistart point
 _TOL_GRAD = 1e-11  # relative residual above which a start gets a second Newton round
 # the most multistart points a config may ask for, 64 times the default:
@@ -73,10 +72,11 @@ def _require_positive(name: str, value: float) -> None:
 class SolverConfig:
     """Caller settings of the threshold pipeline, checked on construction.
 
-    ``n_starts`` (1 to ``_MAX_STARTS``, 4,096) and ``seed`` drive the
-    multistart, ``eigen_tol`` is the eigenpair residual tolerance
-    (relative to the tensor's scale), ``sos_tol`` the SOS decision
-    tolerance of ``sos.is_sos`` and ``tol_d`` the bisection step on d.
+    ``n_starts`` (1 to ``_MAX_STARTS``, 4,096) and ``seed``, integers as
+    ``operator.index`` reads them, drive the multistart, ``eigen_tol`` is
+    the eigenpair residual tolerance (relative to the tensor's scale),
+    ``sos_tol`` the SOS decision tolerance of ``sos.is_sos`` and
+    ``tol_d`` the bisection step on d.
     Frozen and hashable: ``boundary`` caches the c = 0 reference value
     on (m, config), so a query at c = 0 honours the caller's settings
     like any other.
@@ -89,6 +89,11 @@ class SolverConfig:
     tol_d: float = 1e-7
 
     def __post_init__(self) -> None:
+        for name in ("n_starts", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_starts < 1:
             raise ValueError(f"n_starts must be >= 1, got {self.n_starts}")
         if self.n_starts > _MAX_STARTS:
@@ -156,20 +161,6 @@ def _tensor_scale(t: CirculantTensor) -> float:
     return max(1.0, abs(float(t.d)) + float(dd_bound(t.m, float(t.u), float(t.c))))
 
 
-def _scan_two_equal(m: int, d: float, u: float, c: float):
-    """Minimum of the form over x = (s, s, t) at the module's scan budget."""
-    return kernels.scan_two_equal(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
-
-
-def _section_minima(m: int, d: float, u: float, c: float):
-    """Every polished local minimum of the form over x = (s, s, t), at the same budget.
-
-    Read-only arrays from the kernels' cache, which ``_scan_two_equal``
-    reads too.
-    """
-    return kernels.cached_section_minima(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
-
-
 def _eigenpair(
     t: CirculantTensor,
     cfg: SolverConfig,
@@ -216,7 +207,7 @@ def _scan_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenRe
     thresholds pair with the certificate at M, an upper bound.
     """
     require_even_order(t.m)
-    lam_s, s1, s2, s3, _ = _scan_two_equal(t.m, float(t.d), float(t.u), float(t.c))
+    lam_s, s1, s2, s3, _ = kernels.scan_two_equal(t.m, float(t.d), float(t.u), float(t.c))
     return _eigenpair(t, cfg, (s1, s2, s3), lam_s, math.nan)
 
 
@@ -234,7 +225,7 @@ def lambda_min(t: CirculantTensor, cfg: SolverConfig = DEFAULT_CONFIG) -> EigenR
     m = t.m
     d, u, c = float(t.d), float(t.u), float(t.c)
 
-    lam_s, s1, s2, s3, _ = _scan_two_equal(m, d, u, c)
+    lam_s, s1, s2, s3, _ = kernels.scan_two_equal(m, d, u, c)
 
     rng = np.random.default_rng(cfg.seed)
     starts = rng.standard_normal((cfg.n_starts, 3))

@@ -19,11 +19,13 @@ elimination _solve4_point):
   2-vCPU x86-64 host (BENCH_newton.json);
 * section_minima evaluates the two-equal-coordinate grid in one numpy
   pass over the order's cached power sums, then polishes each of its
-  few grid minima by Newton on the section quotient and _newton_point;
-  scan_two_equal keeps the smallest of them. scan_two_equal and the
-  zero scan of ``sos`` read the minima through cached_section_minima, a
-  small cache, so N's scan at d = 0 and the zero scan of the same
-  section run it once.
+  few grid minima by Newton on the section quotient and _newton_point.
+  cached_section_minima runs it at the scan budget behind a small
+  cache, which scan_two_equal (N's scan, the smallest minimum) and the
+  zero scan of ``sos`` read, so a threshold scans its section once.
+
+A point leaves either search as _newton_point's (lam, x1, x2, x3,
+residual) record, and _best keeps the smallest of them.
 
 Batched powers go through ``np.float_power``, which calls the C
 library's pow for each element like Python's ``**`` does, and every
@@ -46,6 +48,10 @@ _LEFT = np.array([3, 3, 4])
 _RIGHT = np.array([4, 5, 5])
 # backtracking step sizes tried together per pass: eta, eta / 2, eta / 4
 _TRIES = 3
+# the scan budget of cached_section_minima, the same at every order: the
+# section grid and the section Newton iterations of each grid minimum
+_GRID_POINTS = 2001
+_SCAN_POLISH_ITERS = 40
 
 
 def _form(d, u, c, p, q, s):
@@ -191,24 +197,13 @@ def _descend(m, d, u, c, x, max_iters):
     return out_x, out_scale
 
 
-def _best(state, res):
-    """Column with the smallest eigenvalue, ties to the smaller residual, then the earlier column."""
+def _best(points):
+    """Record with the smallest eigenvalue, ties to the smaller residual, then the earlier record."""
     best = (math.inf, 0.0, 0.0, 0.0, math.inf)
-    for k, (lam, r) in enumerate(zip(state[3].tolist(), res.tolist())):
-        if lam < best[0] or (lam == best[0] and r < best[4]):
-            best = (lam, float(state[0, k]), float(state[1, k]), float(state[2, k]), r)
+    for point in points:
+        if point[0] < best[0] or (point[0] == best[0] and point[4] < best[4]):
+            best = point
     return best
-
-
-def _columns(points):
-    """The (4, k) state and k residuals of k (lam, x1, x2, x3, residual) tuples.
-
-    The state's rows are x1, x2, x3, lam, as ``_best`` reads them.
-    """
-    if not points:
-        return np.empty((4, 0)), np.empty(0)
-    out = np.array(points).T
-    return out[[1, 2, 3, 0]], out[4].copy()
 
 
 def minimize_batch(m, d, u, c, starts, max_iters, tol):
@@ -237,7 +232,7 @@ def minimize_batch(m, d, u, c, starts, max_iters, tol):
             if again[4] < point[4]:
                 point = again
         points.append(point)
-    return _best(*_columns(points))
+    return _best(points)
 
 
 def _polish_section(m, d, u, c, theta, h, iters):
@@ -405,43 +400,41 @@ def section_minima(m, d, u, c, n_grid, polish_iters):
     table sections). A constant section, such as the zero form's, makes
     every grid point a minimum, and all 2,001 are polished one by one:
     about 31 ms at m = 6 on that host (BENCH_newton.json).
-    Returns (state, residual): the columns of the (4, k) state are the
-    polished points x1, x2, x3 on the unit m-norm sphere with their
-    eigenvalues, one per grid minimum (k = 0 when the grid has none).
+    Returns a tuple of (lam, x1, x2, x3, residual) records, one per grid
+    minimum in grid order (empty when the grid has none): the polished
+    point on the unit m-norm sphere, its eigenvalue and its residual.
     """
     h = math.pi / n_grid
     p, q2, s2, denom = _section_grid(m, n_grid)
     with np.errstate(all="ignore"):
         vals = (d * p + u * q2 + c * s2) / denom
     minima = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-    cols = []
+    points = []
     for i in np.flatnonzero(minima).tolist():
         theta = _polish_section(m, d, u, c, i * h, h, polish_iters)
         ct, st = math.cos(theta), math.sin(theta)
         nrm = (abs(ct) ** m + abs(ct) ** m + abs(st) ** m) ** (1.0 / m)
         x1, x3 = ct / nrm, st / nrm
-        cols.append(_newton_point(m, d, u, c, x1, x1, x3, eval_form(m, d, u, c, x1, x1, x3), 20))
-    return _columns(cols)
+        points.append(_newton_point(m, d, u, c, x1, x1, x3, eval_form(m, d, u, c, x1, x1, x3), 20))
+    return tuple(points)
 
 
 @functools.lru_cache(maxsize=8)
-def cached_section_minima(m, d, u, c, n_grid, polish_iters):
-    """section_minima behind a bounded cache, as read-only arrays.
+def cached_section_minima(m, d, u, c):
+    """section_minima at the scan budget, behind a bounded cache.
 
     The thresholds scan the section of A(m, 0, u, c) for N and then look
     for the zeros of A(m, N, u, c) on the same section, where the form
     over the unit m-norm sphere is the one at d = 0 shifted by N: both
-    read these minima, so a table row runs the scan once.
+    read these minima, so a table row runs the scan once. Default budget
+    arguments would let the cache key calls that name them apart.
     """
-    state, res = section_minima(m, d, u, c, n_grid, polish_iters)
-    state.flags.writeable = False
-    res.flags.writeable = False
-    return state, res
+    return section_minima(m, d, u, c, _GRID_POINTS, _SCAN_POLISH_ITERS)
 
 
-def scan_two_equal(m, d, u, c, n_grid, polish_iters):
-    """The smallest of the section minima: (lam, x1, x2, x3, residual).
+def scan_two_equal(m, d, u, c):
+    """The smallest of the cached section minima: (lam, x1, x2, x3, residual).
 
     (inf, 0, 0, 0, inf) when the grid has no local minimum.
     """
-    return _best(*cached_section_minima(m, d, u, c, n_grid, polish_iters))
+    return _best(cached_section_minima(m, d, u, c))

@@ -397,7 +397,12 @@ def solve(problem: SdpProblem, target: float = math.inf) -> SdpSolution:
         G, t_star = gram(Xf, tf)
     if math.isnan(t_star):
         return _unprojectable(G, iterations)
-    obj_scale = max(1.0, float(np.linalg.norm(G)))
+    with np.errstate(over="ignore"):  # overflows once G's entries pass about 1e154
+        norm = float(np.linalg.norm(G))
+    if norm == math.inf:  # G is finite: rescale it by its largest entry
+        big = float(np.max(np.abs(G)))
+        norm = big * float(np.linalg.norm(G / big))
+    obj_scale = max(1.0, norm)
 
     dual_obj = scale * float(b @ yf)
     primal_residual = float(np.max(np.abs(problem.rhs - A_flat @ G.ravel())))

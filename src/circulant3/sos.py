@@ -45,14 +45,13 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from circulant3 import sdp
+from circulant3 import kernels, sdp
 from circulant3.eigen import (
     DEFAULT_CONFIG,
     SolverConfig,
     SolverFailure,
     _require_positive,
     _scan_min,
-    _section_minima,
     _tensor_scale,
 )
 from circulant3.tensor import (
@@ -264,16 +263,15 @@ def _zeros(t: CirculantTensor) -> List[Tuple[float, float, float]]:
     m-norm sphere is a zero when |f| there is at most _ZERO_TOL times the
     tensor's scale |d| + dd_bound.
 
-    The minima are read at d = 0, the section that N's scan searched (the
-    kernels cache them): on the unit m-norm sphere the form at d is the
-    one at d = 0 plus d, so both have the same minimizers, and a minimum
-    of value lambda at d = 0 is a zero at d when |lambda + d| is within
-    the tolerance.
+    The minima are the (lambda, x1, x2, x3, residual) records of d = 0,
+    the section N's scan searched (kernels.cached_section_minima): on the
+    unit m-norm sphere the form at d is the one at d = 0 plus d, so a
+    record is a zero at d when |lambda + d| is within the tolerance.
     """
     m, d, u, c = t.m, float(t.d), float(t.u), float(t.c)
     tol = _ZERO_TOL * _tensor_scale(t)
-    state, _ = _section_minima(m, 0.0, u, c)
-    return [tuple(x) for x in state[:3, np.abs(state[3] + d) <= tol].T.tolist()]
+    return [(x1, x2, x3) for lam, x1, x2, x3, _ in kernels.cached_section_minima(m, 0.0, u, c)
+            if abs(lam + d) <= tol]
 
 
 _Face = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -404,15 +402,22 @@ def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
         )
 
 
-def _certificate_from_solution(
-    form: TernaryForm, problem: sdp.SdpProblem, G: np.ndarray, scale: float
-) -> GramCertificate:
-    basis = _gram_structure(form.degree).basis
+def _certify(
+    m: int, problem: sdp.SdpProblem, G: np.ndarray, tol: float
+) -> Tuple[GramCertificate, bool, float]:
+    """G, shifted by -lambda_min(G) onto the PSD cone, as a certificate for ``problem``.
+
+    Returns it with check_certificate's verdict and worst violation at
+    tol times the problem's scale.
+    """
+    scale = problem.scale()
     lam = float(np.linalg.eigvalsh(G)[0])
     if lam < 0.0:
         G = G + (-lam) * np.eye(G.shape[0])
         lam = 0.0
-    return GramCertificate(basis, G, lam, problem.violation(G) / scale)
+    cert = GramCertificate(_gram_structure(m).basis, G, lam, problem.violation(G) / scale)
+    ok, viol = sdp.check_certificate(G, problem, tol=tol * scale)
+    return cert, ok, viol
 
 
 def is_sos(
@@ -423,10 +428,11 @@ def is_sos(
     One tolerance decides: theta = tol * max(1, max_l |b_l|) (tol finite and
     > 0, else ValueError), relative to the largest coefficient b_l of the
     form, whatever precision the solver reached; the solver encloses the
-    optimal t in [t*, t* + precision]. "Yes", with G shifted by -t* onto
-    the PSD cone as the certificate, when that G passes the independent
-    check at theta; the shift moves each even-exponent constraint by |t*|,
-    so t* >= -theta is tried first and a rejection builds no certificate.
+    optimal t in [t*, t* + precision]. "Yes" when the certificate that
+    _certify builds from the solver's G (shifted by -lambda_min(G), that
+    is by -t*, onto the PSD cone) passes its independent check at theta;
+    the shift moves each even-exponent constraint by |t*|, so t* >= -theta
+    is tried first and a rejection builds no certificate.
     "No" when the whole enclosure lies below -theta. Anything else raises
     SosUndecided.
 
@@ -457,11 +463,9 @@ def is_sos(
         solution = sdp.solve(problem)
     else:
         solution = _solve_on_face(t.m, problem, face)
-    scale = problem.scale()
-    theta = tol * scale
+    theta = tol * problem.scale()
     if solution.t_star >= -theta:
-        cert = _certificate_from_solution(form, problem, solution.G, scale)
-        ok, viol = sdp.check_certificate(cert.G, problem, tol=theta)
+        cert, ok, viol = _certify(t.m, problem, solution.G, tol)
         if ok:
             return True, cert
         raise SosUndecided(
@@ -653,15 +657,12 @@ def _bundle(
     if cert is not None:
         # tol_d on the three pure-power diagonal entries makes G an exact
         # Gram matrix of f + tol_d * (x1^m + x2^m + x3^m), the form at M + tol_d
-        form = make_tensor(m, Mf + tol_d, float(u), float(c)).to_form()
-        problem = build_gram_problem(form)
-        scale = problem.scale()
+        problem = build_gram_problem(make_tensor(m, Mf + tol_d, float(u), float(c)).to_form())
         k = cert.basis.k
         G = cert.G.copy()
         for e in ((k, 0, 0), (0, k, 0), (0, 0, k)):
             G[cert.basis.index(e), cert.basis.index(e)] += tol_d
-        cert = _certificate_from_solution(form, problem, G, scale)
-        cert_ok, _ = sdp.check_certificate(cert.G, problem, tol=cfg.sos_tol * scale)
+        cert, cert_ok, _ = _certify(m, problem, G, cfg.sos_tol)
 
     try:
         eig = _scan_min(make_tensor(m, Mf, float(u), float(c)), cfg)

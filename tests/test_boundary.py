@@ -416,7 +416,7 @@ def test_missing_certificate_at_n_bisects_up_from_the_scan(monkeypatch):
 
 def test_non_minimal_scan_point_leaves_the_report_unconfirmed(monkeypatch):
     true_n = boundary.n_value(6, 5, -1).value
-    monkeypatch.setattr(eigen, "_scan_two_equal", _scan_at_the_diagonal)
+    monkeypatch.setattr(kernels, "scan_two_equal", _scan_at_the_diagonal)
     assert -eigen._scan_min(make_tensor(6, 0, 5, -1)).lam < true_n - 100.0
     report = boundary.analyze(6, 5, -1, with_certificate=False)
     assert report.n_guard == boundary.GUARD_SCAN

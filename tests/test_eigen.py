@@ -116,7 +116,7 @@ def test_one_search_budget_matches_the_doubled_budget_at_large_orders():
         for t in tensors:
             d, u, c = float(t.d), float(t.u), float(t.c)
             res = lambda_min(t)
-            lam_s = kernels.scan_two_equal(m, d, u, c, 4001, 40)[0]
+            lam_s = kernels._best(kernels.section_minima(m, d, u, c, 4001, 40))[0]
             starts = np.random.default_rng(DEFAULT_CONFIG.seed).standard_normal(
                 (DEFAULT_CONFIG.n_starts, 3)
             )
@@ -135,7 +135,7 @@ def test_scan_multistart_tie_is_relative_to_the_tensor_scale(caplog):
     with caplog.at_level(logging.WARNING, logger="circulant3.eigen"):
         res = lambda_min(t)
     assert not caplog.records
-    _, x1, x2, x3, _ = eigen._scan_two_equal(m, float(t.d), float(t.u), float(t.c))
+    _, x1, x2, x3, _ = kernels.scan_two_equal(m, float(t.d), float(t.u), float(t.c))
     assert res.x == eigen._canonical(m, (x1, x2, x3))
     assert res.lam_multistart < res.lam_structured
 
@@ -152,6 +152,12 @@ def test_solver_config_rejects_invalid_settings():
         SolverConfig(n_starts=1_000_000_000)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
+    # a count or seed that is no integer failed inside numpy, in lambda_min
+    for name in ("n_starts", "seed"):
+        for bad in (2.5, 1.0, "8", None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(**{name: bad})
+    SolverConfig(n_starts=np.int64(8), seed=np.uint32(3))
     # a nan or infinite eigen_tol switched the eigenpair residual check off
     for name in ("eigen_tol", "sos_tol", "tol_d"):
         for bad in (math.nan, math.inf, 0.0, -1.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import circulant3
-from circulant3 import eigen, kernels, tables
+from circulant3 import kernels, tables
 
 from helpers import (
     brute_force_apply,
@@ -159,7 +159,7 @@ def test_kkt_newton_polishes_an_eigenpair():
 def test_scan_two_equal_covers_structured_minima():
     # the two-equal family contains the global minimizer for the
     # pure-u reference at order 4: value -14 at the all-ones direction
-    lam, x1, x2, x3, res = kernels.scan_two_equal(4, 0.0, -1.0, 0.0, 2001, 40)
+    lam, x1, x2, x3, res = kernels._best(kernels.section_minima(4, 0.0, -1.0, 0.0, 2001, 40))
     assert abs(lam + 14.0) <= 1e-8
     assert res <= 1e-8 * 14.0
 
@@ -173,7 +173,7 @@ def test_batched_kernels_match_scalar_reference(m, d, u, c):
     got = kernels.minimize_batch(m, d, u, c, starts, 600, 1e-11)
     assert got == ref_minimize_batch(m, d, u, c, starts.tolist(), 600, 1e-11)
 
-    got = kernels.scan_two_equal(m, d, u, c, 501, 40)
+    got = kernels._best(kernels.section_minima(m, d, u, c, 501, 40))
     assert got == ref_scan_two_equal(m, d, u, c, 501, 40)
 
     x = starts / np.sum(np.abs(starts) ** m, axis=1, keepdims=True) ** (1.0 / m)
@@ -245,12 +245,12 @@ def test_starts_of_zero_or_non_finite_norm_are_skipped():
 
 
 def _assert_section_minima_match_reference(m, d, u, c):
-    budget = (eigen._GRID_POINTS, eigen._SCAN_POLISH_ITERS)
-    state, res = kernels.section_minima(m, d, u, c, *budget)
-    got = [(state[3, k], *state[:3, k], res[k]) for k in range(state.shape[1])]
+    budget = (kernels._GRID_POINTS, kernels._SCAN_POLISH_ITERS)
+    got = kernels.section_minima(m, d, u, c, *budget)
     ref = ref_section_minima(m, d, u, c, *budget)
-    # equal as floats, a nan residual matching a nan
-    assert np.array_equal(np.reshape(got, (-1, 5)), np.reshape(ref, (-1, 5)), equal_nan=True)
+    # the same records in the same order, a nan residual matching a nan
+    assert len(got) == len(ref)
+    assert all(np.array_equal(g, r, equal_nan=True) for g, r in zip(got, ref))
 
 
 def test_every_section_minimum_of_the_fixture_matches_the_scalar_reference():

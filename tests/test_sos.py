@@ -39,6 +39,17 @@ def test_an_unprojectable_breakdown_says_so_instead_of_an_enclosure():
     assert "broke down" in message and "project" in message
 
 
+@pytest.mark.parametrize("s", [1.0, 1e160, 1e300])
+def test_verdicts_on_both_sides_of_n_hold_where_the_gram_norm_overflows(s):
+    # past a scale of about 1e154 the Frobenius norm of the finite G
+    # overflowed, its infinite precision made the "no" below N undecided,
+    # and numpy warned of the overflow
+    n = float(boundary.n_value(6, 10, 1).value)
+    assert sos.is_sos(make_tensor(6, 0.75 * n * s, 10 * s, s)) == (False, None)
+    ok, cert = sos.is_sos(make_tensor(6, 1.25 * n * s, 10 * s, s))
+    assert ok and cert.min_eig >= 0.0
+
+
 def test_is_sos_accepts_known_members():
     # the two m = 8 points lie above N; the interior-point run stops on its
     # stall counter there, at t* above 1.6, and its projected iterate is the
@@ -605,17 +616,28 @@ def test_each_table_row_scans_its_section_once(monkeypatch):
         assert len(calls) == 1, (row.table, row.u)
 
 
-def test_forms_of_one_order_share_one_read_only_constraint_stack():
+def test_forms_of_one_order_share_one_read_only_constraint_stack(monkeypatch):
     a = sos.build_gram_problem(make_tensor(8, 3, 1, -1).to_form())
     b = sos.build_gram_problem(make_tensor(8, 40, 20, 1).to_form())
     assert a.coeffs is b.coeffs
     assert not np.array_equal(a.rhs, b.rhs)
     with pytest.raises(ValueError):
         a.coeffs[0, 0, 0] = 2.0
-    # the minima the kernels cache are read-only too
-    state, res = kernels.cached_section_minima(8, 0.0, 1.0, -1.0, 101, 40)
-    with pytest.raises(ValueError):
-        state[0, 0] = 2.0
+    # the minima the kernels cache are one tuple of records, which N's scan
+    # and the zero scan at d = N both read
+    read = []
+    cached = kernels.cached_section_minima
+
+    def spy(*args):
+        read.append(cached(*args))
+        return read[-1]
+
+    monkeypatch.setattr(kernels, "cached_section_minima", spy)
+    cached.cache_clear()
+    n = boundary.n_value(6, 5, -1).value
+    assert sos._zeros(make_tensor(6, n, 5, -1))
+    assert len(read) == 2 and read[0] is read[1]
+    assert isinstance(read[0], tuple) and all(isinstance(p, tuple) for p in read[0])
 
 
 BREAKPOINT_ROWS = [(6, Fraction(-70, 11)), (8, Fraction(-686, 43))]
