@@ -32,6 +32,16 @@ What the Gram problems of one order share, the constraint stack, its
 orbit sums, the components and the orbit constraints restricted to
 them, is built once per order, on first use, as read-only arrays;
 each problem adds only its right-hand sides, each face its coordinates.
+
+The form and its Gram constraints are linear in (d, u, c), and the SOS
+forms are a convex cone ("Semidefinite Optimization and Convex Algebraic
+Geometry", Blekherman, Parrilo and Thomas, 2012, ch. 3). So the SOS
+threshold on the cone K between the breakpoint rays (u0, -1) and
+(v0, +1), which holds the nonpositive quadrant and both linear branches
+and where N is linear, needs no face solve of its own: a nonnegative
+combination of the two certificates at the order's breakpoints, each
+found once by a face solve and cached, certifies the form at d = N, and
+is checked against the point's own problem like any certificate.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -402,6 +413,14 @@ def _require_float_coefficients(t: CirculantTensor, form: TernaryForm) -> None:
         )
 
 
+def _gram_problem_of(t: CirculantTensor) -> sdp.SdpProblem:
+    """build_gram_problem of the tensor's form, once its order and coefficients are checked."""
+    require_even_order(t.m)
+    form = t.to_form()
+    _require_float_coefficients(t, form)
+    return build_gram_problem(form)
+
+
 def _certify(
     m: int, problem: sdp.SdpProblem, G: np.ndarray, tol: float
 ) -> Tuple[GramCertificate, bool, float]:
@@ -454,10 +473,7 @@ def is_sos(
     coefficients overflow a float raises ValueError naming m, d, u and c.
     """
     _require_positive("tol", tol)
-    require_even_order(t.m)
-    form = t.to_form()
-    _require_float_coefficients(t, form)
-    problem = build_gram_problem(form)
+    problem = _gram_problem_of(t)
     face = _face(t)
     if face is None:
         solution = sdp.solve(problem)
@@ -491,9 +507,10 @@ def m_value(m: int, u: Scalar, c: Scalar, cfg: SolverConfig = DEFAULT_CONFIG) ->
     """Minimal diagonal entry d making A(m, d, u, c) a sum of squares.
 
     Two parameter ranges have exact closed forms (returned in the exact
-    arithmetic of the inputs and verified by one SDP solve): u = c > 0,
+    arithmetic of the inputs and verified by a certificate): u = c > 0,
     where the threshold is u itself, and u <= 0, c <= 0, where it is
-    -u(2^m - 2) - c(3^{m-1} - 2^m + 1). Everywhere else the value comes
+    -u(2^m - 2) - c(3^{m-1} - 2^m + 1); see _threshold for where that
+    certificate comes from. Everywhere else the value comes
     from bisection on d, to within ``cfg.tol_d``, between the PSD
     threshold N of boundary.n_value (off the closed forms the scan's
     lower bound, never above the SOS threshold) and the
@@ -522,6 +539,71 @@ class Threshold(NamedTuple):
     undecided: Optional[str] = None
 
 
+# one entry per order, breakpoint ray and tolerance: m = 4 ... 18 at one
+# sos_tol fill 16
+@functools.lru_cache(maxsize=16)
+def _breakpoint_gram(m: int, side: int, sos_tol: float) -> Optional[np.ndarray]:
+    """G of the certificate is_sos accepts at a breakpoint of the order, read-only.
+
+    ``side`` -1 names the breakpoint u0 of the c = -1 branch and +1 the
+    breakpoint v0 of the c = +1 branch; the point is (l(u0, -1), u0, -1)
+    or (l(v0, 1), v0, 1), with l the linear threshold, in floats, as a
+    table row at that breakpoint asks. None when is_sos does not answer
+    "yes" there.
+    """
+    from circulant3 import boundary
+
+    u = boundary.breakpoint_u0_formula(m) if side < 0 else boundary.breakpoint_v0_formula(m)
+    t = make_tensor(m, float(boundary._linear(m, u, side)), float(u), float(side))
+    try:
+        ok, cert = is_sos(t, sos_tol)
+    except SosUndecided:
+        return None
+    if not ok:
+        return None
+    G = np.array(cert.G)
+    G.flags.writeable = False
+    return G
+
+
+def _cone_certificate(
+    m: int, u: Scalar, c: Scalar, n: Scalar, sos_tol: float
+) -> Optional[GramCertificate]:
+    """A certificate at d = n combined from the order's two breakpoint certificates, or None.
+
+    The form and its Gram constraints are linear in (d, u, c), and so is
+    the linear threshold l. So where (u, c) = alpha (u0, -1) + beta (v0, 1)
+    with alpha, beta >= 0, the cone K between the two breakpoint rays,
+    alpha G_a + beta G_b is a Gram matrix of the form at d = l(u, c), with
+    G_a and G_b the certificates at the breakpoints (_breakpoint_gram).
+    K holds every point of the nonpositive quadrant and of the two linear
+    branches, where N = l. alpha and beta are exact; the combination is
+    checked, as every certificate is, against the point's own Gram
+    problem at d = n and theta. None off K, without both breakpoint
+    certificates, or when the check fails.
+    """
+    from circulant3 import boundary
+
+    u0, v0 = boundary.breakpoint_u0_formula(m), boundary.breakpoint_v0_formula(m)
+    alpha = (Fraction(u) - Fraction(c) * v0) / (u0 + v0)
+    beta = Fraction(c) + alpha
+    if alpha < 0 or beta < 0:
+        return None
+    G_a, G_b = _breakpoint_gram(m, -1, sos_tol), _breakpoint_gram(m, 1, sos_tol)
+    if G_a is None or G_b is None:
+        return None
+    # a zero weight adds nothing, not the -0.0 of 0.0 times a negative entry;
+    # near the float range the check could not symmetrize G as (G + G') / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = sum((float(w) * G_w for w, G_w in ((alpha, G_a), (beta, G_b)) if w),
+                np.zeros_like(G_a))
+        if not math.isfinite(2.0 * float(np.max(np.abs(G)))):
+            return None
+    problem = _gram_problem_of(make_tensor(m, float(n), float(u), float(c)))
+    cert, ok, _ = _certify(m, problem, G, sos_tol)
+    return cert if ok else None
+
+
 def _threshold(
     m: int,
     u: Scalar,
@@ -530,13 +612,21 @@ def _threshold(
     exact: bool,
     cfg: SolverConfig,
 ) -> Threshold:
-    """M from the PSD threshold n, with the certificate is_sos accepted at d = M.
+    """M from the PSD threshold n, with the certificate accepted at d = M.
 
-    ``exact`` marks n as a closed form that M equals, which one SDP solve
-    verifies; otherwise is_sos decides at d = n itself, and without a
-    certificate there M is bisected upward from n to within
-    ``cfg.tol_d``. is_sos decides at ``cfg.sos_tol``.
+    Where (u, c) lies in the cone K of the two breakpoint rays, the
+    nonpositive quadrant and the linear branches, the certificate at
+    d = n is first combined from the order's two cached breakpoint
+    certificates (_cone_certificate), and M = n when it passes the
+    point's own check. Otherwise, or when it fails: ``exact`` marks n as
+    a closed form that M equals, which one SDP solve verifies; without
+    it is_sos decides at d = n itself, and without a certificate there M
+    is bisected upward from n to within ``cfg.tol_d``. Every decision
+    and check is at ``cfg.sos_tol``.
     """
+    cert = _cone_certificate(m, u, c, n, cfg.sos_tol)
+    if cert is not None:
+        return Threshold(n, cert)
     lo, uf, cf = float(n), float(u), float(c)
     try:
         ok, cert = is_sos(make_tensor(m, lo, uf, cf), cfg.sos_tol)

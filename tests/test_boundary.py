@@ -300,7 +300,10 @@ def test_the_zero_form_is_confirmed_in_little_memory():
 
 def test_sdp_rejection_is_reported_not_raised(monkeypatch, capsys):
     # an SDP that rejects every form contradicts the closed forms; each
-    # entry point must name that in its result instead of raising it
+    # entry point must name that in its result instead of raising it; the
+    # breakpoint certificates the nonpositive point would be combined from
+    # are not cached, so the stub is asked for those too and rejects them
+    sos._breakpoint_gram.cache_clear()
     monkeypatch.setattr(sos, "is_sos", lambda t, tol=sos.DEFAULT_SOS_TOL: (False, None))
     report = boundary.analyze(6, -1, -1, with_certificate=False)
     assert not report.confirmed
@@ -491,3 +494,19 @@ def test_undecided_sos_step_leaves_m_unconfirmed(monkeypatch, capsys):
     assert not report.confirmed
     assert report.errors[0].startswith(boundary.UNDECIDED_PREFIX + " at the bisection midpoint")
     assert report.m_method == "undecided"
+
+
+# within about 1e-7 (relative) below u0 = 43263/1024 at m = 12 and
+# 394485/4096 at m = 14; the face solve at N of the point itself left
+# is_sos undecided at the last four, and the combination of the order's
+# two breakpoint certificates decides all five
+NEAR_U0 = [(12, 42.249019), (12, 42.249023), (14, 96.309812), (14, 96.309813), (14, 96.309814)]
+
+
+@pytest.mark.parametrize("m, u", NEAR_U0)
+def test_points_just_below_the_c_neg_breakpoint_confirm_at_n(m, u):
+    report = boundary.analyze(m, u, -1)
+    assert report.n_tag == TAG_LINEAR_CNEG
+    assert report.confirmed and report.bundle.status == "CONFIRMED", report.errors
+    assert report.m_val == report.n
+    assert report.bundle.certificate.min_eig > 0.0

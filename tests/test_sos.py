@@ -600,7 +600,10 @@ def test_each_table_row_scans_its_section_once(monkeypatch):
     # N's scan at d = 0 and the zero scan of the face at d = N read one set
     # of section minima, as the form on the unit m-norm sphere moves by
     # exactly d; an eigen row ran kernels.section_minima twice when the
-    # zero scan searched the section at d = N
+    # zero scan searched the section at d = N. A linear row scans no section
+    # of its own: its certificate is combined from the order's two
+    # breakpoint certificates, and only the row that builds those, the
+    # first linear row of its order, scans, the two breakpoint sections
     calls = []
     section_minima = kernels.section_minima
 
@@ -609,11 +612,22 @@ def test_each_table_row_scans_its_section_once(monkeypatch):
         return section_minima(*args)
 
     monkeypatch.setattr(kernels, "section_minima", spy)
+    built = set()
     for row in tables.load_fixture():
         kernels.cached_section_minima.cache_clear()
         calls.clear()
         assert tables.compute_row(row).passed
-        assert len(calls) == 1, (row.table, row.u)
+        if boundary.closed_form_n(row.m, row.u_value, row.c) is None:
+            assert len(calls) == 1, (row.table, row.u)
+            continue
+        breakpoints = [
+            (row.m, 0.0, float(boundary.breakpoint_u0_formula(row.m)), -1.0),
+            (row.m, 0.0, float(boundary.breakpoint_v0_formula(row.m)), 1.0),
+        ]
+        expected = [] if row.m in built else breakpoints
+        built.add(row.m)
+        assert [args[:4] for args in calls] == expected, (row.table, row.u)
+    assert built == {6, 8, 10, 12}
 
 
 def test_forms_of_one_order_share_one_read_only_constraint_stack(monkeypatch):
@@ -734,3 +748,62 @@ def test_the_restricted_face_problem_is_the_svd_restriction_on_every_table_face(
             assert lam[kept][0] >= 1e-2 * lam[-1]
             assert np.all(lam[~kept] <= 1e-14 * lam[-1])
     assert max(sides) == 22
+
+
+def _linear_cone(m):
+    # points of the cone K between the breakpoint rays (u0, -1) and (v0, 1):
+    # both linear branches up to their breakpoints, c = 0 with u < 0 and a
+    # point of the nonpositive quadrant off the slices c = -1, 0, 1
+    u0, v0 = boundary.breakpoint_u0_formula(m), boundary.breakpoint_v0_formula(m)
+    return [(u0, -1), (u0 * (1 - Fraction(4, 10**8)), -1), (u0 / 2, -1), (0, -1), (-5, -1),
+            (v0, 1), (2 * v0, 1), (10 * v0, 1), (-1, 0), (-40, 0), (0, 0), (-2, -3)]
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10, 12, 14])
+def test_the_linear_cone_is_certified_from_two_breakpoint_solves(m, monkeypatch):
+    # the form and its Gram constraints are linear in (d, u, c), so a
+    # nonnegative combination of the two breakpoint certificates certifies
+    # each point of K at d = N, the linear threshold there; it passes the
+    # point's own check far inside theta, and the order takes no face
+    # solve beyond the two at its breakpoints
+    solves = []
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    for u, c in _linear_cone(m):
+        n = boundary.n_value(m, u, c)
+        assert n.value == boundary._linear(m, u, c)
+        M, cert, undecided = sos._guarded_threshold(m, u, c, SolverConfig())
+        assert undecided is None and M == n.value
+        prob = sos.build_gram_problem(make_tensor(m, float(M), float(u), float(c)).to_form())
+        ok, viol = sdp.check_certificate(cert.G, prob, tol=1e-12 * prob.scale())
+        assert ok, f"violation {viol:.3e} at (m={m}, u={u}, c={c})"
+    assert len(solves) <= 2
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_tampered_breakpoint_certificate_falls_back_to_the_face_solve(side, monkeypatch):
+    # one diagonal entry of a cached breakpoint certificate off by 1e-3 of
+    # its problem's scale: the combination fails the point's check, and the
+    # point's own face solve decides, as it did before the cone route
+    m, u, c = 8, 3, -1
+    tol = sos.DEFAULT_SOS_TOL
+    cached = sos._breakpoint_gram
+    G = np.array(cached(m, side, tol))
+    u_b = boundary.breakpoint_u0_formula(m) if side < 0 else boundary.breakpoint_v0_formula(m)
+    at_b = make_tensor(m, float(boundary._linear(m, u_b, side)), float(u_b), float(side))
+    G[0, 0] += 1e-3 * sos.build_gram_problem(at_b.to_form()).scale()
+    cached(m, -side, tol)
+    monkeypatch.setattr(
+        sos, "_breakpoint_gram", lambda *key: G if key == (m, side, tol) else cached(*key))
+    assert sos._cone_certificate(m, u, c, 1170, tol) is None
+    solves = []
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    report = boundary.analyze(m, u, c)
+    assert report.confirmed and report.bundle.status == "CONFIRMED"
+    assert report.m_val == report.n == 1170.0
+    assert len(solves) == 1
+    prob = sos.build_gram_problem(make_tensor(m, 1170, u, c).to_form())
+    M, cert, _ = sos._guarded_threshold(m, u, c, SolverConfig())
+    ok, viol = sdp.check_certificate(cert.G, prob, tol=tol * prob.scale())
+    assert M == 1170 and ok, f"violation {viol:.3e}"
